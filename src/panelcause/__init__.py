@@ -23,7 +23,7 @@ from .its import (CitsEstimate, ItsEstimate, MultiBaselineItsEstimate,
                   fit_cits, fit_its, fit_its_multiple_baseline)
 from .panel import (NEVER, AdoptionSchedule, BalanceReport, ColumnSpec,
                     PanelDataset, balance_panel, cumulative_adoption_counts,
-                    derive_adoption, load_panel, write_panel)
+                    derive_adoption, load_panel)
 from .scm import (PlaceboResult, ScmEstimate, ScmWeights,
                   StaggeredAscmEstimate, fit_ascm, fit_scm,
                   fit_staggered_ascm, placebo_inference, project_simplex,
@@ -45,7 +45,7 @@ __all__ = [
     "fit_cits", "fit_its", "fit_its_multiple_baseline",
     "NEVER", "AdoptionSchedule", "BalanceReport", "ColumnSpec",
     "PanelDataset", "balance_panel", "cumulative_adoption_counts",
-    "derive_adoption", "load_panel", "write_panel",
+    "derive_adoption", "load_panel",
     "PlaceboResult", "ScmEstimate", "ScmWeights", "StaggeredAscmEstimate",
     "fit_ascm", "fit_scm", "fit_staggered_ascm", "placebo_inference",
     "project_simplex", "solve_simplex_lsq",

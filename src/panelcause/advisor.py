@@ -5,15 +5,28 @@ how many comparison units) to the set of viable estimators, each carrying
 its identification-assumption checklist, heterogeneity-support flags, and
 advisory data cautions. Viability is a pure function of the features;
 cautions are guidance, never vetoes.
+
+Each method is declared once, in ``METHODS``: how to fit it, which number
+summarizes the fit, which true value the Monte Carlo harness scores it
+against, its assumptions and its heterogeneity support. The CLI and the
+harness read the same table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
+import numpy as np
+
+from .ar import fit_debiased_ar
+from .did import (fit_did_twfe, fit_event_study, fit_group_time_att,
+                  fit_imputation_did)
 from .errors import PanelCauseError
-from .panel import (NO_TREATED, SIMULTANEOUS, SINGLE_TREATED, STAGGERED,
-                    PanelDataset, derive_adoption)
+from .its import fit_cits, fit_its, fit_its_multiple_baseline
+from .panel import (NO_TREATED, SINGLE_TREATED, STAGGERED, PanelDataset,
+                    derive_adoption)
+from .scm import fit_ascm, fit_scm, fit_staggered_ascm
 
 ITS = "ITS"
 ITS_MULTI_BASELINE = "ITS_MULTI_BASELINE"
@@ -27,10 +40,6 @@ IMPUTATION_DID = "IMPUTATION_DID"
 DEBIASED_AR = "DEBIASED_AR"
 STAGGERED_ASCM = "STAGGERED_ASCM"
 
-ALL_METHODS = (ITS, ITS_MULTI_BASELINE, SCM, ASCM, DID_TWFE, EVENT_STUDY,
-               CITS, GROUP_TIME_DID, IMPUTATION_DID, DEBIASED_AR,
-               STAGGERED_ASCM)
-
 IGNORABILITY = "ignorability"
 POSITIVITY = "positivity"
 NO_ANTICIPATION = "no anticipation"
@@ -38,45 +47,122 @@ CONSISTENCY = "consistency"
 NO_SPILLOVER = "no spillover"
 PARALLEL_TRENDS = "parallel trends"
 
-# identification assumptions each method leans on
-ASSUMPTIONS = {
-    ITS: (IGNORABILITY, NO_ANTICIPATION, CONSISTENCY),
-    ITS_MULTI_BASELINE: (IGNORABILITY, NO_ANTICIPATION, CONSISTENCY,
-                         NO_SPILLOVER),
-    SCM: (IGNORABILITY, POSITIVITY, NO_ANTICIPATION, CONSISTENCY,
-          NO_SPILLOVER),
-    ASCM: (IGNORABILITY, POSITIVITY, NO_ANTICIPATION, CONSISTENCY,
-           NO_SPILLOVER),
-    DID_TWFE: (POSITIVITY, NO_ANTICIPATION, CONSISTENCY, NO_SPILLOVER,
-               PARALLEL_TRENDS),
-    EVENT_STUDY: (IGNORABILITY, POSITIVITY, NO_ANTICIPATION, CONSISTENCY,
-                  NO_SPILLOVER, PARALLEL_TRENDS),
-    CITS: (POSITIVITY, NO_ANTICIPATION, CONSISTENCY, NO_SPILLOVER),
-    GROUP_TIME_DID: (POSITIVITY, NO_ANTICIPATION, CONSISTENCY, NO_SPILLOVER,
-                     PARALLEL_TRENDS),
-    IMPUTATION_DID: (POSITIVITY, NO_ANTICIPATION, CONSISTENCY, NO_SPILLOVER,
-                     PARALLEL_TRENDS),
-    DEBIASED_AR: ("ignorability (conditional on prior outcomes absent "
-                  "treatment)", POSITIVITY, NO_ANTICIPATION, CONSISTENCY,
-                  NO_SPILLOVER),
-    STAGGERED_ASCM: (IGNORABILITY, NO_ANTICIPATION, CONSISTENCY,
-                     NO_SPILLOVER),
+
+def _overall(est, truth):
+    return truth.att_overall
+
+
+def _post_event_times(est):
+    return sorted(k for k in est.coefficients if isinstance(k, int) and k >= 0)
+
+
+def _event_study_point(est):
+    """Mean of the post-period event coefficients and its SE."""
+    ks = _post_event_times(est)
+    if not ks:
+        return None
+    V = est.fit.subvcov([f"k[{k}]" for k in ks])
+    w = np.full(len(ks), 1.0 / len(ks))
+    return (float(np.mean([est.coefficients[k][0] for k in ks])),
+            float(np.sqrt(max(w @ V @ w, 0.0))))
+
+
+def _event_study_target(est, truth):
+    return float(np.mean([truth.by_event[k] for k in _post_event_times(est)
+                          if k in truth.by_event]))
+
+
+def _single_treated(panel, method):
+    """The one treated unit a synthetic control matches."""
+    treated = derive_adoption(panel).treated_units
+    if len(treated) != 1:
+        raise PanelCauseError(
+            "TOO_MANY_TREATED",
+            f"{method} needs exactly one treated unit, found {len(treated)}")
+    return treated[0]
+
+
+@dataclass(frozen=True)
+class MethodSpec:
+    """What the advisor, the CLI and the Monte Carlo harness know of a method.
+
+    ``fit`` calls the estimator through this module's global name, so
+    anything that rebinds that name (a tracer, a test double) sees the call.
+    """
+    fit: Callable               # (panel, covariates, ci_level, seed) -> estimate
+    point: Callable             # estimate -> (estimate, se), None if undefined
+    assumptions: tuple          # identification assumptions the method leans on
+    by_time: bool               # supports effect heterogeneity by time
+    by_cohort: bool             # supports effect heterogeneity by cohort
+    label: str | None = None    # names a point estimate that is not the ATT
+    target: Callable = _overall  # (estimate, truth) -> true value it estimates
+    placebo: bool = False       # fit adds placebo inference on the treated unit
+
+
+METHODS = {
+    ITS: MethodSpec(
+        lambda p, cov, ci, seed: fit_its(p, covariates=cov),
+        lambda e: (e.level_change, e.level_change_se),
+        (IGNORABILITY, NO_ANTICIPATION, CONSISTENCY), True, False),
+    ITS_MULTI_BASELINE: MethodSpec(
+        lambda p, cov, ci, seed: fit_its_multiple_baseline(p, covariates=cov),
+        lambda e: (e.pooled_level_change, e.pooled_level_change_se),
+        (IGNORABILITY, NO_ANTICIPATION, CONSISTENCY, NO_SPILLOVER),
+        True, True),
+    SCM: MethodSpec(
+        lambda p, cov, ci, seed: fit_scm(p, _single_treated(p, SCM),
+                                         covariates=cov),
+        lambda e: (e.att, float("nan")),
+        (IGNORABILITY, POSITIVITY, NO_ANTICIPATION, CONSISTENCY,
+         NO_SPILLOVER), True, False, placebo=True),
+    ASCM: MethodSpec(
+        lambda p, cov, ci, seed: fit_ascm(p, _single_treated(p, ASCM),
+                                          covariates=cov),
+        lambda e: (e.att, float("nan")),
+        (IGNORABILITY, POSITIVITY, NO_ANTICIPATION, CONSISTENCY,
+         NO_SPILLOVER), True, False, placebo=True),
+    DID_TWFE: MethodSpec(
+        lambda p, cov, ci, seed: fit_did_twfe(p, covariates=cov, ci_level=ci),
+        lambda e: (e.att, e.se),
+        (POSITIVITY, NO_ANTICIPATION, CONSISTENCY, NO_SPILLOVER,
+         PARALLEL_TRENDS), False, False),
+    EVENT_STUDY: MethodSpec(
+        lambda p, cov, ci, seed: fit_event_study(p, covariates=cov,
+                                                 ci_level=ci),
+        _event_study_point,
+        (IGNORABILITY, POSITIVITY, NO_ANTICIPATION, CONSISTENCY,
+         NO_SPILLOVER, PARALLEL_TRENDS), True, False,
+        label="mean post-period event effect", target=_event_study_target),
+    CITS: MethodSpec(
+        lambda p, cov, ci, seed: fit_cits(p, covariates=cov),
+        lambda e: (e.diff_level_change, e.diff_level_change_se),
+        (POSITIVITY, NO_ANTICIPATION, CONSISTENCY, NO_SPILLOVER), True, False),
+    GROUP_TIME_DID: MethodSpec(
+        lambda p, cov, ci, seed: fit_group_time_att(p, covariates=cov,
+                                                    seed=seed),
+        lambda e: e.overall,
+        (POSITIVITY, NO_ANTICIPATION, CONSISTENCY, NO_SPILLOVER,
+         PARALLEL_TRENDS), True, True),
+    IMPUTATION_DID: MethodSpec(
+        lambda p, cov, ci, seed: fit_imputation_did(p, covariates=cov),
+        lambda e: (e.att, e.se),
+        (POSITIVITY, NO_ANTICIPATION, CONSISTENCY, NO_SPILLOVER,
+         PARALLEL_TRENDS), True, True),
+    DEBIASED_AR: MethodSpec(
+        lambda p, cov, ci, seed: fit_debiased_ar(p, covariates=cov,
+                                                 ci_level=ci),
+        lambda e: (e.gamma, e.gamma_se),
+        ("ignorability (conditional on prior outcomes absent treatment)",
+         POSITIVITY, NO_ANTICIPATION, CONSISTENCY, NO_SPILLOVER),
+        False, False),
+    STAGGERED_ASCM: MethodSpec(
+        lambda p, cov, ci, seed: fit_staggered_ascm(p),
+        lambda e: (e.att, e.se),
+        (IGNORABILITY, NO_ANTICIPATION, CONSISTENCY, NO_SPILLOVER),
+        True, True),
 }
 
-# (supports effect heterogeneity by time, by cohort)
-HETEROGENEITY = {
-    ITS: (True, False),
-    ITS_MULTI_BASELINE: (True, True),
-    SCM: (True, False),
-    ASCM: (True, False),
-    DID_TWFE: (False, False),
-    EVENT_STUDY: (True, False),
-    CITS: (True, False),
-    GROUP_TIME_DID: (True, True),
-    IMPUTATION_DID: (True, True),
-    DEBIASED_AR: (False, False),
-    STAGGERED_ASCM: (True, True),
-}
+ALL_METHODS = tuple(METHODS)
 
 CAUTION_CONFIG = {"min_pre_periods": 2, "single_cluster_at": 1}
 
@@ -213,16 +299,15 @@ def recommend(features: DesignFeatures) -> MethodRecommendation:
     """Evaluate the rule table; every method id appears exactly once."""
     viable = _viable_set(features)
     methods = {}
-    for m in ALL_METHODS:
-        by_time, by_cohort = HETEROGENEITY[m]
+    for m, spec in METHODS.items():
         if m in viable:
             methods[m] = MethodAssessment(
-                m, True, (), ASSUMPTIONS[m], by_time, by_cohort,
+                m, True, (), spec.assumptions, spec.by_time, spec.by_cohort,
                 _cautions(m, features))
         else:
             methods[m] = MethodAssessment(
-                m, False, (_disqualify(m, features),), ASSUMPTIONS[m],
-                by_time, by_cohort, ())
+                m, False, (_disqualify(m, features),), spec.assumptions,
+                spec.by_time, spec.by_cohort, ())
     return MethodRecommendation(features, methods)
 
 

@@ -13,12 +13,12 @@ carried by the lag itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PanelCauseError
-from .linreg import build_design, normal_ci, normal_p, ols_fit
+from .linreg import build_design, jackknife_se, normal_ci, normal_p, ols_fit
 from .panel import PanelDataset
 
 FP_TOL = 1e-8
@@ -188,7 +188,11 @@ def fit_debiased_ar(panel: PanelDataset, covariates=(), lag_order: int = 1,
 
     se_jack = None
     if jackknife:
-        se_jack = _jackknife_se(panel, covariates, lag_order)
+        se_jack = jackknife_se(
+            lambda u: fit_debiased_ar(
+                panel.subset(units=[x for x in panel.units if x != u]),
+                covariates, lag_order).gamma,
+            panel.units)
 
     return DebiasedArEstimate(
         gamma=gamma, gamma_se=se,
@@ -208,19 +212,3 @@ def _coef(fit, name):
         return 0.0
     return fit.coefficients[name]
 
-
-def _jackknife_se(panel, covariates, lag_order):
-    thetas = []
-    for u in panel.units:
-        rest = [x for x in panel.units if x != u]
-        try:
-            sub = panel.subset(units=rest)
-            est = fit_debiased_ar(sub, covariates, lag_order)
-        except PanelCauseError:
-            continue
-        thetas.append(est.gamma)
-    if len(thetas) < 2:
-        return float("nan")
-    th = np.array(thetas)
-    m = len(th)
-    return float(np.sqrt((m - 1) / m * ((th - th.mean()) ** 2).sum()))

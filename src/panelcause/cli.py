@@ -17,16 +17,12 @@ import numpy as np
 
 from . import __version__
 from . import advisor as adv
-from .ar import fit_debiased_ar
-from .did import (fit_did_twfe, fit_event_study, fit_group_time_att,
-                  fit_imputation_did)
 from .errors import PanelCauseError
-from .its import fit_cits, fit_its, fit_its_multiple_baseline
 from .linreg import FitResult, normal_ci
 from .panel import (ColumnSpec, balance_panel, cumulative_adoption_counts,
                     derive_adoption, load_panel)
-from .scm import fit_ascm, fit_scm, fit_staggered_ascm, placebo_inference
-from .simharness import ADAPTERS, DgpConfig, evaluate
+from .scm import placebo_inference
+from .simharness import DgpConfig, evaluate
 
 
 def _jsonable(x):
@@ -220,76 +216,17 @@ def cmd_recommend(args):
 # fit
 
 
-def _fit_method(args, panel):
-    cov = tuple(c for c in (args.covariates or "").split(",") if c)
-    m = args.method
-    if m == adv.DID_TWFE:
-        return fit_did_twfe(panel, covariates=cov, ci_level=args.ci_level)
-    if m == adv.EVENT_STUDY:
-        return fit_event_study(panel, covariates=cov, ci_level=args.ci_level)
-    if m == adv.GROUP_TIME_DID:
-        return fit_group_time_att(panel, covariates=cov, seed=args.seed)
-    if m == adv.IMPUTATION_DID:
-        return fit_imputation_did(panel, covariates=cov)
-    if m == adv.DEBIASED_AR:
-        return fit_debiased_ar(panel, covariates=cov, ci_level=args.ci_level)
-    if m == adv.ITS:
-        return fit_its(panel, covariates=cov)
-    if m == adv.ITS_MULTI_BASELINE:
-        return fit_its_multiple_baseline(panel, covariates=cov)
-    if m == adv.CITS:
-        return fit_cits(panel, covariates=cov)
-    if m == adv.STAGGERED_ASCM:
-        return fit_staggered_ascm(panel)
-    if m in (adv.SCM, adv.ASCM):
-        schedule = derive_adoption(panel)
-        if len(schedule.treated_units) != 1:
-            raise PanelCauseError(
-                "TOO_MANY_TREATED",
-                f"{m} needs exactly one treated unit, found "
-                f"{len(schedule.treated_units)}")
-        treated = schedule.treated_units[0]
-        fitter = fit_scm if m == adv.SCM else fit_ascm
-        est = fitter(panel, treated, covariates=cov)
-        try:
-            est.placebo = placebo_inference(panel, treated, covariates=cov)
-        except PanelCauseError as exc:
-            est.info["placebo_error"] = exc.code
-        return est
-    raise PanelCauseError("CONFIG_ERROR", f"unknown method '{m}'")
-
-
-def _point_summary(method, est, ci_level):
-    """Canonical (estimate, se) pair per method, for the document header."""
-    pick = {
-        adv.DID_TWFE: lambda e: (e.att, e.se),
-        adv.GROUP_TIME_DID: lambda e: e.overall,
-        adv.IMPUTATION_DID: lambda e: (e.att, e.se),
-        adv.DEBIASED_AR: lambda e: (e.gamma, e.gamma_se),
-        adv.ITS: lambda e: (e.level_change, e.level_change_se),
-        adv.ITS_MULTI_BASELINE: lambda e: (e.pooled_level_change,
-                                           e.pooled_level_change_se),
-        adv.CITS: lambda e: (e.diff_level_change, e.diff_level_change_se),
-        adv.SCM: lambda e: (e.att, float("nan")),
-        adv.ASCM: lambda e: (e.att, float("nan")),
-        adv.STAGGERED_ASCM: lambda e: (e.att, e.se),
-    }
-    if method == adv.EVENT_STUDY:
-        ks = sorted(k for k in est.coefficients if isinstance(k, int) and k >= 0)
-        if not ks:
-            return None
-        names = [f"k[{k}]" for k in ks]
-        mean = float(np.mean([est.coefficients[k][0] for k in ks]))
-        V = est.fit.subvcov(names)
-        w = np.full(len(ks), 1.0 / len(ks))
-        se = float(np.sqrt(max(w @ V @ w, 0.0)))
-        return {"estimate": mean, "se": se,
-                "ci": list(normal_ci(mean, se, ci_level)),
-                "label": "mean post-period event effect"}
-    point, se = pick[method](est)
-    doc = {"estimate": _jsonable(point), "se": _jsonable(se)}
+def _point_doc(spec, est, ci_level):
+    """The document's headline (estimate, se, ci) from the method's summary."""
+    point = spec.point(est)
+    if point is None:
+        return None
+    estimate, se = point
+    doc = {"estimate": _jsonable(estimate), "se": _jsonable(se)}
     if np.isfinite(se):
-        doc["ci"] = list(normal_ci(point, se, ci_level))
+        doc["ci"] = list(normal_ci(estimate, se, ci_level))
+    if spec.label:
+        doc["label"] = spec.label
     return doc
 
 
@@ -308,7 +245,14 @@ def cmd_fit(args):
                       "(--force overrides)")
         forced = True
 
-    est = _fit_method(args, panel)
+    spec = adv.METHODS[args.method]
+    cov = tuple(c for c in (args.covariates or "").split(",") if c)
+    est = spec.fit(panel, cov, args.ci_level, args.seed)
+    if spec.placebo:
+        try:
+            est.placebo = placebo_inference(panel, est.treated, covariates=cov)
+        except PanelCauseError as exc:
+            est.info["placebo_error"] = exc.code
     doc = {
         "tool": "panelcause", "version": __version__, "command": "fit",
         "config": _resolved_config(args, ("data", "unit_col", "time_col",
@@ -317,7 +261,7 @@ def cmd_fit(args):
                                           "ci_level", "format", "force")),
         "method": args.method,
         "forced": forced,
-        "point": _point_summary(args.method, est, args.ci_level),
+        "point": _point_doc(spec, est, args.ci_level),
         "time_labels": {str(i): lab for i, lab in enumerate(panel.time_labels)},
         "estimate": _jsonable(est),
         "assumptions": list(assessment.assumptions),
@@ -346,7 +290,7 @@ def cmd_simulate(args):
         for c in configs:
             c.seed = args.seed
     methods = (tuple(m for m in args.method.split(",") if m)
-               if args.method else tuple(ADAPTERS))
+               if args.method else adv.ALL_METHODS)
 
     metrics = evaluate(configs, methods, args.reps, ci_level=args.ci_level,
                        force=args.force)

@@ -10,15 +10,15 @@ rewrites the TWFE coefficient as a weighted average of all 2×2 comparisons
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
 from .errors import PanelCauseError, PanelCauseWarning
-from .linreg import (FitResult, absorb_fixed_effects, build_design, normal_ci,
-                     normal_p, ols_fit)
-from .panel import NEVER, PanelDataset, derive_adoption
+from .linreg import (FitResult, absorb_fixed_effects, build_design,
+                     jackknife_se, normal_ci, normal_p, ols_fit)
+from .panel import NEVER, PanelDataset, complete_rows, derive_adoption
 
 NEVER_TREATED = "NEVER_TREATED"
 NOT_YET_TREATED = "NOT_YET_TREATED"
@@ -89,14 +89,6 @@ class BaconDecomposition:
 # classic TWFE
 
 
-def _usable(panel, covariates):
-    keep = ~np.isnan(panel.outcome)
-    X = panel.covariate_matrix(covariates)
-    if X.shape[1]:
-        keep &= ~np.isnan(X).any(axis=1)
-    return keep, X
-
-
 def fit_did_twfe(panel: PanelDataset, covariates=(),
                  ci_level: float = 0.95) -> DidEstimate:
     """Outcome on the policy indicator with unit and time effects absorbed.
@@ -105,7 +97,7 @@ def fit_did_twfe(panel: PanelDataset, covariates=(),
     adoption; under staggered timing it is the variance-weighted average of
     2×2 comparisons (see goodman_bacon_decompose).
     """
-    keep, Xc = _usable(panel, covariates)
+    keep, Xc = complete_rows(panel, covariates)
     pol = panel.policy[keep].astype(float)
     if pol.min() == pol.max():
         raise PanelCauseError("NO_VARIATION", "policy indicator is constant")
@@ -143,7 +135,7 @@ def fit_event_study(panel: PanelDataset, covariates=(), leads: int | None = None
     zeros everywhere. Note that time-varying covariates can soak up dynamic
     effects; they are applied as supplied.
     """
-    keep, Xc = _usable(panel, covariates)
+    keep, Xc = complete_rows(panel, covariates)
     schedule = derive_adoption(panel)
     if not schedule.cohorts:
         raise PanelCauseError("NO_VARIATION", "no unit ever adopts the policy")
@@ -345,7 +337,7 @@ def fit_group_time_att(panel: PanelDataset, schedule=None,
 
 def _covariate_residualizer(panel: PanelDataset, covariates):
     """Per-cell covariate contribution X@beta, with beta fit on untreated rows."""
-    keep, Xc = _usable(panel, covariates)
+    keep, Xc = complete_rows(panel, covariates)
     un = keep & (panel.policy == 0)
     if not un.any():
         raise PanelCauseError("NO_VARIATION", "no untreated rows to fit covariates on")
@@ -381,25 +373,14 @@ def fit_imputation_did(panel: PanelDataset, schedule=None,
     est, fit, dropped = _impute_att(panel, schedule, covariates, skip_unit=None)
     effects, att = est
 
-    # delete-one-unit jackknife
-    thetas = []
-    for u in panel.units:
-        try:
-            (_, theta), _, _ = _impute_att(panel, schedule, covariates, skip_unit=u)
-        except PanelCauseError:
-            continue
-        thetas.append(theta)
-    if len(thetas) >= 2:
-        th = np.array(thetas)
-        m = len(th)
-        se = float(np.sqrt((m - 1) / m * ((th - th.mean()) ** 2).sum()))
-    else:
-        se = float("nan")
+    se = jackknife_se(
+        lambda u: _impute_att(panel, schedule, covariates, skip_unit=u)[0][1],
+        panel.units)
     return ImputationEstimate(effects, att, se, fit, dropped)
 
 
 def _impute_att(panel, schedule, covariates, skip_unit):
-    keep, Xc = _usable(panel, covariates)
+    keep, Xc = complete_rows(panel, covariates)
     if skip_unit is not None:
         keep = keep & (panel.unit_idx != panel.units.index(skip_unit))
     un = keep & (panel.policy == 0)

@@ -13,13 +13,13 @@ and the slope-change coefficient is the per-period trend change afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PanelCauseError
 from .linreg import FitResult, build_design, ols_fit
-from .panel import NEVER, PanelDataset, derive_adoption
+from .panel import PanelDataset, complete_rows, derive_adoption
 
 
 @dataclass
@@ -76,14 +76,6 @@ def _check_periods(panel: PanelDataset, g: int, min_pre: int = 2, min_post: int 
             f"got {pre} pre, {post} post")
 
 
-def _usable_rows(panel: PanelDataset, covariates):
-    keep = ~np.isnan(panel.outcome)
-    X = panel.covariate_matrix(covariates)
-    if X.shape[1]:
-        keep &= ~np.isnan(X).any(axis=1)
-    return keep, X
-
-
 def fit_its(panel: PanelDataset, covariates=()) -> ItsEstimate:
     """Segmented regression around one shared adoption period.
 
@@ -93,7 +85,7 @@ def fit_its(panel: PanelDataset, covariates=()) -> ItsEstimate:
     """
     schedule, g = _single_adoption(panel, "fit_its")
     _check_periods(panel, g)
-    keep, Xc = _usable_rows(panel, covariates)
+    keep, Xc = complete_rows(panel, covariates)
 
     t = panel.time_idx[keep].astype(float)
     pol = panel.policy[keep].astype(float)
@@ -168,7 +160,7 @@ def fit_cits(panel: PanelDataset, covariates=()) -> CitsEstimate:
     if not schedule.never_treated:
         raise PanelCauseError("NO_CONTROL", "fit_cits needs ≥1 never-treated unit")
     _check_periods(panel, g)
-    keep, Xc = _usable_rows(panel, covariates)
+    keep, Xc = complete_rows(panel, covariates)
 
     t = panel.time_idx[keep].astype(float)
     treated_ids = [panel.units.index(u) for u in schedule.treated_units]

@@ -2,8 +2,8 @@
 
 Design-matrix assembly with deterministic collinearity handling, OLS via
 orthogonal decomposition, two-way fixed-effect absorption by iterative
-demeaning, the cluster-robust sandwich, and ridge regression. All pure
-functions; estimator modules own the modelling choices.
+demeaning, the cluster-robust sandwich, and the delete-one jackknife. All
+pure functions; estimator modules own the modelling choices.
 """
 
 from __future__ import annotations
@@ -150,10 +150,11 @@ def _group_means(x: np.ndarray, idx: np.ndarray, n_groups: int) -> np.ndarray:
     return out
 
 
-def absorb_fixed_effects(unit_idx, time_idx, columns, dims=("unit", "time"),
-                         tol: float = 1e-10, max_sweeps: int = 2000):
-    """Within-transform columns by the requested fixed-effect dimensions.
+def absorb_fixed_effects(unit_idx, time_idx, columns, tol: float = 1e-10,
+                         max_sweeps: int = 2000):
+    """Within-transform columns by unit and time fixed effects.
 
+    A dimension with a single level is skipped with a SINGLE_LEVEL warning.
     Iterative demeaning until the largest update is ≤ tol. Returns
     (transformed columns, absorbed_dof) where absorbed_dof is the parameter
     count of the equivalent dummy regression (intercept included).
@@ -168,48 +169,52 @@ def absorb_fixed_effects(unit_idx, time_idx, columns, dims=("unit", "time"),
     n_t = int(time_idx.max()) + 1 if len(time_idx) else 0
 
     active = []
-    for dim in dims:
-        idx, levels = (unit_idx, len(np.unique(unit_idx))) if dim == "unit" \
-            else (time_idx, len(np.unique(time_idx)))
-        if levels < 2:
+    for dim, idx, size in (("unit", unit_idx, n_u), ("time", time_idx, n_t)):
+        if len(np.unique(idx)) < 2:
             warnings.warn(PanelCauseWarning(
                 "SINGLE_LEVEL", f"dimension '{dim}' has a single level; absorption is a no-op"))
             continue
-        active.append((dim, idx, n_u if dim == "unit" else n_t))
+        active.append((idx, size))
 
     if not active:
         return (M[:, 0] if one_dim else M), 0
     if len(active) == 1:
-        _, idx, size = active[0]
+        idx, size = active[0]
         M = M - _group_means(M, idx, size)[idx]
         absorbed = len(np.unique(idx))  # intercept + (levels-1) dummies
         return (M[:, 0] if one_dim else M), absorbed
 
     for _ in range(max_sweeps):
         delta = 0.0
-        for _, idx, size in active:
+        for idx, size in active:
             means = _group_means(M, idx, size)[idx]
             M = M - means
             d = float(np.abs(means).max()) if means.size else 0.0
             delta = max(delta, d)
         if delta <= tol:
             break
-    (_, ui, _), (_, ti, _) = active[0], active[1]
-    absorbed = len(np.unique(ui)) + len(np.unique(ti)) - 1
+    absorbed = len(np.unique(unit_idx)) + len(np.unique(time_idx)) - 1
     return (M[:, 0] if one_dim else M), absorbed
 
 
-def ridge_fit(X: DesignMatrix, y, lam: float) -> dict:
-    """Closed-form ridge; the intercept column is never penalized."""
-    if lam < 0:
-        raise PanelCauseError("CONFIG_ERROR", f"ridge lambda must be ≥ 0, got {lam}")
-    A = X.data
-    y = np.asarray(y, dtype=float)
-    D = np.eye(A.shape[1])
-    if INTERCEPT in X.column_names:
-        D[X.index_of(INTERCEPT), X.index_of(INTERCEPT)] = 0.0
-    beta = np.linalg.solve(A.T @ A + lam * D, A.T @ y)
-    return dict(zip(X.column_names, beta.tolist()))
+def jackknife_se(estimate_without, folds) -> float:
+    """Delete-one jackknife SE, sqrt((m-1)/m · Σ(θ - θ̄)²).
+
+    ``estimate_without(f)`` refits with fold f left out. A fold whose refit
+    raises PanelCauseError is skipped; m counts the folds that remain, and
+    fewer than two give NaN.
+    """
+    thetas = []
+    for f in folds:
+        try:
+            thetas.append(estimate_without(f))
+        except PanelCauseError:
+            continue
+    if len(thetas) < 2:
+        return float("nan")
+    th = np.array(thetas)
+    m = len(th)
+    return float(np.sqrt((m - 1) / m * ((th - th.mean()) ** 2).sum()))
 
 
 # ---------------------------------------------------------------------------

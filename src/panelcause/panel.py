@@ -10,9 +10,8 @@ the boundary instead of corrupting estimands downstream.
 from __future__ import annotations
 
 import csv
-import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,14 +67,6 @@ class PanelDataset:
         self._validate()
         self._outcome_mat = None
         self._policy_mat = None
-
-    # -- construction -----------------------------------------------------
-
-    @classmethod
-    def from_arrays(cls, units, time_labels, unit_idx, time_idx, outcome,
-                    policy, covariates=None):
-        return cls(units, time_labels, unit_idx, time_idx, outcome, policy,
-                   covariates)
 
     def _validate(self):
         n = len(self.unit_idx)
@@ -368,8 +359,16 @@ def load_panel(source, spec: ColumnSpec = ColumnSpec()) -> PanelDataset:
                         {c: cov_vals[c] for c in cov_names})
 
 
-def write_panel(panel: PanelDataset, dest) -> None:
-    panel.write_csv(dest)
+def complete_rows(panel: PanelDataset, covariates):
+    """Rows with an observed outcome and every named covariate observed.
+
+    Returns (row mask, n_rows × len(covariates) covariate matrix).
+    """
+    keep = ~np.isnan(panel.outcome)
+    X = panel.covariate_matrix(covariates)
+    if X.shape[1]:
+        keep &= ~np.isnan(X).any(axis=1)
+    return keep, X
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PanelCauseError
+from .linreg import jackknife_se
 from .panel import NEVER, PanelDataset, derive_adoption
 
 SOLVER_TOL = 1e-10
@@ -273,22 +274,37 @@ def fit_scm(panel: PanelDataset, treated, donors=None, covariates=(),
     deterministic trajectory from the uniform start.
     """
     g, donors = _prep(panel, treated, donors, covariates)
-    trow = panel.units.index(treated)
-    drows = [panel.units.index(d) for d in donors]
-    _check_missing(panel, trow, drows, g)
+    return _scm_core(panel, panel.units.index(treated),
+                     [panel.units.index(d) for d in donors], g, covariates,
+                     tol, max_iter)
 
+
+def _scm_core(panel, trow, drows, g, covariates, tol=SOLVER_TOL,
+              max_iter=SOLVER_MAX_ITER):
+    """Simplex fit of unit row trow on donor rows drows, adoption at g.
+
+    Does no adoption checks, so placebo fits can pass a never-treated unit.
+    """
+    _check_missing(panel, trow, drows, g)
     x1 = _features(panel, [trow], g, covariates)[0]
     X0 = _features(panel, drows, g, covariates)          # donors × features
     w, obj, iters, gap = solve_simplex_lsq(X0.T, x1, tol=tol, max_iter=max_iter)
 
     Y = panel.outcome_matrix()
-    synth = Y[drows].T @ w
-    pre_rmspe = float(np.sqrt(np.mean((Y[trow, :g] - synth[:g]) ** 2)))
-    gaps = {int(t): float(Y[trow, t] - synth[t]) for t in range(g, panel.time_count)}
-    weights = ScmWeights(dict(zip(donors, w.tolist())), pre_rmspe, obj, False)
-    return ScmEstimate(float(np.mean(list(gaps.values()))), gaps, weights,
-                       treated, tuple(donors), g,
+    pre, gaps, att = _synth_gaps(Y[trow], Y[drows], w, g)
+    donors = tuple(panel.units[d] for d in drows)
+    weights = ScmWeights(dict(zip(donors, w.tolist())), pre, obj, False)
+    return ScmEstimate(att, gaps, weights, panel.units[trow], donors, g,
                        info={"iterations": iters, "fw_gap": gap})
+
+
+def _synth_gaps(y, Y_donors, w, g):
+    """(pre-period RMSPE, post-period gaps, their mean) of y against the
+    synthetic series Y_donors.T @ w, adoption at g."""
+    synth = Y_donors.T @ w
+    pre = float(np.sqrt(np.mean((y[:g] - synth[:g]) ** 2)))
+    gaps = {int(t): float(y[t] - synth[t]) for t in range(g, len(y))}
+    return pre, gaps, float(np.mean(list(gaps.values())))
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +342,9 @@ def placebo_inference(panel: PanelDataset, treated, donors=None, covariates=(),
 
     ratios, excluded = {}, []
     for d in donors:
-        pool = [x for x in donors if x != d]
-        est = _scm_pseudo(panel, d, pool, g, covariates)
+        est = _scm_core(panel, panel.units.index(d),
+                        [panel.units.index(x) for x in donors if x != d], g,
+                        covariates)
         pre = est.weights.pre_period_rmspe
         if pre > exclusion_cutoff * t_pre:
             excluded.append(d)
@@ -340,23 +357,6 @@ def placebo_inference(panel: PanelDataset, treated, donors=None, covariates=(),
     p = (n_ge + 1) / (len(ratios) + 1)
     return PlaceboResult(t_ratio, ratios, tuple(excluded), exclusion_cutoff,
                          n_ge + 1, p)
-
-
-def _scm_pseudo(panel, unit, pool, g, covariates):
-    """SCM fit treating a never-treated unit as adopting at period g."""
-    trow = panel.units.index(unit)
-    drows = [panel.units.index(d) for d in pool]
-    _check_missing(panel, trow, drows, g)
-    x1 = _features(panel, [trow], g, covariates)[0]
-    X0 = _features(panel, drows, g, covariates)
-    w, obj, iters, gap = solve_simplex_lsq(X0.T, x1)
-    Y = panel.outcome_matrix()
-    synth = Y[drows].T @ w
-    pre = float(np.sqrt(np.mean((Y[trow, :g] - synth[:g]) ** 2)))
-    gaps = {int(t): float(Y[trow, t] - synth[t]) for t in range(g, panel.time_count)}
-    weights = ScmWeights(dict(zip(pool, w.tolist())), pre, obj, False)
-    return ScmEstimate(float(np.mean(list(gaps.values()))), gaps, weights,
-                       unit, tuple(pool), g, info={"iterations": iters})
 
 
 # ---------------------------------------------------------------------------
@@ -425,17 +425,15 @@ def fit_ascm(panel: PanelDataset, treated, donors=None, covariates=(),
     w_aug = _ridge_augment(X0, x1, base.weights.as_array(donors), float(lam))
 
     Y = panel.outcome_matrix()
-    synth = Y[drows].T @ w_aug
-    pre = float(np.sqrt(np.mean((Y[trow, :g] - synth[:g]) ** 2)))
+    pre, gaps, att = _synth_gaps(Y[trow], Y[drows], w_aug, g)
     obj = float(np.sum((x1 - X0.T @ w_aug) ** 2))
-    gaps = {int(t): float(Y[trow, t] - synth[t]) for t in range(g, panel.time_count)}
     weights = ScmWeights(dict(zip(donors, w_aug.tolist())), pre, obj, True)
     info = {"lambda": float(lam), "scm_att": base.att,
             "scm_objective": base.weights.objective_value}
     if cv_scores is not None:
         info["cv_scores"] = cv_scores
-    return ScmEstimate(float(np.mean(list(gaps.values()))), gaps, weights,
-                       treated, tuple(donors), g, info=info)
+    return ScmEstimate(att, gaps, weights, treated, tuple(donors), g,
+                       info=info)
 
 
 # ---------------------------------------------------------------------------
@@ -555,21 +553,10 @@ def fit_staggered_ascm(panel: PanelDataset, schedule=None, nu="auto",
     per_cohort, cohort_weights, att, pooled = est
 
     # jackknife over donors at the resolved nu / lambda
-    thetas = []
-    if len(donors) >= 3:
-        for d in donors:
-            rest = [x for x in donors if x != d]
-            try:
-                _, _, theta, _ = _staggered_fit_once(panel, schedule, rest, nu, lam)
-            except PanelCauseError:
-                continue
-            thetas.append(theta)
-    if len(thetas) >= 2:
-        th = np.array(thetas)
-        m = len(th)
-        se = float(np.sqrt((m - 1) / m * ((th - th.mean()) ** 2).sum()))
-    else:
-        se = float("nan")
+    se = jackknife_se(
+        lambda d: _staggered_fit_once(
+            panel, schedule, [x for x in donors if x != d], nu, lam)[2],
+        donors if len(donors) >= 3 else ())
 
     return StaggeredAscmEstimate(nu, nu_mode, per_cohort, cohort_weights,
                                  att, se, pooled, trace)
@@ -594,18 +581,14 @@ def _staggered_fit_once(panel, schedule, donors, nu, lam):
         lam_g, cv_scores = (lam, None) if lam != "cv" else _cv_lambda(X0)
         w_aug = _ridge_augment(X0, b_g, W[i], float(lam_g))
         crows = [panel.units.index(u) for u in schedule.cohorts[g]]
-        treated_mean = Y[crows].mean(axis=0)
-        synth = Y[drows].T @ w_aug
-        pre = float(np.sqrt(np.mean((treated_mean[:g] - synth[:g]) ** 2)))
+        pre, gaps, att_g = _synth_gaps(Y[crows].mean(axis=0), Y[drows], w_aug, g)
         obj = float(np.sum((b_g - X0.T @ w_aug) ** 2))
-        gaps = {int(t): float(treated_mean[t] - synth[t])
-                for t in range(g, panel.time_count)}
         weights = ScmWeights(dict(zip(donors, w_aug.tolist())), pre, obj, True)
         info = {"lambda": float(lam_g), "scm_weights": dict(zip(donors, W[i].tolist()))}
         if cv_scores is not None:
             info["cv_scores"] = cv_scores
-        per_cohort[g] = ScmEstimate(float(np.mean(list(gaps.values()))), gaps,
-                                    weights, g, tuple(donors), g, info=info)
+        per_cohort[g] = ScmEstimate(att_g, gaps, weights, g, tuple(donors), g,
+                                    info=info)
         atts[g] = per_cohort[g].att
 
     sizes = schedule.cohort_sizes()

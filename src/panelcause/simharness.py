@@ -4,7 +4,8 @@ The generator builds untreated potential outcomes from unit intercepts, a
 common linear trend, and an AR(1) disturbance, then adds the configured
 treatment effect on treated cells — so every estimand (overall ATT,
 per-event-time, per-cohort) is known exactly and stored beside the panel.
-Replications derive independent RNG substreams from (seed, rep), so results
+Each method is fitted, summarized and scored through its entry in
+``advisor.METHODS``, the same entry the CLI's ``fit`` uses. Replications derive independent RNG substreams from (seed, rep), so results
 are identical under any parallel schedule. PANELCAUSE_THREADS caps worker
 threads; the default is serial.
 """
@@ -21,14 +22,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import advisor as adv
-from .ar import fit_debiased_ar
-from .did import (fit_did_twfe, fit_event_study, fit_group_time_att,
-                  fit_imputation_did)
 from .errors import PanelCauseError
-from .its import fit_cits, fit_its, fit_its_multiple_baseline
 from .linreg import normal_ci
-from .panel import NEVER, PanelDataset, derive_adoption
-from .scm import fit_ascm, fit_scm, fit_staggered_ascm
+from .panel import PanelDataset
 
 EFFECT_KINDS = ("constant", "dynamic", "cohort")
 CONFOUNDING_MODES = ("none", "intercept", "trend")
@@ -162,8 +158,8 @@ def simulate_panel(config: DgpConfig, rep: int):
     units = [f"u{i:03d}" for i in range(U)]
     unit_idx = np.repeat(np.arange(U), T)
     time_idx = np.tile(np.arange(T), U)
-    panel = PanelDataset.from_arrays(units, list(range(T)), unit_idx, time_idx,
-                                     y.ravel(), policy.ravel())
+    panel = PanelDataset(units, list(range(T)), unit_idx, time_idx, y.ravel(),
+                         policy.ravel())
 
     treated = policy == 1
     if treated.any():
@@ -178,93 +174,6 @@ def simulate_panel(config: DgpConfig, rep: int):
     adoption = {units[i]: (int(adopt[i]) if adopt[i] >= 0 else None)
                 for i in range(U)}
     return panel, TruthRecord(att, by_event, by_cohort, adoption)
-
-
-# ---------------------------------------------------------------------------
-# estimator adapters: (panel, truth, ci_level) -> (estimate, se, target)
-#
-# Each method is scored against the truth component matching its estimand:
-# the overall ATT for single-number estimators, the mean post-period event
-# effect for the event-study average.
-
-
-def _adapt_did(panel, truth, ci):
-    est = fit_did_twfe(panel, ci_level=ci)
-    return est.att, est.se, truth.att_overall
-
-
-def _adapt_group_time(panel, truth, ci):
-    est = fit_group_time_att(panel)
-    return est.overall[0], est.overall[1], truth.att_overall
-
-
-def _adapt_imputation(panel, truth, ci):
-    est = fit_imputation_did(panel)
-    return est.att, est.se, truth.att_overall
-
-
-def _adapt_ar(panel, truth, ci):
-    est = fit_debiased_ar(panel, ci_level=ci)
-    return est.gamma, est.gamma_se, truth.att_overall
-
-
-def _adapt_event_study(panel, truth, ci):
-    est = fit_event_study(panel, ci_level=ci)
-    ks = sorted(k for k in est.coefficients if isinstance(k, int) and k >= 0)
-    names = [f"k[{k}]" for k in ks]
-    coefs = np.array([est.coefficients[k][0] for k in ks])
-    V = est.fit.subvcov(names)
-    w = np.full(len(ks), 1.0 / len(ks))
-    se = float(np.sqrt(max(w @ V @ w, 0.0)))
-    target = float(np.mean([truth.by_event[k] for k in ks if k in truth.by_event]))
-    return float(coefs.mean()), se, target
-
-
-def _adapt_its(panel, truth, ci):
-    est = fit_its(panel)
-    return est.level_change, est.level_change_se, truth.att_overall
-
-
-def _adapt_its_multi(panel, truth, ci):
-    est = fit_its_multiple_baseline(panel)
-    return est.pooled_level_change, est.pooled_level_change_se, truth.att_overall
-
-
-def _adapt_cits(panel, truth, ci):
-    est = fit_cits(panel)
-    return est.diff_level_change, est.diff_level_change_se, truth.att_overall
-
-
-def _adapt_scm(panel, truth, ci):
-    treated = derive_adoption(panel).treated_units[0]
-    est = fit_scm(panel, treated)
-    return est.att, float("nan"), truth.att_overall
-
-
-def _adapt_ascm(panel, truth, ci):
-    treated = derive_adoption(panel).treated_units[0]
-    est = fit_ascm(panel, treated)
-    return est.att, float("nan"), truth.att_overall
-
-
-def _adapt_staggered_ascm(panel, truth, ci):
-    est = fit_staggered_ascm(panel)
-    return est.att, est.se, truth.att_overall
-
-
-ADAPTERS = {
-    adv.DID_TWFE: _adapt_did,
-    adv.GROUP_TIME_DID: _adapt_group_time,
-    adv.IMPUTATION_DID: _adapt_imputation,
-    adv.DEBIASED_AR: _adapt_ar,
-    adv.EVENT_STUDY: _adapt_event_study,
-    adv.ITS: _adapt_its,
-    adv.ITS_MULTI_BASELINE: _adapt_its_multi,
-    adv.CITS: _adapt_cits,
-    adv.SCM: _adapt_scm,
-    adv.ASCM: _adapt_ascm,
-    adv.STAGGERED_ASCM: _adapt_staggered_ascm,
-}
 
 
 @dataclass
@@ -326,7 +235,11 @@ def _one_rep(config, methods, rep, ci_level):
     for m in methods:
         t0 = time.perf_counter()
         try:
-            est, se, target = ADAPTERS[m](panel, truth, ci_level)
+            spec = adv.METHODS[m]
+            fitted = spec.fit(panel, (), ci_level, 0)
+            est, se = spec.point(fitted)
+            # the truth component matching the method's estimand
+            target = spec.target(fitted, truth)
             lo, hi = normal_ci(est, se, ci_level) if np.isfinite(se) \
                 else (float("nan"), float("nan"))
             out.append(RepRecord(config.name, m, rep, est, se, lo, hi, target,
@@ -349,7 +262,7 @@ def evaluate(configs, methods, reps: int, ci_level: float = 0.95,
     are counted per cell, never silently dropped.
     """
     for m in methods:
-        if m not in ADAPTERS:
+        if m not in adv.METHODS:
             raise PanelCauseError("CONFIG_ERROR", f"unknown method '{m}'")
     if threads is None:
         threads = int(os.environ.get("PANELCAUSE_THREADS", "1"))

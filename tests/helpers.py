@@ -29,8 +29,8 @@ def build_panel(units, T, adopt, y, covariates=None, time_labels=None):
             pol.append(1 if g is not None and t >= g else 0)
             for k in cov:
                 cov[k].append(covariates[k][u][t])
-    return PanelDataset.from_arrays(units, time_labels or list(range(T)),
-                                    ui, ti, out, pol, cov or None)
+    return PanelDataset(units, time_labels or list(range(T)), ui, ti, out,
+                        pol, cov or None)
 
 
 def case_study_csv_text(seed=2043):

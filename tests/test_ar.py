@@ -134,7 +134,7 @@ class TestRowSelection:
         for t in range(2, 8):
             ui.append(1); ti.append(t)
             y.append(float(rng.normal())); pol.append(0)
-        p = PanelDataset.from_arrays(["a", "b"], list(range(8)), ui, ti, y, pol)
+        p = PanelDataset(["a", "b"], list(range(8)), ui, ti, y, pol)
         est = pc.fit_debiased_ar(p)
         assert est.fit.n == 7 + 5
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from panelcause.cli import main
-from panelcause.panel import write_panel
 from helpers import build_panel, strip_runtime_columns
 
 
@@ -15,7 +14,7 @@ def flat_2x1_csv(tmp_path_factory):
          "trt": [2.0 + 0.5 * t + 2.0 * (t >= 3) for t in range(6)]}
     p = build_panel(["ctl", "trt"], 6, {"trt": 3}, y)
     dest = tmp_path_factory.mktemp("cli") / "flat.csv"
-    write_panel(p, str(dest))
+    p.write_csv(str(dest))
     return str(dest)
 
 
@@ -29,7 +28,7 @@ def donor_csv(tmp_path_factory):
                 for t, (a, b) in enumerate(zip(d0, d1))]}
     p = build_panel(["tr", "d0", "d1", "d2"], 8, {"tr": 5}, y)
     dest = tmp_path_factory.mktemp("cli") / "donors.csv"
-    write_panel(p, str(dest))
+    p.write_csv(str(dest))
     return str(dest)
 
 
@@ -49,7 +48,7 @@ def noisy_donor_csv(tmp_path_factory):
     y["tr"] = list(tr)
     p = build_panel(["tr"] + sorted(donors), T, {"tr": g}, y)
     dest = tmp_path_factory.mktemp("cli") / "noisy_donors.csv"
-    write_panel(p, str(dest))
+    p.write_csv(str(dest))
     return str(dest)
 
 

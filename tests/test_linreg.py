@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 
 from panelcause import PanelCauseError
 from panelcause.linreg import (INTERCEPT, build_design, ols_fit,
-                               absorb_fixed_effects, ridge_fit,
-                               normal_p, normal_ci)
-from oracles import ols_beta, cluster_sandwich, ridge_beta, twfe_dummy_fit
+                               absorb_fixed_effects, normal_p, normal_ci)
+from oracles import ols_beta, cluster_sandwich, twfe_dummy_fit
 from helpers import build_panel
 
 
@@ -140,8 +139,9 @@ class TestAbsorb:
         rng = np.random.default_rng(22)
         x = rng.normal(size=12)
         idx = np.repeat(np.arange(3), 4)
-        out, dof = absorb_fixed_effects(idx, np.zeros(12, dtype=int), x,
-                                        dims=("unit",))
+        # the time index has one level, so only unit effects are absorbed
+        with pytest.warns(Warning, match="SINGLE_LEVEL"):
+            out, dof = absorb_fixed_effects(idx, np.zeros(12, dtype=int), x)
         means = np.array([x[idx == g].mean() for g in range(3)])
         np.testing.assert_allclose(out, x - means[idx], atol=1e-12)
         assert dof == 3
@@ -162,32 +162,6 @@ class TestAbsorb:
             assert abs(col[p.unit_idx == u].sum()) < 1e-8
         for t in range(6):
             assert abs(col[p.time_idx == t].sum()) < 1e-8
-
-
-class TestRidge:
-    def test_matches_closed_form(self):
-        rng = np.random.default_rng(31)
-        Xraw = rng.normal(size=(30, 3))
-        y = Xraw @ np.array([1.0, -2.0, 0.5]) + rng.normal(0, 0.2, 30)
-        d = build_design([(f"x{j}", Xraw[:, j]) for j in range(3)])
-        got = ridge_fit(d, y, lam=2.5)
-        ref = ridge_beta(Xraw, y, 2.5)
-        np.testing.assert_allclose(
-            [got[INTERCEPT], got["x0"], got["x1"], got["x2"]], ref, atol=1e-10)
-
-    def test_lambda_zero_equals_ols(self):
-        rng = np.random.default_rng(32)
-        X, y = random_design(rng, n=25)
-        got = ridge_fit(X, y, 0.0)
-        fit = ols_fit(X, y, clusters=np.arange(25))
-        for name in X.column_names:
-            assert got[name] == pytest.approx(fit.coefficients[name], abs=1e-9)
-
-    def test_negative_lambda_rejected(self):
-        d = build_design([("x", np.arange(5.0))])
-        with pytest.raises(PanelCauseError) as ei:
-            ridge_fit(d, np.arange(5.0), -1.0)
-        assert ei.value.code == "CONFIG_ERROR"
 
 
 class TestNormalReference:

@@ -101,7 +101,7 @@ class TestLoad:
     def test_roundtrip_write_read(self, tmp_path):
         p = load(CSV.replace("1.8", ""))  # include a missing cell
         dest = tmp_path / "out.csv"
-        pc.write_panel(p, str(dest))
+        p.write_csv(str(dest))
         p2 = pc.load_panel(str(dest))
         assert p2.units == p.units
         assert p2.time_labels == p.time_labels

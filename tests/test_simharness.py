@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import panelcause as pc
-from panelcause.advisor import DID_TWFE, GROUP_TIME_DID, ITS, SCM
+from panelcause.advisor import ASCM, DID_TWFE, GROUP_TIME_DID, ITS, SCM
 from panelcause.simharness import (DgpConfig, evaluate, simulate_panel)
 
 
@@ -154,6 +154,13 @@ class TestEvaluate:
         assert row.reps == 3 and row.failures == 3
         assert np.isnan(row.bias)
         assert all(r.error == "STAGGERED_INPUT" for r in out.per_rep)
+
+    @pytest.mark.parametrize("method", [SCM, ASCM])
+    def test_forced_synthetic_control_needs_one_treated_unit(self, method):
+        # cfg() has four treated units; fit refuses them, so every rep fails
+        out = evaluate([cfg()], [method], reps=3, force=True)
+        assert out.rows[0].failures == out.rows[0].reps == 3
+        assert all(r.error == "TOO_MANY_TREATED" for r in out.per_rep)
 
     def test_metrics_match_per_rep_recomputation(self):
         out = evaluate([cfg()], [DID_TWFE, GROUP_TIME_DID], reps=8)

@@ -2,12 +2,12 @@
 
 Classic SCM solves a simplex-constrained least-squares match of the treated
 unit's pre-period trajectory (plus optional covariate pre-means) to a
-weighted combination of donors, via accelerated projected gradient descent
-with an exact simplex projection. The augmented variant adds a ridge
-correction for any remaining pre-period imbalance (sign-free weights that
-still sum to one), and the staggered variant fits one synthetic control per
-adoption cohort under a partially pooled objective. Inference for a single
-treated unit is by in-space placebo permutation.
+weighted combination of donors, via an exact forward active-set solver
+with accelerated projected gradient as its fallback. The augmented variant
+adds a ridge correction for any remaining pre-period imbalance (sign-free
+weights that still sum to one), and the staggered variant fits one
+synthetic control per adoption cohort under a partially pooled objective.
+Inference for a single treated unit is by in-space placebo permutation.
 """
 
 from __future__ import annotations
@@ -84,72 +84,134 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v + theta, 0.0)
 
 
+def _gap_terms(w, g, blocks):
+    """Per-block Frank-Wolfe gap w·g - min g; nonnegative on the simplex, so
+    rounding below zero is clipped and a zero tolerance stays unattainable."""
+    return [max(0.0, float(w[s] @ g[s] - g[s].min())) for s in blocks]
+
+
 def _fw_gap(w, g, blocks):
-    return sum(float(w[s] @ g[s] - g[s].min()) for s in blocks)
+    return sum(_gap_terms(w, g, blocks))
+
+
+def _kkt_solve(AtA, Atb, idx, blk):
+    """Minimiser of the least squares restricted to the support idx, with
+    each block's weights on it summing to one; None if the KKT system is
+    singular. blk holds each support coordinate's block number, 0..nb-1."""
+    p, nb = len(idx), int(blk.max()) + 1
+    kkt = np.zeros((p + nb, p + nb))
+    kkt[:p, :p] = AtA[idx][:, idx]
+    kkt[p + blk, np.arange(p)] = 1.0
+    kkt[np.arange(p), p + blk] = 1.0
+    rhs = np.ones(p + nb)
+    rhs[:p] = Atb[idx]
+    try:
+        z = np.linalg.solve(kkt, rhs)[:p]
+    except np.linalg.LinAlgError:
+        return None
+    return z if np.isfinite(z).all() else None
 
 
 def _active_set_polish(AtA, Atb, w_start, blocks, tol_gap):
-    """Exact KKT solve on the active support, Lawson–Hanson style.
+    """Exact minimiser by a forward active set, Lawson–Hanson style.
 
-    Starting from a candidate support, repeatedly solves the equality-
-    constrained least squares restricted to it, drops the most negative
-    coordinate, and admits the best gradient-violating coordinate per
-    block, until the Frank-Wolfe gap clears tol_gap. Returns the polished
-    weights or None if the round budget runs out (degenerate geometry);
-    the caller then falls back to the iterative solution.
+    w_start must be the minimiser restricted to its own support, for
+    example a vertex of each block. Each round admits the coordinate whose
+    gradient most undercuts the weighted mean gradient of its block (the
+    block's largest Frank-Wolfe gap term) and solves the equality-
+    constrained least squares on the support from its KKT system. When
+    that solution leaves the simplex, the weights step back to the last
+    feasible point on the segment towards it and the coordinates that
+    reached zero leave the support. The support stays near rank + blocks,
+    so each KKT system is small and, in exact arithmetic, nonsingular.
+    Returns the weights once the Frank-Wolfe gap is below tol_gap, or None
+    when a system is singular or the round budget runs out (degenerate
+    geometry); the caller then falls back to the iterative solution.
     """
     k = len(w_start)
-    nb = len(blocks)
     blk_of = np.empty(k, dtype=int)
     for j, s in enumerate(blocks):
         blk_of[s] = j
-    S = w_start > 1e-12
-    for s in blocks:
-        if not S[s].any():
-            S[s.start + int(np.argmax(w_start[s]))] = True
-
-    for _ in range(10 * (k + nb)):
-        idx = np.flatnonzero(S)
-        H = 2.0 * AtA[np.ix_(idx, idx)]
-        C = np.zeros((nb, len(idx)))
-        C[blk_of[idx], np.arange(len(idx))] = 1.0
-        kkt = np.block([[H, C.T], [C, np.zeros((nb, nb))]])
-        rhs = np.concatenate([2.0 * Atb[idx], np.ones(nb)])
-        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-        wS = sol[:len(idx)]
-        if (wS < -1e-12).any():
-            S[idx[int(np.argmin(wS))]] = False
-            continue
-        w = np.zeros(k)
-        w[idx] = np.clip(wS, 0.0, None)
+    w = w_start.copy()
+    support = np.flatnonzero(w > 0)
+    for _ in range(2 * k + 10):
         g = 2.0 * (AtA @ w - Atb)
-        if _fw_gap(w, g, blocks) <= tol_gap:
+        terms = _gap_terms(w, g, blocks)
+        if sum(terms) < tol_gap:
             return w
-        added = False
-        for s in blocks:
-            best = s.start + int(np.argmin(g[s]))
-            if not S[best]:
-                S[best] = True
-                added = True
-        if not added:
-            return None
+        s = blocks[int(np.argmax(terms))]
+        new = s.start + int(np.argmin(g[s]))
+        if w[new] > 0:
+            return None          # rounding: the restricted optimum is stale
+        support = np.sort(np.append(support, new))
+        while True:
+            z = _kkt_solve(AtA, Atb, support, blk_of[support])
+            if z is None:
+                return None
+            out = z <= 0
+            if not out.any():
+                w = np.zeros(k)
+                w[support] = z
+                break
+            # step back: the farthest feasible point on the segment to z
+            ws = w[support]
+            ratio = ws[out] / (ws[out] - z[out])
+            if ratio.min() <= 0:
+                return None      # rounding: the admitted coordinate cannot enter
+            ws = ws + ratio.min() * (z - ws)
+            ws[np.flatnonzero(out)[np.argmin(ratio)]] = 0.0
+            keep = ws > 0
+            w = np.zeros(k)
+            w[support[keep]] = ws[keep]
+            support = support[keep]
     return None
 
 
+def _vertex(scores, blocks):
+    """The point with weight one on the highest score of each block: a
+    feasible start for _active_set_polish, optimal on its own support."""
+    v = np.zeros(len(scores))
+    for s in blocks:
+        v[s.start + int(np.argmax(scores[s]))] = 1.0
+    return v
+
+
 def solve_simplex_lsq(A: np.ndarray, b: np.ndarray, blocks=None,
-                      tol: float = SOLVER_TOL, max_iter: int = SOLVER_MAX_ITER):
+                      tol: float = SOLVER_TOL, max_iter: int = SOLVER_MAX_ITER,
+                      gram=None):
     """Minimize ||A w - b||^2 over a simplex (or product of simplexes).
 
     ``blocks`` is a list of index slices, each constrained to its own
-    simplex; None means one simplex over all of w. Accelerated projected
-    gradient (FISTA, uniform start, adaptive restart) with a periodic
-    exact active-set polish; convergence is declared when the Frank-Wolfe
-    optimality gap falls below tol relative to the initial objective
-    scale. Returns (w, objective, iterations, gap).
+    simplex; None means one simplex over all of w. ``gram`` may give
+    (AᵀA, Aᵀb, bᵀb) instead of A and b, for example as sub-blocks of a
+    Gram matrix shared by many refits.
+
+    The exact solver is a forward active set (``_active_set_polish``)
+    started at the best vertex of each block, so its supports stay small.
+    Should it fail on degenerate geometry, accelerated projected gradient
+    (FISTA from the uniform point, adaptive restart) takes over and retries
+    the active set every 50 iterations from the vertex at the heaviest
+    coordinate of each block. Convergence is declared when the Frank-Wolfe
+    optimality gap falls below tol times the objective at the uniform point
+    (at least 1). Returns (w, objective, iterations, gap); iterations is 1
+    when the first active-set pass succeeds.
     """
-    m, k = A.shape
+    k = A.shape[1] if gram is None else len(gram[1])
     if blocks is None:
         blocks = [slice(0, k)]
+    if gram is None:
+        # each block's weights sum to one, so shifting its columns and b by
+        # the same vector leaves A w - b unchanged; centring the columns
+        # keeps a common level from swamping the Gram matrix in rounding
+        A, b = np.array(A, dtype=float), np.array(b, dtype=float)
+        for s in blocks:
+            if A[:, s].size:
+                c = A[:, s].mean(axis=1)
+                A[:, s] -= c[:, None]
+                b -= c
+        AtA, Atb, bb = A.T @ A, A.T @ b, float(b @ b)
+    else:
+        AtA, Atb, bb = gram
 
     def proj(w):
         out = np.empty_like(w)
@@ -161,9 +223,6 @@ def solve_simplex_lsq(A: np.ndarray, b: np.ndarray, blocks=None,
     for s in blocks:
         size = len(range(*s.indices(k)))
         w[s] = 1.0 / size
-    AtA = A.T @ A
-    Atb = A.T @ b
-    bb = float(b @ b)
 
     def fval(w):
         return float(w @ (AtA @ w) - 2.0 * (Atb @ w) + bb)
@@ -171,23 +230,28 @@ def solve_simplex_lsq(A: np.ndarray, b: np.ndarray, blocks=None,
     def grad(w):
         return 2.0 * (AtA @ w - Atb)
 
-    L = 2.0 * float(np.linalg.eigvalsh(AtA)[-1]) if k else 1.0
-    if L <= 0:
+    if not k or np.trace(AtA) == 0:    # A = 0: every feasible w is optimal
         return w, fval(w), 0, 0.0
     scale = max(1.0, fval(w))
     tol_gap = tol * scale
 
+    L = None
     y, t_mom, f_prev = w.copy(), 1.0, fval(w)
     for it in range(1, max_iter + 1):
         g = grad(w)
         gap = _fw_gap(w, g, blocks)
-        if gap <= tol_gap:
+        if gap < tol_gap:
             return w, fval(w), it, gap
-        if it % 50 == 1:          # support has usually settled; try exact solve
-            polished = _active_set_polish(AtA, Atb, w, blocks, tol_gap)
+        if it % 50 == 1:
+            # first the donor with the best own-block objective, later the
+            # heaviest coordinate of the projected-gradient iterate
+            start = _vertex(2.0 * Atb - np.diag(AtA) if it == 1 else w, blocks)
+            polished = _active_set_polish(AtA, Atb, start, blocks, tol_gap)
             if polished is not None:
                 gp = _fw_gap(polished, grad(polished), blocks)
                 return polished, fval(polished), it, gp
+        if L is None:
+            L = 2.0 * float(np.linalg.eigvalsh(AtA)[-1])
         w_new = proj(y - grad(y) / L)
         f_new = fval(w_new)
         if f_new > f_prev:           # adaptive restart: drop momentum
@@ -200,7 +264,7 @@ def solve_simplex_lsq(A: np.ndarray, b: np.ndarray, blocks=None,
 
     g = grad(w)
     gap = _fw_gap(w, g, blocks)
-    if gap > tol_gap:
+    if gap >= tol_gap:
         raise PanelCauseError(
             "NO_CONVERGENCE",
             f"simplex solver hit {max_iter} iterations; objective {fval(w):.6g}, "
@@ -269,22 +333,14 @@ def fit_scm(panel: PanelDataset, treated, donors=None, covariates=(),
     """Convex synthetic control for one treated unit.
 
     Matches pre-period outcomes (and covariate pre-means, uniformly
-    weighted) and reports post-period gaps and their mean. Weight
-    non-uniqueness under a flat objective resolves to the solver's
-    deterministic trajectory from the uniform start.
+    weighted) and reports post-period gaps and their mean. The weights are
+    the exact minimiser from the solver's active set; where the minimiser
+    is not unique (a flat objective), the one returned is fixed by the
+    active set's deterministic path from the best single donor.
     """
     g, donors = _prep(panel, treated, donors, covariates)
-    return _scm_core(panel, panel.units.index(treated),
-                     [panel.units.index(d) for d in donors], g, covariates,
-                     tol, max_iter)
-
-
-def _scm_core(panel, trow, drows, g, covariates, tol=SOLVER_TOL,
-              max_iter=SOLVER_MAX_ITER):
-    """Simplex fit of unit row trow on donor rows drows, adoption at g.
-
-    Does no adoption checks, so placebo fits can pass a never-treated unit.
-    """
+    trow = panel.units.index(treated)
+    drows = [panel.units.index(d) for d in donors]
     _check_missing(panel, trow, drows, g)
     x1 = _features(panel, [trow], g, covariates)[0]
     X0 = _features(panel, drows, g, covariates)          # donors × features
@@ -292,9 +348,8 @@ def _scm_core(panel, trow, drows, g, covariates, tol=SOLVER_TOL,
 
     Y = panel.outcome_matrix()
     pre, gaps, att = _synth_gaps(Y[trow], Y[drows], w, g)
-    donors = tuple(panel.units[d] for d in drows)
     weights = ScmWeights(dict(zip(donors, w.tolist())), pre, obj, False)
-    return ScmEstimate(att, gaps, weights, panel.units[trow], donors, g,
+    return ScmEstimate(att, gaps, weights, treated, tuple(donors), g,
                        info={"iterations": iters, "fw_gap": gap})
 
 
@@ -307,6 +362,24 @@ def _synth_gaps(y, Y_donors, w, g):
     return pre, gaps, float(np.mean(list(gaps.values())))
 
 
+def _donor_gram(X0):
+    """Gram matrix of the donor features (rows) centred across donors.
+
+    Refitting donor i on the others reads (AᵀA, Aᵀb, bᵀb) off it with
+    _leave_out: on the simplex, shifting every donor by the same vector
+    leaves A w - b unchanged, and the centring keeps a common level from
+    swamping the products in rounding.
+    """
+    Xc = X0 - X0.mean(axis=0)
+    return Xc @ Xc.T
+
+
+def _leave_out(G, i):
+    """(pool, gram) of donor i fitted on every other donor."""
+    pool = np.delete(np.arange(len(G)), i)
+    return pool, (G[pool][:, pool], G[pool, i], float(G[i, i]))
+
+
 # ---------------------------------------------------------------------------
 # placebo permutation inference
 
@@ -317,8 +390,8 @@ def _rmspe_ratio(pre, post):
     return post / pre
 
 
-def _post_rmspe(est: ScmEstimate) -> float:
-    return float(np.sqrt(np.mean(np.array(list(est.gaps.values())) ** 2)))
+def _post_rmspe(gaps: dict) -> float:
+    return float(np.sqrt(np.mean(np.array(list(gaps.values())) ** 2)))
 
 
 def placebo_inference(panel: PanelDataset, treated, donors=None, covariates=(),
@@ -338,18 +411,20 @@ def placebo_inference(panel: PanelDataset, treated, donors=None, covariates=(),
                               "treated fit retains ≥2")
     base = fit_scm(panel, treated, donors, covariates)
     t_pre = base.weights.pre_period_rmspe
-    t_ratio = _rmspe_ratio(t_pre, _post_rmspe(base))
+    t_ratio = _rmspe_ratio(t_pre, _post_rmspe(base.gaps))
 
+    drows = np.array([panel.units.index(d) for d in donors])
+    G = _donor_gram(_features(panel, drows, g, covariates))
+    Y = panel.outcome_matrix()
     ratios, excluded = {}, []
-    for d in donors:
-        est = _scm_core(panel, panel.units.index(d),
-                        [panel.units.index(x) for x in donors if x != d], g,
-                        covariates)
-        pre = est.weights.pre_period_rmspe
+    for i, d in enumerate(donors):
+        pool, gram = _leave_out(G, i)
+        w, *_ = solve_simplex_lsq(None, None, gram=gram)
+        pre, gaps, _ = _synth_gaps(Y[drows[i]], Y[drows[pool]], w, g)
         if pre > exclusion_cutoff * t_pre:
             excluded.append(d)
             continue
-        ratios[d] = _rmspe_ratio(pre, _post_rmspe(est))
+        ratios[d] = _rmspe_ratio(pre, _post_rmspe(gaps))
     if not ratios:
         raise PanelCauseError("ALL_EXCLUDED",
                               "every placebo failed the pre-fit exclusion rule")
@@ -363,19 +438,24 @@ def placebo_inference(panel: PanelDataset, treated, donors=None, covariates=(),
 # augmented SCM
 
 
-def _ridge_augment(X0: np.ndarray, x1: np.ndarray, w: np.ndarray, lam: float):
-    """Sign-free correction to simplex weights from a ridge outcome model.
+def _ridge_augment(X0: np.ndarray, x1: np.ndarray, w: np.ndarray, lams):
+    """Simplex weights plus a sign-free ridge correction, one row per penalty.
 
-    X0 rows are donors. Centering features across donors makes the
-    correction sum to zero exactly, so augmented weights still sum to one.
+    X0 rows are donors. Centering features across donors makes each
+    correction Xc (XcᵀXc + lam I)⁺ (x1 - X0ᵀw) sum to zero exactly, so
+    augmented weights still sum to one. One SVD of the centred features
+    serves every penalty. Directions whose Gram eigenvalue plus lam is
+    below the rounding floor get no correction: at lam = 0, where the Gram
+    matrix is singular whenever donors-1 < features, that is the
+    minimum-norm solution, the lam -> 0 limit.
     """
     Xc = X0 - X0.mean(axis=0)
-    r = x1 - X0.T @ w
-    F = X0.shape[1]
-    # lstsq rather than solve: at lam=0 the Gram matrix is singular whenever
-    # donors-1 < features, and the minimum-norm solution is the lam->0 limit
-    u = Xc @ np.linalg.lstsq(Xc.T @ Xc + lam * np.eye(F), r, rcond=None)[0]
-    return w + u
+    U, sv, Vt = np.linalg.svd(Xc, full_matrices=False)
+    lams = np.asarray(lams, dtype=float)[:, None]
+    ev = sv ** 2 + lams
+    floor = np.finfo(float).eps * X0.shape[1] * (sv[:1] ** 2 + lams)
+    coef = np.divide(sv, ev, out=np.zeros_like(ev), where=ev > floor)
+    return w + (coef * (Vt @ (x1 - X0.T @ w))) @ U.T
 
 
 def _cv_lambda(X0: np.ndarray, grid=LAMBDA_GRID):
@@ -389,18 +469,14 @@ def _cv_lambda(X0: np.ndarray, grid=LAMBDA_GRID):
     if F < 2 or J < 3:
         raise PanelCauseError("TOO_FEW_PERIODS",
                               "ridge CV needs ≥2 matched features and ≥3 donors")
-    fit_cols = list(range(F - 1))
+    fit, last = X0[:, :F - 1], X0[:, F - 1]
+    G = _donor_gram(fit)
     scores = np.zeros(len(grid))
     for j in range(J):
-        pool = [i for i in range(J) if i != j]
-        A = X0[pool][:, fit_cols]
-        b = X0[j, fit_cols]
-        w, *_ = solve_simplex_lsq(A.T, b)
-        target = X0[j, F - 1]
-        donor_last = X0[pool][:, F - 1]
-        for li, lam in enumerate(grid):
-            w_aug = _ridge_augment(A, b, w, lam)
-            scores[li] += (target - float(donor_last @ w_aug)) ** 2
+        pool, gram = _leave_out(G, j)
+        w, *_ = solve_simplex_lsq(None, None, gram=gram)
+        w_aug = _ridge_augment(fit[pool], fit[j], w, grid)
+        scores += (last[j] - w_aug @ last[pool]) ** 2
     best = np.flatnonzero(scores <= scores.min())[-1]
     return float(grid[best]), dict(zip(grid.tolist(), scores.tolist()))
 
@@ -422,7 +498,7 @@ def fit_ascm(panel: PanelDataset, treated, donors=None, covariates=(),
     cv_scores = None
     if lam == "cv":
         lam, cv_scores = _cv_lambda(X0)
-    w_aug = _ridge_augment(X0, x1, base.weights.as_array(donors), float(lam))
+    w_aug = _ridge_augment(X0, x1, base.weights.as_array(donors), [lam])[0]
 
     Y = panel.outcome_matrix()
     pre, gaps, att = _synth_gaps(Y[trow], Y[drows], w_aug, g)
@@ -579,7 +655,7 @@ def _staggered_fit_once(panel, schedule, donors, nu, lam):
         A_g, b_g = per[g]
         X0 = A_g.T                                  # donors × features
         lam_g, cv_scores = (lam, None) if lam != "cv" else _cv_lambda(X0)
-        w_aug = _ridge_augment(X0, b_g, W[i], float(lam_g))
+        w_aug = _ridge_augment(X0, b_g, W[i], [lam_g])[0]
         crows = [panel.units.index(u) for u in schedule.cohorts[g]]
         pre, gaps, att_g = _synth_gaps(Y[crows].mean(axis=0), Y[drows], w_aug, g)
         obj = float(np.sum((b_g - X0.T @ w_aug) ** 2))

@@ -258,7 +258,9 @@ def evaluate(configs, methods, reps: int, ci_level: float = 0.95,
 
     Methods the advisor rules out for a config are skipped and reported
     (pass force=True to run them anyway — required when the point of the
-    experiment is demonstrating a method's failure mode). Estimator errors
+    experiment is demonstrating a method's failure mode). A config the
+    advisor refuses outright (no unit adopts) skips every method with the
+    advisor's reason code, and the other configs still run. Estimator errors
     are counted per cell, never silently dropped.
     """
     for m in methods:
@@ -273,13 +275,18 @@ def evaluate(configs, methods, reps: int, ci_level: float = 0.95,
             config.name = f"cfg{ci_idx}"
         config.validate()
         panel0, _ = simulate_panel(config, 0)
-        rec = adv.recommend(adv.derive_features(panel0))
+        try:
+            rec = adv.recommend(adv.derive_features(panel0))
+            reasons = {m: rec.methods[m].reasons for m in methods
+                       if not rec.methods[m].viable}
+        except PanelCauseError as exc:      # e.g. NO_TREATED_UNITS
+            reasons = {m: [(exc.code, exc.message)] for m in methods}
         active = []
         for m in methods:
-            if force or rec.methods[m].viable:
+            if force or m not in reasons:
                 active.append(m)
             else:
-                skipped.append((config.name, m, rec.methods[m].reasons[0][0]))
+                skipped.append((config.name, m, reasons[m][0][0]))
         if not active:
             continue
 

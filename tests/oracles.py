@@ -7,6 +7,7 @@ gradient), so agreement is evidence, not tautology.
 """
 
 import numpy as np
+from scipy.optimize import nnls
 
 
 def ols_beta(X, y):
@@ -132,6 +133,30 @@ def exhaustive_simplex_min(X0, x1, denom=1000):
     vals = np.einsum("ij,ij->i", r, r)
     i = int(np.argmin(vals))
     return W[i], float(vals[i])
+
+
+def nnls_simplex_min(A, b, blocks, weight=1e6):
+    """min ||A w - b||^2 over a product of simplexes by the weighting method
+    (Lawson & Hanson, Solving Least Squares Problems, ch. 22).
+
+    SciPy's NNLS solves the problem with each block's sum-to-one constraint
+    appended as a row weighted by `weight` (times the largest |A| entry);
+    each block is then rescaled to sum to one exactly, so the reported point
+    is feasible and its objective is an upper bound on the minimum.
+    Returns (w, objective).
+    """
+    k = A.shape[1]
+    C = np.zeros((len(blocks), k))
+    for i, s in enumerate(blocks):
+        C[i, s] = 1.0
+    big = weight * max(1.0, float(np.abs(A).max()))
+    w, _ = nnls(np.vstack([A, big * C]),
+                np.concatenate([b, np.full(len(blocks), big)]),
+                maxiter=50 * k)
+    for s in blocks:
+        w[s] /= w[s].sum()
+    r = A @ w - b
+    return w, float(r @ r)
 
 
 def simplex_projection_is_optimal(v, w, tol=1e-9):

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 import panelcause as pc
 from panelcause.scm import (_cv_lambda, _rmspe_ratio, LAMBDA_GRID,
                             project_simplex, solve_simplex_lsq)
+from panelcause.simharness import DgpConfig, simulate_panel
 from helpers import build_panel
-from oracles import (exhaustive_simplex_min, grid_simplex_min, placebo_p,
-                     simplex_projection_is_optimal)
+from oracles import (exhaustive_simplex_min, grid_simplex_min,
+                     nnls_simplex_min, placebo_p, simplex_projection_is_optimal)
 
 
 def err(fn, *args, **kw):
@@ -101,6 +102,73 @@ class TestSolver:
         # Frank-Wolfe gap certifies optimality within tolerance
         assert gap <= pc.scm.SOLVER_TOL * max(
             1.0, float(np.sum((x1 - X0.T @ (np.ones(J) / J)) ** 2)) + 1e-9)
+
+
+def random_blocks(rng, J, n_blocks):
+    """n_blocks contiguous non-empty slices covering 0..J."""
+    n_blocks = min(n_blocks, J)
+    cuts = np.sort(rng.choice(np.arange(1, J), n_blocks - 1, replace=False))
+    edges = [0, *cuts.tolist(), J]
+    return [slice(edges[i], edges[i + 1]) for i in range(n_blocks)]
+
+
+class TestSolverManyDonors:
+    """More donors than features, one to three blocks: the regime of the
+    placebo and ridge-CV refits and of the staggered pooled fit."""
+
+    def check(self, A, b, blocks):
+        w, obj, _, gap = solve_simplex_lsq(A, b, blocks=blocks)
+        k = A.shape[1]
+        for s in blocks:
+            assert w[s].sum() == pytest.approx(1.0, abs=1e-8)
+        assert (w >= -1e-10).all()
+        # Frank-Wolfe certificate, recomputed from A and b
+        uniform = np.concatenate([np.full(s.stop - s.start, 1.0 / (s.stop - s.start))
+                                  for s in blocks])
+        scale = max(1.0, float(np.sum((A @ uniform - b) ** 2)))
+        g = 2.0 * A.T @ (A @ w - b)
+        fw = sum(float(w[s] @ g[s] - g[s].min()) for s in blocks)
+        assert gap <= pc.scm.SOLVER_TOL * scale
+        assert fw <= pc.scm.SOLVER_TOL * scale + 1e-12 * scale
+        # no worse than the independent NNLS route
+        w_ref, obj_ref = nnls_simplex_min(A, b, blocks)
+        got = float(np.sum((A @ w - b) ** 2))
+        assert got <= obj_ref + 1e-10
+        assert obj == pytest.approx(got, abs=1e-9 * scale)
+        # a unique minimiser when the columns both supports use, with the
+        # block sums, have full rank: then the weights must agree
+        used = np.flatnonzero((w > 1e-12) | (w_ref > 1e-12))
+        C = np.zeros((len(blocks), k))
+        for i, s in enumerate(blocks):
+            C[i, s] = 1.0
+        M = np.vstack([A[:, used], C[:, used]])
+        if np.linalg.matrix_rank(M) == len(used):
+            np.testing.assert_allclose(w, w_ref, atol=1e-6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 40), st.integers(4, 16),
+           st.integers(1, 3))
+    def test_gaussian_features(self, seed, J, F, n_blocks):
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(F, J))
+        b = rng.normal(size=F)
+        self.check(A, b, random_blocks(rng, J, n_blocks))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 40), st.integers(4, 16),
+           st.integers(1, 3), st.booleans())
+    def test_panel_like_features(self, seed, J, F, n_blocks, inside):
+        # donor series share a level and two factors; the target is either a
+        # convex combination (a zero minimum, often many minimisers) or an
+        # independent draw (usually outside the hull)
+        rng = np.random.default_rng(seed)
+        A = 10.0 + rng.normal(size=(F, 2)) @ rng.normal(size=(2, J)) \
+            + 0.3 * rng.normal(size=(F, J))
+        if inside:
+            b = A @ rng.dirichlet(np.ones(J))
+        else:
+            b = 10.0 + rng.normal(size=F)
+        self.check(A, b, random_blocks(rng, J, n_blocks))
 
 
 def donor_panel(effect=2.0, T=10, g=6, treated_noise=0.0, seed=110,
@@ -410,3 +478,41 @@ class TestStaggeredAscm:
         p2 = pp.PanelDataset(p.units, p.time_labels, p.unit_idx, p.time_idx,
                              y, p.policy, p.covariates)
         assert err(pc.fit_staggered_ascm, p2, nu=0.0).code == "MISSING_CELLS"
+
+
+def thirty_donor_panel(seed):
+    """One unit adopting at t=10 against 30 never-treated donors, 16 periods.
+
+    With 10 pre periods and 30 donors the simplex problems have more donors
+    than features, as in real SCM use, so the solver's active set matters.
+    """
+    cfg = DgpConfig(n_units=31, n_periods=16, cohorts={10: 1},
+                    effect={"kind": "dynamic", "base": 1.0, "slope": 0.1},
+                    intercept_sd=3.0, ar_coef=0.5, seed=seed)
+    return simulate_panel(cfg, 0)[0]
+
+
+class TestPinnedOutputs:
+    """Placebo and ridge-CV outputs recorded before the active-set rewrite.
+
+    The rank, p-value, donor sets and chosen penalty must match exactly;
+    floats to 1e-10. Any solver change that moves them changes results.
+    """
+
+    @pytest.mark.parametrize("seed,p,ratio,excluded,lam,att", [
+        (0, 1 / 30, 7.684011712738572, ("u012",), 316.2277660168379,
+         2.534884707552371),
+        (4, 0.4, 2.502230401915963, ("u015",), 3.1622776601683795,
+         0.46224809320503696),
+    ])
+    def test_placebo_and_cv_pinned(self, seed, p, ratio, excluded, lam, att):
+        panel = thirty_donor_panel(seed)
+        res = pc.placebo_inference(panel, "u000")
+        assert res.p_value == p
+        assert res.treated_ratio == pytest.approx(ratio, abs=1e-10)
+        assert res.excluded == excluded
+        assert set(res.placebo_ratios) == \
+            set(panel.units[1:]) - set(excluded)
+        est = pc.fit_ascm(panel, "u000")
+        assert est.info["lambda"] == lam
+        assert est.att == pytest.approx(att, abs=1e-10)

@@ -136,6 +136,22 @@ class TestEvaluate:
         assert out.skipped == []
         assert {r.method for r in out.rows} == {ITS}
 
+    def test_config_without_adopters_skips_without_losing_others(self):
+        null = DgpConfig(n_units=10, n_periods=8, cohorts={})
+        out = evaluate([cfg(), null], [DID_TWFE], reps=2)
+        assert ("cfg1", DID_TWFE, "NO_TREATED_UNITS") in out.skipped
+        assert [r.config for r in out.rows] == ["base"]
+
+    def test_forced_config_without_adopters_counts_rep_errors(self):
+        null = DgpConfig(n_units=10, n_periods=8, cohorts={})
+        out = evaluate([cfg(), null], ["DID_TWFE"], reps=2, force=True)
+        assert out.skipped == []
+        rows = {r.config: r for r in out.rows}
+        assert rows["base"].failures == 0 and rows["base"].reps == 2
+        assert rows["cfg1"].failures == rows["cfg1"].reps == 2
+        errors = [r.error for r in out.per_rep if r.config == "cfg1"]
+        assert errors == ["NO_VARIATION", "NO_VARIATION"]
+
     def test_unknown_method_rejected(self):
         with pytest.raises(pc.PanelCauseError) as ei:
             evaluate([cfg()], ["OLS_WITH_VIBES"], reps=1)

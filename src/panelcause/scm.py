@@ -90,10 +90,6 @@ def _gap_terms(w, g, blocks):
     return [max(0.0, float(w[s] @ g[s] - g[s].min())) for s in blocks]
 
 
-def _fw_gap(w, g, blocks):
-    return sum(_gap_terms(w, g, blocks))
-
-
 def _kkt_solve(AtA, Atb, idx, blk):
     """Minimiser of the least squares restricted to the support idx, with
     each block's weights on it summing to one; None if the KKT system is
@@ -239,7 +235,7 @@ def solve_simplex_lsq(A: np.ndarray, b: np.ndarray, blocks=None,
     y, t_mom, f_prev = w.copy(), 1.0, fval(w)
     for it in range(1, max_iter + 1):
         g = grad(w)
-        gap = _fw_gap(w, g, blocks)
+        gap = sum(_gap_terms(w, g, blocks))
         if gap < tol_gap:
             return w, fval(w), it, gap
         if it % 50 == 1:
@@ -248,7 +244,7 @@ def solve_simplex_lsq(A: np.ndarray, b: np.ndarray, blocks=None,
             start = _vertex(2.0 * Atb - np.diag(AtA) if it == 1 else w, blocks)
             polished = _active_set_polish(AtA, Atb, start, blocks, tol_gap)
             if polished is not None:
-                gp = _fw_gap(polished, grad(polished), blocks)
+                gp = sum(_gap_terms(polished, grad(polished), blocks))
                 return polished, fval(polished), it, gp
         if L is None:
             L = 2.0 * float(np.linalg.eigvalsh(AtA)[-1])
@@ -263,7 +259,7 @@ def solve_simplex_lsq(A: np.ndarray, b: np.ndarray, blocks=None,
         w, t_mom, f_prev = w_new, t_new, f_new
 
     g = grad(w)
-    gap = _fw_gap(w, g, blocks)
+    gap = sum(_gap_terms(w, g, blocks))
     if gap >= tol_gap:
         raise PanelCauseError(
             "NO_CONVERGENCE",

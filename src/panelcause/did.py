@@ -14,10 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import PanelCauseError, PanelCauseWarning
-from .linreg import (FitResult, absorb_fixed_effects, build_design,
-                     jackknife_se, normal_ci, normal_p, ols_fit)
+from .linreg import (INTERCEPT, FitResult, jackknife_se, normal_ci, normal_p,
+                     two_way_effects, within_fit)
 from .panel import NEVER, PanelDataset, complete_rows, derive_adoption
 
 NEVER_TREATED = "NEVER_TREATED"
@@ -65,7 +67,7 @@ class ImputationEstimate:
     unit_time_effects: dict  # (unit id, time t) -> observed - predicted
     att: float
     se: float
-    untreated_fit: FitResult
+    untreated_coefficients: dict  # _intercept, unit[u], time[t], covariates
     dropped_periods: tuple   # periods with no untreated rows (cells excluded)
 
 
@@ -102,20 +104,13 @@ def fit_did_twfe(panel: PanelDataset, covariates=(),
     if pol.min() == pol.max():
         raise PanelCauseError("NO_VARIATION", "policy indicator is constant")
 
-    cols = np.column_stack([pol] + [Xc[keep][:, i] for i in range(Xc.shape[1])]) \
-        if Xc.shape[1] else pol[:, None]
-    ui, ti = panel.unit_idx[keep], panel.time_idx[keep]
-    y_w, _ = absorb_fixed_effects(ui, ti, panel.outcome[keep])
-    M, absorbed = absorb_fixed_effects(ui, ti, cols)
-    if np.linalg.norm(M[:, 0]) <= 1e-10 * max(1.0, np.linalg.norm(pol)):
+    fit = within_fit(panel.unit_idx[keep], panel.time_idx[keep], panel.outcome[keep],
+                     [("policy", pol)] + list(zip(covariates, Xc[keep].T)))
+    if fit is None or "policy" not in fit.coefficients:
         raise PanelCauseError(
             "NO_CONTROL",
             "policy indicator is absorbed by unit+time effects: no comparison "
             "units remain (all units adopt together with no controls)")
-
-    names = ["policy"] + list(covariates)
-    X = build_design(zip(names, M.T), add_intercept=False)
-    fit = ols_fit(X, y_w, ui, extra_dof=absorbed)
     att, se = fit.coef("policy"), fit.se("policy")
     return DidEstimate(att, se, normal_ci(att, se, ci_level),
                        normal_p(att, se), ci_level, fit)
@@ -182,22 +177,12 @@ def fit_event_study(panel: PanelDataset, covariates=(), leads: int | None = None
         return (is_treated & (k_row == kk)).astype(float)
 
     cols = [(f"k[{kk}]", indicator(kk)) for kk in keys]
-    cols += [(name, Xc[keep][:, i]) for i, name in enumerate(covariates)]
-    names = [c[0] for c in cols]
-    M, absorbed = absorb_fixed_effects(ui, ti, np.column_stack([c[1] for c in cols]))
-    y_w, _ = absorb_fixed_effects(ui, ti, panel.outcome[keep])
-    try:
-        X = build_design(zip(names, M.T), add_intercept=False)
-    except PanelCauseError as e:
-        if e.code != "RANK_ZERO":
-            raise
-        X = None
-    if X is None or not any(n.startswith("k[") for n in X.column_names):
+    fit = within_fit(ui, ti, panel.outcome[keep], cols + list(zip(covariates, Xc[keep].T)))
+    if fit is None or not any(n.startswith("k[") for n in fit.coefficients):
         raise PanelCauseError("COLLINEAR_EVENT_TIME",
                               "every event-time indicator was dropped as collinear")
-    fit = ols_fit(X, y_w, ui, extra_dof=absorbed)
 
-    collinear = [n for n, _ in X.dropped_columns if n.startswith("k[")]
+    collinear = [n for n, _ in fit.dropped_columns if n.startswith("k[")]
     coeffs = {}
     for kk in keys:
         name = f"k[{kk}]"
@@ -335,21 +320,23 @@ def fit_group_time_att(panel: PanelDataset, schedule=None,
                          cohort_weights, omitted, bootstrap_reps, seed)
 
 
+def _untreated_betas(panel, un, Xc, covariates):
+    """Untreated two-way model: kept covariates' betas, and all (0 if dropped)."""
+    fit = within_fit(panel.unit_idx[un], panel.time_idx[un], panel.outcome[un],
+                     list(zip(covariates, Xc[un].T)))
+    kept = fit.coefficients if fit is not None else {}
+    return kept, np.array([kept.get(c, 0.0) for c in covariates])
+
+
 def _covariate_residualizer(panel: PanelDataset, covariates):
     """Per-cell covariate contribution X@beta, with beta fit on untreated rows."""
     keep, Xc = complete_rows(panel, covariates)
     un = keep & (panel.policy == 0)
     if not un.any():
         raise PanelCauseError("NO_VARIATION", "no untreated rows to fit covariates on")
-    ui, ti = panel.unit_idx[un], panel.time_idx[un]
-    M, absorbed = absorb_fixed_effects(ui, ti, Xc[un])
-    y_w, _ = absorb_fixed_effects(ui, ti, panel.outcome[un])
-    X = build_design(zip(covariates, M.T), add_intercept=False)
-    fit = ols_fit(X, y_w, ui, extra_dof=absorbed)
-    beta = np.array([fit.coefficients.get(c, 0.0) for c in covariates])
+    _, beta = _untreated_betas(panel, un, Xc, covariates)
     contrib = np.full((panel.unit_count, panel.time_count), np.nan)
-    vals = panel.covariate_matrix(covariates) @ beta
-    contrib[panel.unit_idx, panel.time_idx] = vals
+    contrib[panel.unit_idx, panel.time_idx] = Xc @ beta
     return contrib
 
 
@@ -363,23 +350,20 @@ def fit_imputation_did(panel: PanelDataset, schedule=None,
 
     Treated-cell effects are Y_obs minus the prediction; the ATT is their
     mean. The SE is a leave-one-unit-out jackknife (each fold refits the
-    untreated model and re-imputes).
+    untreated model and re-imputes). ``untreated_coefficients`` are the
+    dummy regression's: references are the first untreated unit and period.
     """
     if schedule is None:
         schedule = derive_adoption(panel)
     if not schedule.cohorts:
         raise PanelCauseError("NO_VARIATION", "no treated cells to impute")
 
-    est, fit, dropped = _impute_att(panel, schedule, covariates, skip_unit=None)
-    effects, att = est
-
-    se = jackknife_se(
-        lambda u: _impute_att(panel, schedule, covariates, skip_unit=u)[0][1],
-        panel.units)
-    return ImputationEstimate(effects, att, se, fit, dropped)
+    effects, att, coefs, dropped = _impute_att(panel, covariates, skip_unit=None)
+    se = jackknife_se(lambda u: _impute_att(panel, covariates, u)[1], panel.units)
+    return ImputationEstimate(effects, att, se, coefs, dropped)
 
 
-def _impute_att(panel, schedule, covariates, skip_unit):
+def _impute_att(panel, covariates, skip_unit):
     keep, Xc = complete_rows(panel, covariates)
     if skip_unit is not None:
         keep = keep & (panel.unit_idx != panel.units.index(skip_unit))
@@ -402,32 +386,39 @@ def _impute_att(panel, schedule, covariates, skip_unit):
             "UNIDENTIFIED_TIME_FE",
             f"periods with no untreated rows, treated cells dropped: "
             f"{[panel.time_labels[t] for t in dropped]}"))
-
-    ui, ti = panel.unit_idx[un], panel.time_idx[un]
-    cols = [(f"unit[{u}]", (ui == i).astype(float))
-            for i, u in enumerate(panel.units) if i in un_units and i != min(un_units)]
-    cols += [(f"time[{panel.time_labels[t]}]", (ti == t).astype(float))
-             for t in sorted(un_times) if t != min(un_times)]
-    cols += [(name, Xc[un][:, i]) for i, name in enumerate(covariates)]
-    X = build_design(cols)
-    fit = ols_fit(X, panel.outcome[un], ui)
-
-    effects = {}
-    tr_idx = np.flatnonzero(tr)
-    for r in tr_idx:
-        i, t = int(panel.unit_idx[r]), int(panel.time_idx[r])
-        if t in dropped:
-            continue
-        pred = fit.coef("_intercept")
-        pred += fit.coefficients.get(f"unit[{panel.units[i]}]", 0.0)
-        pred += fit.coefficients.get(f"time[{panel.time_labels[t]}]", 0.0)
-        for j, name in enumerate(covariates):
-            pred += fit.coefficients.get(name, 0.0) * panel.covariates[name][r]
-        effects[(panel.units[i], t)] = float(panel.outcome[r] - pred)
-    if not effects:
+    rows = np.flatnonzero(tr & ~np.isin(panel.time_idx, dropped))
+    if not len(rows):
         raise PanelCauseError("NO_VARIATION", "no treated cells left after drops")
-    att = float(np.mean(list(effects.values())))
-    return (effects, att), fit, dropped
+
+    # a treated cell's counterfactual is identified only if untreated rows
+    # connect its unit to its period
+    ui, ti, ru, rt = (panel.unit_idx[un], panel.time_idx[un],
+                      panel.unit_idx[rows], panel.time_idx[rows])
+    U, n = panel.unit_count, panel.unit_count + panel.time_count
+    _, comp = connected_components(
+        coo_matrix((np.ones(len(ui)), (ui, U + ti)), shape=(n, n)), directed=False)
+    apart = comp[ru] != comp[U + rt]
+    if apart.any():
+        cells = [(panel.units[i], panel.time_labels[t])
+                 for i, t in zip(ru[apart], rt[apart])]
+        raise PanelCauseError(
+            "DISCONNECTED_FE", f"treated cells not connected to their period through "
+            f"untreated rows (counterfactual not identified): {cells[:5]}", cells=cells)
+
+    coefs, beta = (_untreated_betas(panel, un, Xc, covariates) if covariates
+                   else ({}, np.zeros(0)))
+    alpha, gamma = two_way_effects(ui, ti, panel.outcome[un] - Xc[un] @ beta)
+    resid = panel.outcome[rows] - (alpha[ru] + gamma[rt] + Xc[rows] @ beta)
+    effects = {(panel.units[i], int(t)): float(e) for i, t, e in zip(ru, rt, resid)}
+
+    u0, t0 = min(un_units), min(un_times)
+    untreated = {INTERCEPT: float(alpha[u0] + gamma[t0])}
+    untreated.update((f"unit[{panel.units[i]}]", float(alpha[i] - alpha[u0]))
+                     for i in sorted(un_units) if i != u0)
+    untreated.update((f"time[{panel.time_labels[t]}]", float(gamma[t] - gamma[t0]))
+                     for t in sorted(un_times) if t != t0)
+    untreated.update(coefs)
+    return effects, float(resid.mean()), untreated, dropped
 
 
 # ---------------------------------------------------------------------------

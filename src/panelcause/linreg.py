@@ -1,9 +1,9 @@
 """Shared least-squares machinery.
 
 Design-matrix assembly with deterministic collinearity handling, OLS via
-orthogonal decomposition, two-way fixed-effect absorption by iterative
-demeaning, the cluster-robust sandwich, and the delete-one jackknife. All
-pure functions; estimator modules own the modelling choices.
+orthogonal decomposition, exact two-way fixed effects and the within
+regression built on them, the cluster-robust sandwich, and the delete-one
+jackknife. All pure functions; estimator modules own the modelling choices.
 """
 
 from __future__ import annotations
@@ -25,13 +25,6 @@ class DesignMatrix:
     data: np.ndarray                  # n × k, full column rank after drops
     column_names: list
     dropped_columns: list = field(default_factory=list)  # (name, reason) pairs
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
-
-    def index_of(self, name) -> int:
-        return self.column_names.index(name)
 
 
 def build_design(columns, add_intercept: bool = True,
@@ -139,77 +132,92 @@ def ols_fit(X: DesignMatrix, y, clusters, extra_dof: int = 0) -> FitResult:
                      n, k, G, list(X.dropped_columns))
 
 
-def _group_means(x: np.ndarray, idx: np.ndarray, n_groups: int) -> np.ndarray:
-    counts = np.bincount(idx, minlength=n_groups).astype(float)
-    if x.ndim == 1:
-        sums = np.bincount(idx, weights=x, minlength=n_groups)
-        return sums / counts
-    out = np.empty((n_groups, x.shape[1]))
-    for j in range(x.shape[1]):
-        out[:, j] = np.bincount(idx, weights=x[:, j], minlength=n_groups) / counts
-    return out
+def two_way_effects(unit_idx, time_idx, columns):
+    """Exact least-squares (alpha, gamma) of x ≈ alpha[unit_idx] + gamma[time_idx].
+
+    Any set of rows, balanced or not; each column of ``columns`` is fit on
+    its own. Eliminating alpha leaves the T×T Schur complement of the normal
+    equations, S = diag(m_t) - Nᵀ diag(1/n_u) N, with N the unit×period count
+    matrix. S is singular once per connected component of the unit–period
+    graph; ``lstsq`` still gives the unique fitted values on every observed
+    cell. Indices without rows get zero effects.
+    """
+    X = np.asarray(columns, dtype=float)
+    ui = np.asarray(unit_idx, dtype=np.intp)
+    ti = np.asarray(time_idx, dtype=np.intp)
+    N = np.zeros((ui.max() + 1, ti.max() + 1))
+    np.add.at(N, (ui, ti), 1.0)
+    cell_sums = np.zeros(N.shape + X.shape[1:])
+    np.add.at(cell_sums, (ui, ti), X)
+    inv_u = 1.0 / np.maximum(N.sum(axis=1), 1.0)
+    B = N.T * inv_u
+    sum_u = cell_sums.sum(axis=1)
+    gamma, *_ = np.linalg.lstsq(np.diag(N.sum(axis=0)) - B @ N,
+                                cell_sums.sum(axis=0) - B @ sum_u, rcond=None)
+    alpha = ((sum_u - N @ gamma).T * inv_u).T
+    return alpha, gamma
 
 
-def absorb_fixed_effects(unit_idx, time_idx, columns, tol: float = 1e-10,
-                         max_sweeps: int = 2000):
-    """Within-transform columns by unit and time fixed effects.
+def absorb_fixed_effects(unit_idx, time_idx, columns):
+    """Columns minus their two-way fit, and the absorbed parameter count.
 
-    A dimension with a single level is skipped with a SINGLE_LEVEL warning.
-    Iterative demeaning until the largest update is ≤ tol. Returns
-    (transformed columns, absorbed_dof) where absorbed_dof is the parameter
-    count of the equivalent dummy regression (intercept included).
+    absorbed_dof counts the equivalent dummy regression's parameters,
+    intercept included: levels(unit) + levels(time) - 1. A dimension with a
+    single level gets a SINGLE_LEVEL warning; if both do, the columns come
+    back unchanged with absorbed_dof 0.
     """
     M = np.array(columns, dtype=float)
-    one_dim = M.ndim == 1
-    if one_dim:
-        M = M[:, None]
     unit_idx = np.asarray(unit_idx, dtype=np.intp)
     time_idx = np.asarray(time_idx, dtype=np.intp)
-    n_u = int(unit_idx.max()) + 1 if len(unit_idx) else 0
-    n_t = int(time_idx.max()) + 1 if len(time_idx) else 0
-
-    active = []
-    for dim, idx, size in (("unit", unit_idx, n_u), ("time", time_idx, n_t)):
-        if len(np.unique(idx)) < 2:
+    levels = []
+    for dim, idx in (("unit", unit_idx), ("time", time_idx)):
+        levels.append(len(np.unique(idx)))
+        if levels[-1] < 2:
             warnings.warn(PanelCauseWarning(
                 "SINGLE_LEVEL", f"dimension '{dim}' has a single level; absorption is a no-op"))
-            continue
-        active.append((idx, size))
+    if max(levels) < 2:
+        return M, 0
+    alpha, gamma = two_way_effects(unit_idx, time_idx, M)
+    return M - alpha[unit_idx] - gamma[time_idx], levels[0] + levels[1] - 1
 
-    if not active:
-        return (M[:, 0] if one_dim else M), 0
-    if len(active) == 1:
-        idx, size = active[0]
-        M = M - _group_means(M, idx, size)[idx]
-        absorbed = len(np.unique(idx))  # intercept + (levels-1) dummies
-        return (M[:, 0] if one_dim else M), absorbed
 
-    for _ in range(max_sweeps):
-        delta = 0.0
-        for idx, size in active:
-            means = _group_means(M, idx, size)[idx]
-            M = M - means
-            d = float(np.abs(means).max()) if means.size else 0.0
-            delta = max(delta, d)
-        if delta <= tol:
-            break
-    absorbed = len(np.unique(unit_idx)) + len(np.unique(time_idx)) - 1
-    return (M[:, 0] if one_dim else M), absorbed
+def within_fit(unit_idx, time_idx, y, columns) -> FitResult | None:
+    """OLS of y on named columns with unit and time effects absorbed.
+
+    Unit-clustered, with the effects in the small-sample factor, as in the
+    equivalent dummy regression. A column the effects absorb (within norm ≤
+    PIVOT_TOL × raw norm) is zeroed, so build_design drops it as a zero
+    column instead of fitting its rounding noise. None if every column is.
+    """
+    names, cols = zip(*columns)
+    raw = np.column_stack(cols)
+    W, absorbed = absorb_fixed_effects(unit_idx, time_idx,
+                                       np.column_stack([y, raw]))
+    M = W[:, 1:]
+    M[:, np.linalg.norm(M, axis=0) <= PIVOT_TOL * np.linalg.norm(raw, axis=0)] = 0.0
+    if not M.any():
+        return None
+    X = build_design(zip(names, M.T), add_intercept=False)
+    return ols_fit(X, W[:, 0], unit_idx, extra_dof=absorbed)
 
 
 def jackknife_se(estimate_without, folds) -> float:
     """Delete-one jackknife SE, sqrt((m-1)/m · Σ(θ - θ̄)²).
 
     ``estimate_without(f)`` refits with fold f left out. A fold whose refit
-    raises PanelCauseError is skipped; m counts the folds that remain, and
-    fewer than two give NaN.
+    raises PanelCauseError is left out with a JACKKNIFE_FOLDS_DROPPED
+    warning; m counts the folds that remain, and fewer than two give NaN.
     """
-    thetas = []
+    thetas, failed = [], []
     for f in folds:
         try:
             thetas.append(estimate_without(f))
-        except PanelCauseError:
-            continue
+        except PanelCauseError as e:
+            failed.append(e.code)
+    if failed:
+        warnings.warn(PanelCauseWarning("JACKKNIFE_FOLDS_DROPPED", (
+            f"{len(failed)} of {len(failed) + len(thetas)} jackknife folds "
+            f"raised and were left out (first: {failed[0]})")))
     if len(thetas) < 2:
         return float("nan")
     th = np.array(thetas)

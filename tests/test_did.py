@@ -3,6 +3,7 @@ import pytest
 
 import panelcause as pc
 from panelcause.did import NEVER_TREATED, NOT_YET_TREATED
+from panelcause.simharness import DgpConfig, simulate_panel
 from helpers import build_panel, linear_paths
 from oracles import cluster_sandwich, ols_beta, twfe_dummy_fit
 
@@ -11,6 +12,13 @@ def err(fn, *args, **kw):
     with pytest.raises(pc.PanelCauseError) as ei:
         fn(*args, **kw)
     return ei.value
+
+
+def keep_rows(p, keep, covariates=None):
+    """The panel restricted to the rows where ``keep`` holds."""
+    return pc.PanelDataset(p.units, p.time_labels, p.unit_idx[keep],
+                           p.time_idx[keep], p.outcome[keep], p.policy[keep],
+                           {k: v[keep] for k, v in (covariates or {}).items()} or None)
 
 
 def staggered_noisy(rng, U=8, T=9, never=3, effect=lambda g, t: 2.0):
@@ -86,6 +94,22 @@ class TestTwfe:
         p = build_panel(["a", "b"], 4, {"a": 2, "b": 2},
                         {u: [0.0, 0.0, 1.0, 1.0] for u in "ab"})
         assert err(pc.fit_did_twfe, p).code == "NO_CONTROL"
+
+
+    def test_unit_invariant_covariate_dropped_on_unbalanced_panel(self):
+        # the unit effects absorb z; fitting its rounding residue would cost a
+        # degree of freedom and move the SE
+        config = DgpConfig(n_units=30, n_periods=10, cohorts={4: 8, 7: 8}, seed=3)
+        p, _ = simulate_panel(config, 0)
+        rng = np.random.default_rng(3)
+        keep = rng.random(len(p.unit_idx)) >= 0.1
+        z = rng.normal(size=p.unit_count)[p.unit_idx]
+        q = keep_rows(p, keep, {"z": z})
+        with_z = pc.fit_did_twfe(q, covariates=("z",))
+        without = pc.fit_did_twfe(q)
+        assert [name for name, _ in with_z.fit.dropped_columns] == ["z"]
+        assert with_z.att == pytest.approx(without.att, rel=1e-12)
+        assert with_z.se == pytest.approx(without.se, rel=1e-12)
 
 
 def dynamic_panel(U_treated=3, never=3, g=4, T=10, noise=0.0, seed=60):
@@ -387,6 +411,104 @@ class TestImputation:
     def test_no_treated(self):
         p = build_panel(["a", "b"], 4, {}, {u: [0.0] * 4 for u in "ab"})
         assert err(pc.fit_imputation_did, p).code == "NO_VARIATION"
+
+
+    def test_dropped_jackknife_fold_warns(self):
+        # leaving out the one treated unit leaves nothing to impute
+        config = DgpConfig(n_units=6, n_periods=8, cohorts={4: 1},
+                           effect={"kind": "constant", "delta": 2.0}, seed=1)
+        p, _ = simulate_panel(config, 0)
+        with pytest.warns(pc.PanelCauseWarning,
+                          match=r"JACKKNIFE_FOLDS_DROPPED: 1 of 6 .*NO_VARIATION"):
+            est = pc.fit_imputation_did(p)
+        assert np.isfinite(est.se)
+
+    def test_disconnected_untreated_design_rejected(self):
+        # a and b are seen only before t=4, c and d only from t=4 on, so no
+        # untreated row links e's and f's unit effects to periods 4-7
+        rng = np.random.default_rng(84)
+        spans = {"a": range(4), "b": range(4), "c": range(4, 8),
+                 "d": range(4, 8), "e": range(8), "f": range(8)}
+        units = list(spans)
+        rows = [(i, t) for i, u in enumerate(units) for t in spans[u]]
+        ui, ti = np.array(rows).T
+        policy = ((ui >= 4) & (ti >= 4)).astype(int)
+        p = pc.PanelDataset(units, list(range(8)), ui, ti,
+                            rng.normal(size=len(rows)) + 2.0 * policy, policy)
+        e = err(pc.fit_imputation_did, p)
+        assert e.code == "DISCONNECTED_FE"
+        assert ("e", 4) in e.details["cells"]
+
+
+def thinned_panel(seed, with_covariate):
+    """A 10×6 staggered panel with about 10% of its rows removed."""
+    config = DgpConfig(n_units=10, n_periods=6, cohorts={2: 3, 4: 3},
+                       effect={"kind": "dynamic", "base": 1.0, "slope": 0.5},
+                       seed=seed)
+    p, _ = simulate_panel(config, 0)
+    rng = np.random.default_rng(seed)
+    keep = rng.random(len(p.unit_idx)) >= 0.1
+    cov = {"x": rng.normal(size=len(keep)) + 0.2 * p.time_idx} \
+        if with_covariate else None
+    return keep_rows(p, keep, cov)
+
+
+# fit_imputation_did on thinned_panel(seed, with_covariate), recorded from the
+# dense dummy-variable regression of the untreated rows
+PINNED_IMPUTATION = {
+    (5, False): dict(
+        att=1.8049741360335558, se=0.43143065498626726,
+        effects={('u000', 2): 1.0029424366294424, ('u000', 3): 3.542847221072496,
+                 ('u000', 5): 1.5717658553521185, ('u001', 3): 1.5780908574460275,
+                 ('u001', 4): 1.3484789561985489, ('u001', 5): 3.980547716794493,
+                 ('u002', 2): 2.216824139508573, ('u002', 3): 2.6186621100206335,
+                 ('u002', 4): 0.1414790786615402, ('u002', 5): 2.8931492423121346,
+                 ('u003', 4): 1.1956421349551667, ('u004', 4): 1.5448242169333901,
+                 ('u005', 4): -0.43288341388225493, ('u005', 5): 2.0672673524674705},
+        coefficients={
+            '_intercept': -0.762359069420972, 'unit[u001]': -0.6456961190241978,
+            'unit[u002]': 0.7075911322722739, 'unit[u003]': 0.9273725665010262,
+            'unit[u004]': 1.5564632524508852, 'unit[u005]': 1.1813283900577578,
+            'unit[u006]': 0.3248780234435478, 'unit[u007]': 0.6156960035250144,
+            'unit[u008]': 2.2985132274542, 'unit[u009]': 3.1821714788168256,
+            'time[1]': -1.0397045998509955, 'time[2]': -1.0007799978980068,
+            'time[3]': -0.4824004879058601, 'time[4]': 0.021903864986232407,
+            'time[5]': -0.8434730536241789}),
+    (6, True): dict(
+        att=0.9541216408096829, se=0.48677029564720387,
+        effects={('u000', 2): 1.2581072816965826, ('u000', 3): 3.2985333231018488,
+                 ('u000', 4): 1.2373893340142423, ('u000', 5): 3.2168062824710635,
+                 ('u001', 2): 0.3165300951680847, ('u001', 3): 2.2667411438178537,
+                 ('u001', 5): -0.7071480233096787, ('u002', 2): 0.10551682119670547,
+                 ('u002', 3): 0.6695033355215649, ('u002', 5): 0.6419903307540118,
+                 ('u003', 4): 0.47750738775787727, ('u003', 5): -0.46122739532880086,
+                 ('u004', 4): 0.6929218090097615, ('u004', 5): 0.23722826751547466,
+                 ('u005', 4): 0.3383187968479726, ('u005', 5): 1.6772274627203623},
+        coefficients={
+            '_intercept': 0.405062857988505, 'unit[u001]': 2.730450860317836,
+            'unit[u002]': -3.087845692545951, 'unit[u003]': 0.2222383876421797,
+            'unit[u004]': 0.7571636652585204, 'unit[u005]': 1.3167726077166255,
+            'unit[u006]': 0.300591696554633, 'unit[u007]': 0.44158667191359324,
+            'unit[u008]': 0.07249895213970245, 'unit[u009]': -0.7879442196236714,
+            'time[1]': 0.3990571228105803, 'time[2]': -0.5741349466842613,
+            'time[3]': -0.8306420161345125, 'time[4]': 0.712441343299397,
+            'time[5]': 0.9925965636963081, 'x': 0.08587103301714401}),
+}
+
+
+@pytest.mark.parametrize("seed,with_covariate", sorted(PINNED_IMPUTATION))
+def test_imputation_pinned_on_unbalanced_panels(seed, with_covariate):
+    want = PINNED_IMPUTATION[(seed, with_covariate)]
+    est = pc.fit_imputation_did(thinned_panel(seed, with_covariate),
+                                covariates=("x",) if with_covariate else ())
+    assert est.att == pytest.approx(want["att"], abs=1e-10)
+    assert est.se == pytest.approx(want["se"], abs=1e-10)
+    assert list(est.unit_time_effects) == list(want["effects"])
+    for cell, value in want["effects"].items():
+        assert est.unit_time_effects[cell] == pytest.approx(value, abs=1e-10), cell
+    assert list(est.untreated_coefficients) == list(want["coefficients"])
+    for name, value in want["coefficients"].items():
+        assert est.untreated_coefficients[name] == pytest.approx(value, abs=1e-10), name
 
 
 def random_staggered(rng, max_cohorts=3):

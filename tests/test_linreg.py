@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -162,6 +164,33 @@ class TestAbsorb:
             assert abs(col[p.unit_idx == u].sum()) < 1e-8
         for t in range(6):
             assert abs(col[p.time_idx == t].sum()) < 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=7),
+       st.integers(min_value=1, max_value=3), st.floats(min_value=0.2, max_value=1.0))
+def test_absorb_matches_dense_dummy_residuals(seed, U, T, k, density):
+    # random unbalanced designs, possibly disconnected or with a single level
+    rng = np.random.default_rng(seed)
+    cells = np.flatnonzero(rng.random(U * T) < density)
+    if not len(cells):
+        cells = np.array([int(rng.integers(U * T))])
+    ui, ti = np.divmod(cells, T)
+    x = rng.normal(size=(len(cells), k)) * rng.uniform(0.1, 100.0, size=k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        out, dof = absorb_fixed_effects(ui, ti, x)
+    levels_u, levels_t = len(np.unique(ui)), len(np.unique(ti))
+    if levels_u == 1 and levels_t == 1:
+        np.testing.assert_array_equal(out, x)
+        assert dof == 0
+        return
+    dummies = np.column_stack([ui == u for u in np.unique(ui)]
+                              + [ti == t for t in np.unique(ti)]).astype(float)
+    beta, *_ = np.linalg.lstsq(dummies, x, rcond=None)
+    np.testing.assert_allclose(out, x - dummies @ beta, rtol=0, atol=1e-10)
+    assert dof == levels_u + levels_t - 1
 
 
 class TestNormalReference:

@@ -6,23 +6,37 @@ indicator, optional covariates, and period effects — but the lag is
 (L = Y_lag − γ·policy_lag), so prior treatment doesn't contaminate the
 autoregressive baseline. γ appears both in the regressor construction and
 as the regression coefficient, so estimation iterates to a fixed point;
-a profile least-squares grid refinement takes over if the iteration
-cycles. There are no unit fixed effects: unit-specific variability is
-carried by the lag itself.
-"""
+a profile least-squares grid refinement takes over, with a
+FIXED_POINT_FALLBACK warning, if the iteration cycles. There are no unit
+fixed effects: unit-specific variability is carried by the lag itself.
+
+Only the lag columns move with γ. The design at γ = 0, built once, decides
+which columns are kept; the kept intercept, covariate and period columns
+are then partialled out once (Frisch–Waugh–Lovell). Every pass, and every
+point of the profile grid, reads the (2L+2)-square Gram matrix of
+[y, policy, lag_y, lag_p] left over: an (L+1)-square solve, whatever the
+number of rows. The reported fit is one full OLS pass."""
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PanelCauseError
+from .errors import PanelCauseError, PanelCauseWarning
 from .linreg import build_design, jackknife_se, normal_ci, normal_p, ols_fit
 from .panel import PanelDataset
 
 FP_TOL = 1e-8
 FP_MAX_ITER = 200
+# A Gram pass cannot resolve build_design's pivot rule (1e-10 of the norm):
+# forming CᵀGC squares the rounding. A pivot within GRAM_PIVOT_TOL of the raw
+# norm sends the pass to build_design, which decides the drop exactly.
+GRAM_PIVOT_TOL = 1e-5
+# a γ⁰-dropped fixed column whose residual on the kept columns and policy
+# exceeds this share of its norm was dropped because of the lags
+LAG_FREE_TOL = 1e-8
 
 
 @dataclass
@@ -83,39 +97,117 @@ def _used_rows(panel: PanelDataset, lag_order: int):
     return cand, ui, ti, y, pol, lag_y, lag_p
 
 
-def _design_columns(panel, cand, ti, pol, lag_y, lag_p, gamma, covariates,
-                    include_policy=True):
-    cols = []
-    for ell in range(lag_y.shape[0]):
-        cols.append((f"lag{ell + 1}", lag_y[ell] - gamma * lag_p[ell]))
-    if include_policy:
-        cols.append(("policy", pol))
-    for name in covariates:
-        cols.append((name, panel.covariates[name][cand]))
+def _fixed_columns(panel, cand, ti, covariates):
+    """Covariate and period-dummy columns: the part of the design free of γ."""
+    cols = [(name, panel.covariates[name][cand]) for name in covariates]
     levels = np.unique(ti)
-    for t in levels[1:]:
-        cols.append((f"t_{panel.label_of(int(t))}", (ti == t).astype(float)))
+    cols += [(f"t_{panel.label_of(int(t))}", (ti == t).astype(float))
+             for t in levels[1:]]
     return cols, levels
 
 
+def _design(panel, cand, ti, pol, lag_y, lag_p, gamma, covariates):
+    """[lags debiased at γ, policy, covariates, periods] after build_design."""
+    fixed, levels = _fixed_columns(panel, cand, ti, covariates)
+    lags = [(f"lag{ell + 1}", lag_y[ell] - gamma * lag_p[ell])
+            for ell in range(len(lag_y))]
+    X = build_design(lags + [("policy", pol)] + fixed)
+    if len(pol) <= X.data.shape[1]:
+        raise PanelCauseError("SATURATED_DESIGN", (
+            f"{len(pol)} used rows for a design of rank {X.data.shape[1]}: no "
+            f"residual degrees of freedom are left to identify γ"))
+    return X, levels
+
+
 def _ols_pass(panel, cand, ui, ti, y, pol, lag_y, lag_p, gamma, covariates):
-    cols, levels = _design_columns(panel, cand, ti, pol, lag_y, lag_p,
-                                   gamma, covariates)
-    X = build_design(cols)
-    clusters = ui if len(np.unique(ui)) >= 2 else np.arange(len(ui))
-    fit = ols_fit(X, y, clusters)
-    return fit, levels
+    X, levels = _design(panel, cand, ti, pol, lag_y, lag_p, gamma, covariates)
+    return ols_fit(X, y, ui), levels
 
 
-def _profile_ssr(panel, cand, ui, ti, y, pol, lag_y, lag_p, gamma, covariates):
-    """Residual sum of squares with γ fixed: move γ·policy to the left side."""
-    cols, _ = _design_columns(panel, cand, ti, pol, lag_y, lag_p, gamma,
-                              covariates, include_policy=False)
-    X = build_design(cols)
-    z = y - gamma * pol
-    beta, *_ = np.linalg.lstsq(X.data, z, rcond=None)
-    resid = z - X.data @ beta
-    return float(resid @ resid)
+class _LagPolicyGram:
+    """Normal equations of the lag/policy block as polynomials in γ.
+
+    z = [y, policy, lag_y_1..L, lag_p_1..L]. The intercept, covariate and
+    period columns that the design at γ = 0 kept are projected out of z once,
+    leaving the Gram matrix G (Frisch–Waugh–Lovell); H is z's raw Gram.
+    At γ the block [lag_1..L, policy] is z·C(γ) with C(γ) = C0 + γ·C1, so
+    its Gram C(γ)ᵀGC(γ), its cross-product with y and its raw squared
+    norms are quadratics in γ whose coefficients are formed here.
+
+    ``lag_free`` is False when a fixed column that design dropped is not in
+    the span of the kept ones and policy: it was dropped because of the
+    lags, so the drop may not hold at another γ.
+    """
+
+    def __init__(self, panel, rows, covariates):
+        cand, _, ti, y, pol, lag_y, lag_p = rows
+        X0, _ = _design(panel, cand, ti, pol, lag_y, lag_p, 0.0, covariates)
+        fixed, _ = _fixed_columns(panel, cand, ti, covariates)
+        gone = {name for name, _ in X0.dropped_columns}
+        dropped = [c for name, c in fixed if name in gone]
+        z = np.column_stack([y, pol, *lag_y, *lag_p])
+        k, L = z.shape[1], len(lag_y)
+        block = {f"lag{ell + 1}" for ell in range(L)} | {"policy"}
+        F = X0.data[:, [j for j, name in enumerate(X0.column_names)
+                        if name not in block]]
+        R = np.column_stack([z, *dropped])
+        R = R - F @ np.linalg.lstsq(F, R, rcond=None)[0]
+        D, r_pol = R[:, k:], R[:, 1]
+        if r_pol.any():
+            D = D - np.outer(r_pol, (r_pol @ D) / (r_pol @ r_pol))
+        self.lag_free = all(np.linalg.norm(d) <= LAG_FREE_TOL * np.linalg.norm(c)
+                            for d, c in zip(D.T, dropped))
+
+        C0, C1 = np.zeros((k, L + 1)), np.zeros((k, L + 1))
+        C0[2:2 + L, :L] = np.eye(L)
+        C0[1, L] = 1.0
+        C1[2 + L:, :L] = -np.eye(L)
+
+        def quadratic(M):       # C(γ)ᵀMC(γ) as coefficients of 1, γ, γ²
+            return (C0.T @ M @ C0, C0.T @ M @ C1 + C1.T @ M @ C0,
+                    C1.T @ M @ C1)
+
+        self.G = R[:, :k].T @ R[:, :k]
+        self.A = quadratic(self.G)
+        self.b = (C0.T @ self.G[:, 0], C1.T @ self.G[:, 0])
+        self.raw = [np.diag(m) for m in quadratic(z.T @ z)]
+
+    def _gram(self, gamma):
+        A0, A1, A2 = self.A
+        return A0 + gamma * (A1 + gamma * A2)
+
+    def policy_coef(self, gamma):
+        """Policy coefficient at γ; None if the block is near rank-deficient.
+
+        Gaussian elimination in column order: the j-th pivot is column j's
+        squared residual on the fixed columns and the columns before it, as
+        in build_design, and None means a pivot at or below GRAM_PIVOT_TOL²
+        times its raw squared norm. Policy is the last column, so its
+        coefficient is the last right-hand side over the last pivot.
+        """
+        A = self._gram(gamma).tolist()
+        b = (self.b[0] + gamma * self.b[1]).tolist()
+        r0, r1, r2 = self.raw
+        floor = (GRAM_PIVOT_TOL ** 2 * (r0 + gamma * (r1 + gamma * r2))).tolist()
+        for j in range(len(A)):
+            if A[j][j] <= floor[j]:
+                return None
+            for i in range(j + 1, len(A)):
+                f = A[i][j] / A[j][j]
+                for k in range(j + 1, len(A)):
+                    A[i][k] -= f * A[j][k]
+                b[i] -= f * b[j]
+        return b[-1] / A[-1][-1]
+
+    def profile_ssr(self, gamma):
+        """Residual sum of squares with γ fixed: γ·policy moved to the left side."""
+        G, A = self.G, self._gram(gamma)
+        L = len(A) - 1
+        # cross-product of the lags with y − γ·policy
+        b = self.b[0][:L] + gamma * self.b[1][:L] - gamma * A[:L, L]
+        beta = np.linalg.lstsq(A[:L, :L], b, rcond=None)[0]
+        return float(G[0, 0] - 2.0 * gamma * G[0, 1] + gamma ** 2 * G[1, 1]
+                     - b @ beta)
 
 
 def _grid_refine(ssr, lo, hi, rounds=4, points=41):
@@ -137,9 +229,20 @@ def fit_debiased_ar(panel: PanelDataset, covariates=(), lag_order: int = 1,
     refits OLS; stops when successive γ differ by ≤1e-8. When no used row
     has a treated lag the loop is skipped: one OLS pass is the exact
     answer (the model is then a plain AR regression with a policy term).
-    SE is cluster-robust from the final pass and ignores the uncertainty
-    in the debiasing step; set jackknife=True for a unit-level jackknife
-    SE that includes it.
+
+    The design at γ = 0 is built once, and its kept columns fix which
+    columns every pass uses. The intercept, covariates and period dummies
+    are partialled out once, so each pass solves an (L+1)-square system on
+    a (2L+2)-square Gram matrix, whatever the panel size. A pass whose
+    lag/policy block is near rank-deficient is refit in full. After
+    FP_MAX_ITER passes without convergence, γ minimises the profile SSR
+    on a grid around the path, with a FIXED_POINT_FALLBACK warning.
+    Raises SATURATED_DESIGN when the used rows do not exceed the rank of
+    the design (always so for a single unit).
+
+    SE is cluster-robust from a full OLS fit at the last pass's input γ and
+    ignores the uncertainty in the debiasing step; set jackknife=True for a
+    unit-level jackknife SE that includes it.
     """
     if lag_order < 1:
         raise PanelCauseError("CONFIG_ERROR", f"lag_order must be ≥1, got {lag_order}")
@@ -148,37 +251,37 @@ def fit_debiased_ar(panel: PanelDataset, covariates=(), lag_order: int = 1,
         if name not in panel.covariates:
             raise PanelCauseError("CONFIG_ERROR", f"unknown covariate '{name}'")
 
-    cand, ui, ti, y, pol, lag_y, lag_p = _used_rows(panel, lag_order)
-
-    gamma_path = [0.0]
+    rows = _used_rows(panel, lag_order)
+    lag_p = rows[-1]
     if not lag_p.any():
-        fit, levels = _ols_pass(panel, cand, ui, ti, y, pol, lag_y, lag_p,
-                                0.0, covariates)
-        gamma = _coef(fit, "policy")
-        gamma_path.append(gamma)
+        fit, levels = _ols_pass(panel, *rows, 0.0, covariates)
+        gamma_path = [0.0, _coef(fit, "policy")]
         iterations, converged = 1, True
     else:
-        gamma, iterations, converged = 0.0, 0, False
-        fit = levels = None
+        gram = _LagPolicyGram(panel, rows, covariates)
+        gamma_path = [0.0]
         for _ in range(FP_MAX_ITER):
-            fit, levels = _ols_pass(panel, cand, ui, ti, y, pol, lag_y, lag_p,
-                                    gamma, covariates)
-            new = _coef(fit, "policy")
+            g = gamma_path[-1]
+            new = gram.policy_coef(g) if gram.lag_free else None
+            if new is None:
+                new = _coef(_ols_pass(panel, *rows, g, covariates)[0], "policy")
             gamma_path.append(new)
-            iterations += 1
-            if abs(new - gamma) <= FP_TOL:
-                gamma, converged = new, True
+            if abs(new - g) <= FP_TOL:
                 break
-            gamma = new
+        iterations = len(gamma_path) - 1
+        converged = abs(gamma_path[-1] - gamma_path[-2]) <= FP_TOL
         if not converged:
-            lo = min(gamma_path) - 1.0
-            hi = max(gamma_path) + 1.0
-            gamma = _grid_refine(
-                lambda g: _profile_ssr(panel, cand, ui, ti, y, pol, lag_y,
-                                       lag_p, g, covariates), lo, hi)
-            gamma_path.append(gamma)
-            fit, levels = _ols_pass(panel, cand, ui, ti, y, pol, lag_y, lag_p,
-                                    gamma, covariates)
+            lo, hi = min(gamma_path) - 1.0, max(gamma_path) + 1.0
+            gamma_path.append(_grid_refine(gram.profile_ssr, lo, hi))
+            warnings.warn(PanelCauseWarning("FIXED_POINT_FALLBACK", (
+                f"no fixed point within {FP_TOL:g} after {iterations} passes; "
+                f"γ = {gamma_path[-1]:.10g} from a profile least-squares grid "
+                f"search on the bracket [{lo:.6g}, {hi:.6g}]")))
+        # the reported fit is the pass that produced γ (or, after the grid
+        # search, the fit at γ itself)
+        fit, levels = _ols_pass(panel, *rows,
+                                gamma_path[-2 if converged else -1], covariates)
+    gamma = gamma_path[-1]
 
     se = fit.se("policy") if "policy" in fit.coefficients else float("nan")
     time_effects = {panel.label_of(int(levels[0])): 0.0}

@@ -210,3 +210,35 @@ def cits_betas(t, g, trt, y):
     X = np.column_stack([np.ones_like(t), t, pol, tsp,
                          trt, trt * t, trt * pol, trt * tsp])
     return ols_beta(X, np.asarray(y, dtype=float))
+
+
+# ---------------------------------------------------------------------------
+# debiased autoregression
+
+
+def debiased_ar_path(y, pol, lag_y, lag_p, fixed, tol, max_iter):
+    """γ path of the debiased AR fixed point, one dense regression per pass.
+
+    Each pass lays out [1, lag_ℓ − γ·lagp_ℓ (ℓ = 1..L), policy, *fixed] and
+    keeps a column only when it raises the SVD rank of the kept ones, so a
+    later column loses a tie; γ is then the policy coefficient of ols_beta
+    (0 if policy was not kept). Stops when successive γ differ by ≤ tol,
+    after max_iter passes, or after one pass when no policy lag is nonzero
+    (the design is then the same at every γ). Returns [0, γ¹, γ², …].
+    """
+    path = [0.0]
+    for _ in range(max_iter):
+        g = path[-1]
+        cols = ([np.ones(len(y))] + [ly - g * lp for ly, lp in zip(lag_y, lag_p)]
+                + [np.asarray(pol, dtype=float)] + list(fixed))
+        keep = []
+        for j in range(len(cols)):
+            trial = np.column_stack([cols[i] for i in keep + [j]])
+            if np.linalg.matrix_rank(trial) > len(keep):
+                keep.append(j)
+        beta = ols_beta(np.column_stack([cols[j] for j in keep]), y)
+        j_pol = 1 + len(lag_y)
+        path.append(float(beta[keep.index(j_pol)]) if j_pol in keep else 0.0)
+        if abs(path[-1] - g) <= tol or not np.any(lag_p):
+            break
+    return path

@@ -1,11 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import panelcause as pc
-from panelcause.ar import FP_TOL, _grid_refine
+import panelcause.ar as ar_module
+from panelcause.ar import FP_MAX_ITER, FP_TOL, _grid_refine
 from panelcause.panel import PanelDataset
 from helpers import build_panel
-from oracles import ols_beta
+from oracles import debiased_ar_path, ols_beta
 
 
 def ar_panel(units=6, T=12, gamma=2.0, beta=0.6, alpha=0.5, sig=0.1,
@@ -149,11 +154,11 @@ class TestRowSelection:
         assert e.code == "MISSING_LAG"
         assert ("u1", 4) in e.details["cells"]
 
-    def test_single_unit_uses_row_clusters(self):
+    def test_single_unit_is_saturated(self):
+        # one unit: intercept and period dummies span every used row, so
+        # the residual is rounding noise for every γ and nothing is identified
         p = ar_panel(units=1, T=20, adopt={"u0": 12}, noise=0.3, seed=9)
-        est = pc.fit_debiased_ar(p)
-        assert np.isfinite(est.gamma_se)
-        assert est.fit.cluster_count == 19
+        assert err(pc.fit_debiased_ar, p).code == "SATURATED_DESIGN"
 
 
 class TestOptions:
@@ -212,6 +217,112 @@ class TestOptions:
         assert err(pc.fit_debiased_ar, p, lag_order=0).code == "CONFIG_ERROR"
         assert err(pc.fit_debiased_ar, p,
                    covariates=("nope",)).code == "CONFIG_ERROR"
+
+
+class TestAgainstDenseOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+           st.integers(min_value=4, max_value=6),
+           st.integers(min_value=8, max_value=10),
+           st.sampled_from([1, 2]),
+           st.sampled_from([None, "random", "period", "lagged_y"]),
+           st.booleans(), st.booleans())
+    def test_gamma_path_matches(self, seed, U, T, lag_order, covariate,
+                                late_entry, common_adoption):
+        rng = np.random.default_rng(seed)
+        entry = rng.integers(0, 3, U) if late_entry else np.zeros(U, int)
+        if common_adoption:
+            adopt = np.full(U, T // 2)
+        else:
+            adopt = np.array([rng.integers(e + 1, T + 3) for e in entry])
+        P = (np.arange(T)[None, :] >= adopt[:, None]).astype(float)
+        Y = np.zeros((U, T))
+        for i in range(U):
+            Y[i, entry[i]] = rng.normal(0.0, 1.0)
+            for t in range(entry[i] + 1, T):
+                Y[i, t] = (0.5 + 0.1 * t + 0.5 * (Y[i, t - 1] - 2.0 * P[i, t - 1])
+                           + 2.0 * P[i, t] + rng.normal(0.0, 0.5))
+        # "period" is collinear with a period dummy, which is dropped in its
+        # place; "lagged_y" is the lag column at γ = 0, dropped there only
+        Z = {None: np.zeros((U, T)), "random": rng.normal(size=(U, T)),
+             "period": np.tile(3.0 * (np.arange(T) == T - 2), (U, 1)),
+             "lagged_y": np.hstack([np.zeros((U, 1)), Y[:, :-1]])}[covariate]
+        cells = [(i, t) for i in range(U) for t in range(entry[i], T)]
+        ui, ti = (np.array(v) for v in zip(*cells))
+        p = PanelDataset([f"u{i}" for i in range(U)], list(range(T)), ui, ti,
+                         Y[ui, ti], P[ui, ti].astype(int),
+                         {"z": Z[ui, ti]} if covariate else None)
+
+        used = ti >= entry[ui] + lag_order
+        u, t = ui[used], ti[used]
+        levels = np.unique(t)
+        fixed = ([Z[u, t]] if covariate else []) + [
+            (t == s).astype(float) for s in levels[1:]]
+        want = debiased_ar_path(
+            Y[u, t], P[u, t],
+            [Y[u, t - ell] for ell in range(1, lag_order + 1)],
+            [P[u, t - ell] for ell in range(1, lag_order + 1)],
+            fixed, FP_TOL, FP_MAX_ITER)
+        # a path that never settles amplifies rounding without bound, so no
+        # two implementations agree on it; test_fallback_to_grid_warns pins one
+        assume(abs(want[-1] - want[-2]) <= FP_TOL)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", pc.PanelCauseWarning)
+            est = pc.fit_debiased_ar(p, covariates=("z",) if covariate else (),
+                                     lag_order=lag_order)
+        assert est.iterations == len(want) - 1
+        assert est.gamma_path[:len(want)] == pytest.approx(want, rel=1e-10,
+                                                           abs=1e-10)
+
+    def test_common_adoption_keeps_policy_over_last_period(self):
+        # every unit adopts at t=5: policy lies in the span of the period
+        # dummies, and as the earlier column it is kept while t_9 is dropped
+        p, _ = pc.simulate_panel(pc.DgpConfig(
+            n_units=10, n_periods=10, cohorts={5: 10}, ar_coef=0.5, seed=1,
+            effect={"kind": "constant", "delta": 1.0}), 0)
+        est = pc.fit_debiased_ar(p)
+        assert "policy" in est.fit.coefficients
+        assert ("t_9", "collinear with earlier columns") in est.fit.dropped_columns
+        # recorded with a full design rebuild on every pass
+        assert est.gamma == pytest.approx(1.610096284445255, abs=1e-10)
+        assert est.iterations == 32 and est.converged
+
+
+# the second pass's Gram pivot for the lag rounds to -7e-15 at slope 0.3
+# and to +3.6e-15 at slope 0.2; both must send the pass to build_design
+@pytest.mark.parametrize("slope", [0.3, 0.2])
+def test_vanishing_lag_pass_is_refit_in_full(monkeypatch, slope):
+    # y = slope·t + 2·policy: at γ = 2 the debiased lag is the period trend,
+    # inside the span of the period dummies, so the second pass's lag/policy
+    # block is rank-deficient and build_design decides what it keeps
+    names = [f"u{i}" for i in range(6)]
+    adopt = {u: 5 for u in names[:3]}
+    y = {u: [slope * t + (2.0 if u in adopt and t >= 5 else 0.0)
+             for t in range(10)] for u in names}
+    calls = []
+    real = ar_module.build_design
+    monkeypatch.setattr(ar_module, "build_design",
+                        lambda cols: calls.append(1) or real(cols))
+    est = pc.fit_debiased_ar(build_panel(names, 10, adopt, y))
+    assert est.iterations == 2 and est.converged
+    assert est.gamma == pytest.approx(2.0, abs=1e-12)
+    assert len(calls) == 3      # γ⁰ design, the rank-deficient pass, the report
+
+
+def test_fallback_to_grid_warns():
+    # three units, five periods: the iteration cycles for FP_MAX_ITER passes
+    p, _ = pc.simulate_panel(pc.DgpConfig(
+        n_units=3, n_periods=5, cohorts={1: 1, 2: 1}, ar_coef=0.9,
+        intercept_sd=3.0, effect={"kind": "dynamic", "base": 1.0, "slope": 0.5},
+        seed=22), 0)
+    with pytest.warns(pc.PanelCauseWarning, match="FIXED_POINT_FALLBACK"):
+        est = pc.fit_debiased_ar(p)
+    assert est.used_fallback and not est.converged
+    assert est.iterations == FP_MAX_ITER
+    # recorded with a full design rebuild on every pass
+    assert est.gamma == pytest.approx(2.527080466723551, abs=1e-10)
+    assert est.gamma_se == pytest.approx(1.9665559488403217, abs=1e-10)
 
 
 def test_grid_refine_locates_minimum():

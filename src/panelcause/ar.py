@@ -37,6 +37,9 @@ GRAM_PIVOT_TOL = 1e-5
 # a γ⁰-dropped fixed column whose residual on the kept columns and policy
 # exceeds this share of its norm was dropped because of the lags
 LAG_FREE_TOL = 1e-8
+# a cluster-robust SE below this share of the model-based one means the
+# clusters' scores cancel (two units, say): the sandwich says nothing
+CLUSTER_SE_ROUNDING = 1e-6
 
 
 @dataclass
@@ -242,7 +245,9 @@ def fit_debiased_ar(panel: PanelDataset, covariates=(), lag_order: int = 1,
 
     SE is cluster-robust from a full OLS fit at the last pass's input γ and
     ignores the uncertainty in the debiasing step; set jackknife=True for a
-    unit-level jackknife SE that includes it.
+    unit-level jackknife SE that includes it. When the unit clusters cannot
+    support the sandwich (SE below CLUSTER_SE_ROUNDING times the model-based
+    SE), the SE, CI and p-value are NaN, with a CLUSTER_SE_DEGENERATE warning.
     """
     if lag_order < 1:
         raise PanelCauseError("CONFIG_ERROR", f"lag_order must be ≥1, got {lag_order}")
@@ -283,7 +288,17 @@ def fit_debiased_ar(panel: PanelDataset, covariates=(), lag_order: int = 1,
                                 gamma_path[-2 if converged else -1], covariates)
     gamma = gamma_path[-1]
 
-    se = fit.se("policy") if "policy" in fit.coefficients else float("nan")
+    se = float("nan")
+    if "policy" in fit.coefficients:
+        se, model_se = fit.se("policy"), fit.model_se("policy")
+        if se < CLUSTER_SE_ROUNDING * model_se:
+            warnings.warn(PanelCauseWarning("CLUSTER_SE_DEGENERATE", (
+                f"the scores of the {fit.cluster_count} unit clusters cancel: "
+                f"the policy's cluster-robust SE {se:.3g} is at rounding level "
+                f"against its model-based SE {model_se:.3g}, so gamma_se, the "
+                f"CI and the p-value are NaN")))
+            se = float("nan")
+
     time_effects = {panel.label_of(int(levels[0])): 0.0}
     for t in levels[1:]:
         name = f"t_{panel.label_of(int(t))}"

@@ -13,17 +13,18 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import PanelCauseError, PanelCauseWarning
-from .linreg import (INTERCEPT, FitResult, jackknife_se, normal_ci, normal_p,
-                     two_way_effects, within_fit)
+from .linreg import (INTERCEPT, FitResult, chi2_sf, jackknife_se, normal_ci,
+                     normal_p, two_way_effects, unit_period_components,
+                     within_fit)
 from .panel import NEVER, PanelDataset, complete_rows, derive_adoption
 
 NEVER_TREATED = "NEVER_TREATED"
 NOT_YET_TREATED = "NOT_YET_TREATED"
+# the pre-trend test needs some lead variance above this share of the
+# outcome variance: a lead SE below ~1.5e-8 outcome SDs is rounding
+PRETREND_ROUNDING = np.finfo(float).eps
 
 
 @dataclass
@@ -41,7 +42,7 @@ class DidEstimate:
 class EventStudyEstimate:
     coefficients: dict      # event time (int, or "<=k"/">=k" bin label) -> (est, se)
     reference_period: int   # -1, omitted
-    pretrend_stat: float | None
+    pretrend_stat: float | None  # None (df 0) with no leads, or leads at rounding level
     pretrend_df: int
     pretrend_p: float | None
     omitted: list           # requested/observed ks with no usable support
@@ -128,7 +129,9 @@ def fit_event_study(panel: PanelDataset, covariates=(), leads: int | None = None
     indicator. With `leads`/`lags` given, event times past the window ends
     are binned into terminal "<=k" / ">=k" indicators. Control units carry
     zeros everywhere. Note that time-varying covariates can soak up dynamic
-    effects; they are applied as supplied.
+    effects; they are applied as supplied. The leads' joint Wald test is
+    skipped, with a PRETREND_AT_ROUNDING warning, when every lead variance
+    is at most PRETREND_ROUNDING times the outcome variance (a noiseless fit).
     """
     keep, Xc = complete_rows(panel, covariates)
     schedule = derive_adoption(panel)
@@ -189,19 +192,24 @@ def fit_event_study(panel: PanelDataset, covariates=(), leads: int | None = None
         if name in fit.coefficients:
             coeffs[kk] = (fit.coef(name), fit.se(name))
 
-    # joint Wald test that all lead coefficients (k <= -2 side) are zero
+    # joint Wald test that all lead coefficients (k <= -2 side) are zero;
+    # leads whose variances are at rounding level against the outcome's give
+    # a statistic of rounding noise over rounding noise, so no test
     lead_names = [f"k[{kk}]" for kk in coeffs
                   if (isinstance(kk, int) and kk <= -2) or str(kk).startswith("<=")]
+    pre = (None, 0, None)
     if lead_names:
         b = np.array([fit.coef(n) for n in lead_names])
         V = fit.subvcov(lead_names)
-        Vinv = np.linalg.pinv(V)
-        stat = float(b @ Vinv @ b)
-        df = int(np.linalg.matrix_rank(V))
-        p = float(stats.chi2.sf(stat, df)) if df > 0 else None
-        pre = (stat, df, p)
-    else:
-        pre = (None, 0, None)
+        v_max, scale = float(np.diag(V).max()), float(np.var(panel.outcome[keep]))
+        if v_max <= PRETREND_ROUNDING * scale:
+            warnings.warn(PanelCauseWarning("PRETREND_AT_ROUNDING", (
+                f"lead variances are at most {v_max:.3g}, at rounding level "
+                f"against the outcome variance {scale:.3g}; no pre-trend test")))
+        else:
+            stat = float(b @ np.linalg.pinv(V) @ b)
+            df = int(np.linalg.matrix_rank(V))
+            pre = (stat, df, chi2_sf(stat, df))
 
     return EventStudyEstimate(coeffs, -1, pre[0], pre[1], pre[2],
                               omitted, collinear, fit)
@@ -394,10 +402,9 @@ def _impute_att(panel, covariates, skip_unit):
     # connect its unit to its period
     ui, ti, ru, rt = (panel.unit_idx[un], panel.time_idx[un],
                       panel.unit_idx[rows], panel.time_idx[rows])
-    U, n = panel.unit_count, panel.unit_count + panel.time_count
-    _, comp = connected_components(
-        coo_matrix((np.ones(len(ui)), (ui, U + ti)), shape=(n, n)), directed=False)
-    apart = comp[ru] != comp[U + rt]
+    unit_comp, period_comp = unit_period_components(ui, ti, panel.unit_count,
+                                                    panel.time_count)
+    apart = unit_comp[ru] != period_comp[rt]
     if apart.any():
         cells = [(panel.units[i], panel.time_labels[t])
                  for i, t in zip(ru[apart], rt[apart])]

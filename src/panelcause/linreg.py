@@ -2,17 +2,20 @@
 
 Design-matrix assembly with deterministic collinearity handling, OLS via
 orthogonal decomposition, exact two-way fixed effects and the within
-regression built on them, the cluster-robust sandwich, and the delete-one
-jackknife. All pure functions; estimator modules own the modelling choices.
+regression built on them, the unit–period connectivity they rest on, the
+cluster-robust sandwich, the delete-one jackknife, and the normal and
+chi-square tails. All pure functions; estimator modules own the modelling
+choices. numpy and the standard library are the only dependencies.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy import stats
 
 from .errors import PanelCauseError, PanelCauseWarning
 
@@ -81,6 +84,7 @@ class FitResult:
     rank: int
     cluster_count: int
     dropped_columns: list = field(default_factory=list)
+    bread: np.ndarray = None          # (XᵀX)⁻¹ of the design
 
     def coef(self, name) -> float:
         return self.coefficients[name]
@@ -88,6 +92,16 @@ class FitResult:
     def se(self, name) -> float:
         i = self.vcov_names.index(name)
         return float(np.sqrt(max(self.vcov[i, i], 0.0)))
+
+    def model_se(self, name) -> float:
+        """Homoskedastic SE, sqrt(s²·(XᵀX)⁻¹_jj) with s² = e·e / (n − rank).
+
+        The reference a cluster-robust SE is checked against: the two differ
+        by a modest factor unless the clusters' scores cancel.
+        """
+        i = self.vcov_names.index(name)
+        s2 = float(self.residuals @ self.residuals) / max(self.n - self.rank, 1)
+        return float(np.sqrt(max(s2 * self.bread[i, i], 0.0)))
 
     def subvcov(self, names) -> np.ndarray:
         idx = [self.vcov_names.index(n) for n in names]
@@ -129,7 +143,7 @@ def ols_fit(X: DesignMatrix, y, clusters, extra_dof: int = 0) -> FitResult:
 
     coefs = dict(zip(X.column_names, beta.tolist()))
     return FitResult(coefs, V, list(X.column_names), resid, fitted,
-                     n, k, G, list(X.dropped_columns))
+                     n, k, G, list(X.dropped_columns), xtx_inv)
 
 
 def two_way_effects(unit_idx, time_idx, columns):
@@ -156,6 +170,35 @@ def two_way_effects(unit_idx, time_idx, columns):
                                 cell_sums.sum(axis=0) - B @ sum_u, rcond=None)
     alpha = ((sum_u - N @ gamma).T * inv_u).T
     return alpha, gamma
+
+
+def unit_period_components(unit_idx, time_idx, n_units, n_periods):
+    """Connected components of the bipartite unit–period graph of the rows.
+
+    Each row links its unit to its period. Returns (unit_label, period_label):
+    two nodes share a label exactly when rows connect them, and a label is
+    the smallest node index of its component, units numbered before periods
+    (period t is node n_units + t). Nodes without rows are their own
+    component. Min-label hooking with pointer jumping: every root that
+    shares an edge with a smaller root hooks onto the smallest such, then
+    every node jumps to its root; the roots only ever decrease, so this
+    ends, after a few sweeps on a panel.
+    """
+    a = np.asarray(unit_idx, dtype=np.intp)
+    b = np.asarray(time_idx, dtype=np.intp) + n_units
+    root = np.arange(n_units + n_periods)
+    while True:
+        ra, rb = root[a], root[b]
+        split = ra != rb
+        if not split.any():
+            break
+        np.minimum.at(root, np.maximum(ra, rb)[split], np.minimum(ra, rb)[split])
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+    return root[:n_units], root[n_units:]
 
 
 def absorb_fixed_effects(unit_idx, time_idx, columns):
@@ -229,12 +272,39 @@ def jackknife_se(estimate_without, folds) -> float:
 # normal-reference inference helpers shared by the regression estimators
 
 
+_STANDARD_NORMAL = NormalDist()
+
+
 def normal_p(est: float, se: float) -> float:
+    """Two-sided normal p-value of est / se: erfc(|z| / √2)."""
     if se == 0.0:
         return 0.0 if est != 0.0 else 1.0
-    return float(2.0 * stats.norm.sf(abs(est / se)))
+    return math.erfc(abs(est / se) * math.sqrt(0.5))
 
 
 def normal_ci(est: float, se: float, level: float = 0.95):
-    z = float(stats.norm.ppf(0.5 + level / 2.0))
+    if not 0.0 < level < 1.0:
+        raise PanelCauseError("CONFIG_ERROR",
+                              f"CI level must lie strictly between 0 and 1, got {level}")
+    z = _STANDARD_NORMAL.inv_cdf(0.5 + level / 2.0)
     return est - z * se, est + z * se
+
+
+def chi2_sf(x: float, df: int) -> float:
+    """Upper tail P(χ²_df > x) for an integer df ≥ 1, in closed form.
+
+    With h = x/2, even df sums e^{-h}·h^k/k! over k < df/2; odd df adds
+    e^{-h}·h^{k+1/2}/Γ(k+3/2) over k < (df-1)/2 to erfc(√h). Every term is
+    formed as the exp of its logarithm, so nothing overflows for any x.
+    """
+    h = 0.5 * x
+    if h <= 0.0:
+        return 1.0
+    if math.isinf(h):
+        return 0.0
+    log_h = math.log(h)
+    half = 0.5 * (df % 2)
+    terms = [math.exp((k + half) * log_h - h - math.lgamma(k + half + 1.0))
+             for k in range(df // 2)]
+    head = math.erfc(math.sqrt(h)) if half else 0.0
+    return head + math.fsum(terms)

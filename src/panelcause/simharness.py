@@ -266,6 +266,7 @@ def evaluate(configs, methods, reps: int, ci_level: float = 0.95,
     for m in methods:
         if m not in adv.METHODS:
             raise PanelCauseError("CONFIG_ERROR", f"unknown method '{m}'")
+    normal_ci(0.0, 1.0, ci_level)   # a level outside (0, 1) fails here, not per rep
     if threads is None:
         threads = int(os.environ.get("PANELCAUSE_THREADS", "1"))
 

@@ -7,7 +7,10 @@ gradient), so agreement is evidence, not tautology.
 """
 
 import numpy as np
+from scipy import stats
 from scipy.optimize import nnls
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 
 def ols_beta(X, y):
@@ -63,6 +66,31 @@ def ridge_beta(X, y, lam):
     P = np.eye(k + 1) * lam
     P[0, 0] = 0.0
     return np.linalg.solve(Z.T @ Z + P, Z.T @ y)
+
+
+# ---------------------------------------------------------------------------
+# reference distributions and graph components (SciPy's implementations)
+
+
+def normal_two_sided_p(z):
+    return float(2.0 * stats.norm.sf(abs(z)))
+
+
+def normal_quantile(q):
+    return float(stats.norm.ppf(q))
+
+
+def chi2_upper_tail(x, df):
+    return float(stats.chi2.sf(x, df))
+
+
+def bipartite_components(unit_idx, time_idx, n_units, n_periods):
+    """Component label per node (units, then periods) from SciPy's csgraph."""
+    n = n_units + n_periods
+    graph = coo_matrix((np.ones(len(unit_idx)),
+                        (np.asarray(unit_idx), n_units + np.asarray(time_idx))),
+                       shape=(n, n))
+    return connected_components(graph, directed=False)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,19 @@ def ar_panel(units=6, T=12, gamma=2.0, beta=0.6, alpha=0.5, sig=0.1,
     return build_panel(names, T, adopt, paths)
 
 
+def late_start_panel():
+    """Two units, a treated from t=5 and b observed from t=2, pure noise."""
+    ui, ti, y, pol = [], [], [], []
+    rng = np.random.default_rng(7)
+    for t in range(8):
+        ui.append(0); ti.append(t)
+        y.append(float(rng.normal())); pol.append(1 if t >= 5 else 0)
+    for t in range(2, 8):
+        ui.append(1); ti.append(t)
+        y.append(float(rng.normal())); pol.append(0)
+    return PanelDataset(["a", "b"], list(range(8)), ui, ti, y, pol)
+
+
 def err(fn, *args, **kw):
     with pytest.raises(pc.PanelCauseError) as ei:
         fn(*args, **kw)
@@ -131,17 +144,19 @@ class TestRowSelection:
 
     def test_late_starting_unit_allowed(self):
         # unit b enters at t=2; its first observed period seeds the lag
-        ui, ti, y, pol = [], [], [], []
-        rng = np.random.default_rng(7)
-        for t in range(8):
-            ui.append(0); ti.append(t)
-            y.append(float(rng.normal())); pol.append(1 if t >= 5 else 0)
-        for t in range(2, 8):
-            ui.append(1); ti.append(t)
-            y.append(float(rng.normal())); pol.append(0)
-        p = PanelDataset(["a", "b"], list(range(8)), ui, ti, y, pol)
+        p = late_start_panel()
         est = pc.fit_debiased_ar(p)
         assert est.fit.n == 7 + 5
+
+    def test_two_clusters_cannot_support_the_sandwich(self):
+        # two units with period effects: the clusters' scores cancel and the
+        # policy's cluster-robust SE is rounding, not a zero-width CI
+        with pytest.warns(pc.PanelCauseWarning, match="CLUSTER_SE_DEGENERATE"):
+            est = pc.fit_debiased_ar(late_start_panel())
+        assert est.fit.cluster_count == 2
+        assert est.fit.model_se("policy") > 0.1
+        assert np.isnan(est.gamma_se) and np.isnan(est.p_value)
+        assert np.isnan(est.ci).all() and np.isfinite(est.gamma)
 
     def test_interior_missing_lag_is_an_error(self):
         p = ar_panel(units=3, T=8, adopt={"u0": 5}, noise=0.2, seed=8)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import panelcause
+from panelcause.advisor import ALL_METHODS
 from panelcause.cli import main
 from helpers import build_panel, strip_runtime_columns
 
@@ -303,3 +308,56 @@ class TestSimulate:
         p2.write_text(json.dumps({"n_units": 4, "n_periods": 5, "zap": 1}))
         rc, _, err = run(capsys, "simulate", "--data", str(p2), "--reps", "1")
         assert rc == 1 and "zap" in err
+
+
+# Runs in a fresh interpreter: imports the package and the CLI, runs recommend
+# and, on four small designs, every method the advisor finds viable there, then
+# a short simulate; prints the methods fitted and any scipy module loaded.
+_RUNTIME_SCRIPT = r"""
+import json, sys
+import panelcause.cli as cli
+from panelcause import advisor
+from panelcause.simharness import DgpConfig, simulate_panel
+
+out = sys.argv[1]
+designs = {"staggered": dict(n_units=12, cohorts={3: 3, 5: 3}),
+           "no_controls": dict(n_units=6, cohorts={3: 3, 5: 3}),
+           "single": dict(n_units=8, cohorts={4: 1}),
+           "alone": dict(n_units=1, cohorts={4: 1})}
+fitted, failed = [], []
+for i, (name, kw) in enumerate(designs.items()):
+    config = DgpConfig(n_periods=8, seed=i, **kw)
+    data = f"{out}/{name}.csv"
+    simulate_panel(config, 0)[0].write_csv(data)
+    rec = f"{out}/{name}_rec.json"
+    assert cli.main(["recommend", "--data", data, "--format", "json",
+                     "--out", rec]) == 0
+    with open(rec) as fh:
+        viable = json.load(fh)["viable"]
+    for m in viable:
+        rc = cli.main(["fit", "--data", data, "--method", m,
+                       "--out", f"{out}/{name}_{m}.json"])
+        (fitted if rc == 0 else failed).append(m)
+with open(f"{out}/dgp.json", "w") as fh:
+    fh.write(DgpConfig(n_units=10, n_periods=6, cohorts={3: 4}).to_json())
+assert cli.main(["simulate", "--data", f"{out}/dgp.json", "--reps", "2",
+                 "--method", ",".join(advisor.ALL_METHODS), "--force",
+                 "--out", f"{out}/sim"]) == 0
+print(json.dumps({"fitted": sorted(set(fitted)), "failed": failed,
+                  "scipy": sorted(m for m in sys.modules
+                                  if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_runtime_loads_no_scipy(tmp_path):
+    src = os.path.dirname(os.path.dirname(panelcause.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", _RUNTIME_SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["failed"] == []
+    assert report["fitted"] == sorted(ALL_METHODS)
+    assert report["scipy"] == []

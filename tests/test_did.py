@@ -181,6 +181,18 @@ class TestEventStudy:
         assert bent.pretrend_stat > flat.pretrend_stat
         assert bent.pretrend_p < 1e-6
 
+    def test_pretrend_skipped_at_rounding_level(self):
+        # noiseless: the lead coefficients and their variances are rounding
+        # (about 1e-31 of the outcome variance), so there is nothing to test
+        with pytest.warns(pc.PanelCauseWarning, match="PRETREND_AT_ROUNDING"):
+            est = pc.fit_event_study(dynamic_panel())
+        assert est.pretrend_stat is None and est.pretrend_p is None
+        assert est.pretrend_df == 0
+        assert any(isinstance(k, int) and k <= -2 for k in est.coefficients)
+        # a little noise restores the test
+        noisy = pc.fit_event_study(dynamic_panel(noise=0.01))
+        assert noisy.pretrend_df == 3 and 0.0 < noisy.pretrend_p <= 1.0
+
     def test_fully_dynamic_without_controls_drops_a_column(self):
         # two cohorts, nobody untreated: one event-time indicator must fall
         # to collinearity with the unit+time effects

@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 
 from panelcause import PanelCauseError
 from panelcause.linreg import (INTERCEPT, build_design, ols_fit,
-                               absorb_fixed_effects, normal_p, normal_ci)
-from oracles import ols_beta, cluster_sandwich, twfe_dummy_fit
+                               absorb_fixed_effects, chi2_sf, normal_p,
+                               normal_ci, unit_period_components)
+from oracles import (bipartite_components, chi2_upper_tail, cluster_sandwich,
+                     normal_quantile, normal_two_sided_p, ols_beta,
+                     twfe_dummy_fit)
 from helpers import build_panel
 
 
@@ -206,6 +209,87 @@ class TestNormalReference:
         assert hi == pytest.approx(1.0 + 1.959964 * 0.5, abs=1e-5)
         l2, h2 = normal_ci(1.0, 0.5, 0.8)
         assert h2 - l2 < hi - lo
+        for level in (0.0, 1.0, 95.0, float("nan")):
+            with pytest.raises(PanelCauseError):
+                normal_ci(1.0, 0.5, level)
+
+    def test_chi2_edge_cases(self):
+        assert chi2_sf(0.0, 1) == 1.0 and chi2_sf(5e-324, 7) == 1.0
+        assert chi2_sf(float("inf"), 3) == 0.0
+        assert chi2_sf(2.0, 2) == pytest.approx(np.exp(-1.0), rel=1e-15)
+        # far past SciPy's underflow: every term underflows, none overflows
+        assert chi2_sf(1e6, 40) == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=0.0, max_value=700.0),
+       st.integers(min_value=1, max_value=40))
+def test_chi2_sf_matches_scipy(x, df):
+    want = chi2_upper_tail(x, df)
+    if want > 1e-300:
+        assert chi2_sf(x, df) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=-40.0, max_value=40.0),
+       st.floats(min_value=1e-3, max_value=1e3))
+def test_normal_p_matches_scipy(z, se):
+    want = normal_two_sided_p(z * se / se)
+    if want > 1e-300:
+        assert normal_p(z * se, se) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=1e-6, max_value=1.0 - 1e-9),
+       st.floats(min_value=-1e3, max_value=1e3),
+       st.floats(min_value=1e-3, max_value=1e3))
+def test_normal_ci_matches_scipy(level, est, se):
+    z = normal_quantile(0.5 + level / 2.0)
+    assert normal_ci(0.0, 1.0, level)[1] == pytest.approx(z, rel=1e-12)
+    lo, hi = normal_ci(est, se, level)
+    tol = 1e-12 * (abs(est) + z * se)
+    assert lo == pytest.approx(est - z * se, rel=0.0, abs=tol)
+    assert hi == pytest.approx(est + z * se, rel=0.0, abs=tol)
+
+
+def _same_partition(a, b):
+    return np.array_equal(a[:, None] == a[None, :], b[:, None] == b[None, :])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=12),
+       st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=40))
+def test_components_match_scipy_random(U, T, edges):
+    # random bipartite graphs: often disconnected, often with isolated nodes
+    edges = [(u % U, t % T) for u, t in edges]
+    ui = np.array([u for u, _ in edges], dtype=np.intp)
+    ti = np.array([t for _, t in edges], dtype=np.intp)
+    lu, lt = unit_period_components(ui, ti, U, T)
+    labels = np.concatenate([lu, lt])
+    assert _same_partition(labels, bipartite_components(ui, ti, U, T))
+    # each label is the smallest node index of its component
+    assert all(labels[labels[i]] == labels[i] <= i for i in range(U + T))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=3),
+       st.randoms(use_true_random=False))
+def test_components_match_scipy_chains(n, spare, rnd):
+    # one long unit–period path u0 t0 u1 t1 ..., node numbers shuffled so that
+    # small labels must travel the length of the chain; plus isolated nodes
+    U, T = n + spare, n + spare
+    units, periods = list(range(U)), list(range(T))
+    rnd.shuffle(units)
+    rnd.shuffle(periods)
+    edges = [(units[k], periods[k]) for k in range(n)]
+    edges += [(units[k + 1], periods[k]) for k in range(n - 1)]
+    rnd.shuffle(edges)
+    ui = np.array([u for u, _ in edges], dtype=np.intp)
+    ti = np.array([t for _, t in edges], dtype=np.intp)
+    lu, lt = unit_period_components(ui, ti, U, T)
+    want = bipartite_components(ui, ti, U, T)
+    assert _same_partition(np.concatenate([lu, lt]), want)
+    assert len(set(lu[units[:n]]) | set(lt[periods[:n]])) == 1
 
 
 @settings(max_examples=40, deadline=None)

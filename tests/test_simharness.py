@@ -157,6 +157,11 @@ class TestEvaluate:
             evaluate([cfg()], ["OLS_WITH_VIBES"], reps=1)
         assert ei.value.code == "CONFIG_ERROR"
 
+    def test_ci_level_outside_unit_interval_rejected(self):
+        with pytest.raises(pc.PanelCauseError) as ei:
+            evaluate([cfg()], [DID_TWFE], reps=1, ci_level=1.0)
+        assert ei.value.code == "CONFIG_ERROR"
+
     def test_unnamed_configs_get_positional_names(self):
         c = cfg(name="")
         out = evaluate([c], [DID_TWFE], reps=1)

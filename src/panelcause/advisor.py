@@ -220,55 +220,40 @@ def derive_features(panel: PanelDataset, schedule=None) -> DesignFeatures:
     )
 
 
-def _viable_set(f: DesignFeatures):
-    """The decision rules: treated count × adoption timing × comparison count."""
-    if f.timing_class == NO_TREATED:
-        raise PanelCauseError("NO_TREATED_UNITS",
-                              "no unit ever adopts the policy; nothing to estimate")
-    if f.timing_class == STAGGERED:
-        if f.n_control == 0:
-            return {ITS_MULTI_BASELINE}
-        return {GROUP_TIME_DID, IMPUTATION_DID, DEBIASED_AR, STAGGERED_ASCM}
-    # single cohort (one treated unit, or several adopting together)
-    if f.n_control == 0:
-        return {ITS}
-    if f.timing_class == SINGLE_TREATED and f.n_control >= 2:
-        return {SCM, ASCM, DID_TWFE, EVENT_STUDY, CITS}
-    return {DID_TWFE, EVENT_STUDY, CITS}
+def _reason(method: str, f: DesignFeatures):
+    """Why a method is off the table for these features; None if viable.
 
-
-def _disqualify(method: str, f: DesignFeatures):
-    """Reason a method is off the table for these features."""
+    The decision rules: treated count × adoption timing × comparison count.
+    """
     staggered = f.timing_class == STAGGERED
-    if method == ITS:
-        if staggered:
+    if method in (ITS, ITS_MULTI_BASELINE):
+        if method == ITS and staggered:
             return ("STAGGERED_INPUT",
                     "adoption is staggered; use the multiple-baseline variant")
-        return ("NOT_APPLICABLE",
-                "comparison units exist; comparison-based designs identify "
-                "the effect under weaker assumptions")
-    if method == ITS_MULTI_BASELINE:
-        if not staggered:
+        if method == ITS_MULTI_BASELINE and not staggered:
             return ("NOT_STAGGERED", "only one adoption cohort; use ITS")
-        return ("NOT_APPLICABLE",
-                "comparison units exist; comparison-based designs identify "
-                "the effect under weaker assumptions")
+        return None if f.n_control == 0 else (
+            "NOT_APPLICABLE", "comparison units exist; comparison-based designs "
+            "identify the effect under weaker assumptions")
     if method in (SCM, ASCM):
+        if f.timing_class == SINGLE_TREATED and f.n_control >= 2:
+            return None
         if f.n_treated != 1:
             return ("TOO_MANY_TREATED",
                     "synthetic control matches exactly one treated unit")
         return ("TOO_FEW_DONORS", "needs at least two donor units")
-    if method in (DID_TWFE, EVENT_STUDY, CITS):
-        if f.n_control == 0:
-            return ("NO_CONTROL", "needs at least one comparison unit")
+    single_cohort = method in (DID_TWFE, EVENT_STUDY, CITS)
+    if f.n_control == 0:
+        return ("NO_CONTROL", "needs at least one comparison unit" if single_cohort
+                else "needs never-treated comparison units")
+    if single_cohort and staggered:
         return ("STAGGERED_INPUT",
                 "staggered adoption with possible effect heterogeneity biases "
                 "single-coefficient comparisons; use a cohort-aware estimator")
-    # staggered-adoption methods
-    if f.n_control == 0:
-        return ("NO_CONTROL", "needs never-treated comparison units")
-    return ("NOT_STAGGERED",
-            "adoption is simultaneous; standard single-cohort designs apply")
+    if not single_cohort and not staggered:
+        return ("NOT_STAGGERED",
+                "adoption is simultaneous; standard single-cohort designs apply")
+    return None
 
 
 def _cautions(method: str, f: DesignFeatures):
@@ -297,17 +282,16 @@ def _cautions(method: str, f: DesignFeatures):
 
 def recommend(features: DesignFeatures) -> MethodRecommendation:
     """Evaluate the rule table; every method id appears exactly once."""
-    viable = _viable_set(features)
+    if features.timing_class == NO_TREATED:
+        raise PanelCauseError("NO_TREATED_UNITS",
+                              "no unit ever adopts the policy; nothing to estimate")
     methods = {}
     for m, spec in METHODS.items():
-        if m in viable:
-            methods[m] = MethodAssessment(
-                m, True, (), spec.assumptions, spec.by_time, spec.by_cohort,
-                _cautions(m, features))
-        else:
-            methods[m] = MethodAssessment(
-                m, False, (_disqualify(m, features),), spec.assumptions,
-                spec.by_time, spec.by_cohort, ())
+        reason = _reason(m, features)
+        methods[m] = MethodAssessment(
+            m, reason is None, () if reason is None else (reason,),
+            spec.assumptions, spec.by_time, spec.by_cohort,
+            _cautions(m, features) if reason is None else ())
     return MethodRecommendation(features, methods)
 
 

@@ -276,12 +276,14 @@ def fit_debiased_ar(panel: PanelDataset, covariates=(), lag_order: int = 1,
         iterations = len(gamma_path) - 1
         converged = abs(gamma_path[-1] - gamma_path[-2]) <= FP_TOL
         if not converged:
-            lo, hi = min(gamma_path) - 1.0, max(gamma_path) + 1.0
-            gamma_path.append(_grid_refine(gram.profile_ssr, lo, hi))
+            searched = []       # the grids re-centre: report what they covered
+            gamma_path.append(_grid_refine(
+                lambda g: searched.append(g) or gram.profile_ssr(g),
+                min(gamma_path) - 1.0, max(gamma_path) + 1.0))
             warnings.warn(PanelCauseWarning("FIXED_POINT_FALLBACK", (
                 f"no fixed point within {FP_TOL:g} after {iterations} passes; "
                 f"γ = {gamma_path[-1]:.10g} from a profile least-squares grid "
-                f"search on the bracket [{lo:.6g}, {hi:.6g}]")))
+                f"search over [{min(searched):.6g}, {max(searched):.6g}]")))
         # the reported fit is the pass that produced γ (or, after the grid
         # search, the fit at γ itself)
         fit, levels = _ols_pass(panel, *rows,

@@ -3,7 +3,10 @@
 Segmented regression for a single adoption time (level and slope change),
 the multiple-baseline extension that fits one ITS per adoption cohort and
 pools, and the comparative variant that adds a never-treated control group
-with treated-group interactions.
+with treated-group interactions. Both regressions are within fits on
+absorbed unit effects (``linreg.within_fit``); the intercept they report is
+the first unit's effect, as in a unit-dummy regression with that unit as
+the reference.
 
 Coding convention: with adoption at period g, the policy indicator turns on
 at t = g and time_since_policy counts 0, 1, 2, ... from that same period, so
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PanelCauseError
-from .linreg import FitResult, build_design, ols_fit
+from .linreg import FitResult, within_fit
 from .panel import PanelDataset, complete_rows, derive_adoption
 
 
@@ -76,11 +79,23 @@ def _check_periods(panel: PanelDataset, g: int, min_pre: int = 2, min_post: int 
             f"got {pre} pre, {post} post")
 
 
+def _unit_effects_fit(panel: PanelDataset, keep, cols, op: str):
+    """Within fit of the kept outcome on cols with unit effects absorbed, and
+    the intercept: the first kept unit's effect, mean(y − Xβ) over its rows."""
+    ui, y = panel.unit_idx[keep], panel.outcome[keep]
+    fit = within_fit(ui, None, y, cols)
+    if fit is None:
+        raise PanelCauseError("RANK_ZERO", f"{op}: unit effects absorb every regressor")
+    first, raw = ui == ui.min(), dict(cols)
+    fitted = sum(fit.coef(name) * raw[name][first] for name in fit.vcov_names)
+    return fit, float((y[first] - fitted).mean())
+
+
 def fit_its(panel: PanelDataset, covariates=()) -> ItsEstimate:
     """Segmented regression around one shared adoption period.
 
-    Regressors: elapsed time, policy indicator, time-since-policy counter,
-    covariates, and unit fixed effects when the panel has several units.
+    Regressors: elapsed time, policy indicator, time-since-policy counter
+    and covariates, with unit effects absorbed (one unit: the intercept).
     SEs are unit-clustered; with a single unit each row is its own cluster.
     """
     schedule, g = _single_adoption(panel, "fit_its")
@@ -89,24 +104,14 @@ def fit_its(panel: PanelDataset, covariates=()) -> ItsEstimate:
 
     t = panel.time_idx[keep].astype(float)
     pol = panel.policy[keep].astype(float)
-    tsp = pol * (t - g)
-
-    cols = [("time", t), ("policy", pol), ("time_since_policy", tsp)]
+    cols = [("time", t), ("policy", pol), ("time_since_policy", pol * (t - g))]
     cols += [(name, Xc[keep][:, i]) for i, name in enumerate(covariates)]
-    if panel.unit_count > 1:
-        ui = panel.unit_idx[keep]
-        cols += [(f"unit[{u}]", (ui == i).astype(float))
-                 for i, u in enumerate(panel.units) if i > 0]
-    X = build_design(cols)
-
-    clusters = panel.unit_idx[keep] if panel.unit_count > 1 \
-        else np.arange(int(keep.sum()))
-    fit = ols_fit(X, panel.outcome[keep], clusters)
+    fit, intercept = _unit_effects_fit(panel, keep, cols, "fit_its")
     return ItsEstimate(
         level_change=fit.coef("policy"), level_change_se=fit.se("policy"),
         slope_change=fit.coef("time_since_policy"),
         slope_change_se=fit.se("time_since_policy"),
-        baseline_intercept=fit.coef("_intercept"), baseline_slope=fit.coef("time"),
+        baseline_intercept=intercept, baseline_slope=fit.coef("time"),
         adoption_time=g, fit=fit)
 
 
@@ -152,9 +157,9 @@ def fit_cits(panel: PanelDataset, covariates=()) -> CitsEstimate:
     Control units inherit the treated cohort's adoption period as their
     interruption clock, so the plain policy/time-since-policy terms capture
     the control group's change at the interruption and the treated×clock
-    interactions capture the treated-minus-control differences. The treated
-    main effect is collinear with unit fixed effects and is reported as
-    absorbed.
+    interactions capture the treated-minus-control differences. Unit
+    effects are absorbed, so the treated main effect (beta4) is reported as
+    None and beta0 is the first unit's effect. SEs are unit-clustered.
     """
     schedule, g = _single_adoption(panel, "fit_cits")
     if not schedule.never_treated:
@@ -172,17 +177,11 @@ def fit_cits(panel: PanelDataset, covariates=()) -> CitsEstimate:
             ("trt_x_time", trt * t), ("trt_x_policy", trt * clock),
             ("trt_x_time_since_policy", trt * tsp)]
     cols += [(name, Xc[keep][:, i]) for i, name in enumerate(covariates)]
-    ui = panel.unit_idx[keep]
-    cols += [(f"unit[{u}]", (ui == i).astype(float))
-             for i, u in enumerate(panel.units) if i > 0]
-    cols += [("trt", trt)]                    # absorbed by the unit dummies
-    X = build_design(cols)
-
-    fit = ols_fit(X, panel.outcome[keep], ui)
+    fit, intercept = _unit_effects_fit(panel, keep, cols, "fit_cits")
     betas = {
-        "beta0": fit.coef("_intercept"), "beta1": fit.coef("time"),
+        "beta0": intercept, "beta1": fit.coef("time"),
         "beta2": fit.coef("policy"), "beta3": fit.coef("time_since_policy"),
-        "beta4": fit.coefficients.get("trt"),
+        "beta4": None,
         "beta5": fit.coef("trt_x_time"), "beta6": fit.coef("trt_x_policy"),
         "beta7": fit.coef("trt_x_time_since_policy"),
     }

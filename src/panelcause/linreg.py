@@ -1,11 +1,12 @@
 """Shared least-squares machinery.
 
-Design-matrix assembly with deterministic collinearity handling, OLS via
-orthogonal decomposition, exact two-way fixed effects and the within
-regression built on them, the unit–period connectivity they rest on, the
-cluster-robust sandwich, the delete-one jackknife, and the normal and
-chi-square tails. All pure functions; estimator modules own the modelling
-choices. numpy and the standard library are the only dependencies.
+Design-matrix assembly with deterministic collinearity handling (one
+Householder QR), OLS via orthogonal decomposition, exact unit or two-way
+fixed effects and the within regression built on them, the unit–period
+connectivity they rest on, the cluster-robust sandwich, the delete-one
+jackknife, and the normal and chi-square tails. All pure functions;
+estimator modules own the modelling choices. numpy and the standard
+library are the only dependencies.
 """
 
 from __future__ import annotations
@@ -34,10 +35,11 @@ def build_design(columns, add_intercept: bool = True,
                  pivot_tol: float = PIVOT_TOL) -> DesignMatrix:
     """Assemble named columns into a full-rank design matrix.
 
-    Collinear columns are dropped deterministically: columns are scanned in
-    the listed order and a column is kept only if its residual against the
-    span of already-kept columns exceeds ``pivot_tol`` relative to its own
-    norm. Later-listed columns therefore lose ties.
+    Collinear columns are dropped deterministically by a Householder QR of
+    the listed columns: |R_jj|, column j's residual on the columns before
+    it, must exceed ``pivot_tol`` times its norm. The first failing column
+    is dropped and the rest refactored, so later-listed columns lose ties;
+    past the n-th kept column of an n-row design every column fails.
     """
     items = list(columns)
     if add_intercept:
@@ -47,30 +49,28 @@ def build_design(columns, add_intercept: bool = True,
         raise PanelCauseError("RANK_ZERO", "no columns supplied")
 
     n = len(np.asarray(items[0][1], dtype=float))
-    kept_names, kept_cols, dropped = [], [], []
-    basis = np.empty((n, 0))
     for name, col in items:
-        x = np.asarray(col, dtype=float)
-        if x.shape != (n,):
-            raise PanelCauseError("CONFIG_ERROR",
-                                  f"column '{name}' has shape {x.shape}, expected ({n},)")
-        norm = np.linalg.norm(x)
-        if norm == 0.0:
-            dropped.append((name, "zero column"))
-            continue
-        # project out the kept span twice (re-orthogonalization for stability)
-        r = x - basis @ (basis.T @ x)
-        r = r - basis @ (basis.T @ r)
-        rnorm = np.linalg.norm(r)
-        if rnorm <= pivot_tol * norm:
-            dropped.append((name, "collinear with earlier columns"))
-            continue
-        kept_names.append(name)
-        kept_cols.append(x)
-        basis = np.column_stack([basis, r / rnorm])
-    if not kept_cols:
+        if np.shape(col) != (n,):
+            raise PanelCauseError("CONFIG_ERROR", f"column '{name}' has shape "
+                                  f"{np.shape(col)}, expected ({n},)")
+    A = np.column_stack([np.asarray(col, dtype=float) for _, col in items])
+    norms = np.linalg.norm(A, axis=0)
+    dropped = [(j, "zero column") for j in np.flatnonzero(norms == 0.0)]
+    keep = np.flatnonzero(norms > 0.0)
+    while len(keep):
+        R = np.linalg.qr(A[:, keep], mode="r")
+        fail = np.abs(np.diagonal(R)) <= pivot_tol * norms[keep[:len(R)]]
+        if not fail.any():
+            break
+        j = int(fail.argmax())
+        dropped.append((keep[j], "collinear with earlier columns"))
+        keep = np.delete(keep, j)
+    dropped += [(j, "collinear with earlier columns") for j in keep[n:]]
+    keep = keep[:n]
+    if not len(keep):
         raise PanelCauseError("RANK_ZERO", "all columns dropped as zero/collinear")
-    return DesignMatrix(np.column_stack(kept_cols), kept_names, dropped)
+    return DesignMatrix(A[:, keep], [items[j][0] for j in keep],
+                        [(items[j][0], why) for j, why in sorted(dropped)])
 
 
 @dataclass
@@ -202,15 +202,21 @@ def unit_period_components(unit_idx, time_idx, n_units, n_periods):
 
 
 def absorb_fixed_effects(unit_idx, time_idx, columns):
-    """Columns minus their two-way fit, and the absorbed parameter count.
+    """Columns minus their fixed-effects fit, and the absorbed parameter count.
 
     absorbed_dof counts the equivalent dummy regression's parameters,
-    intercept included: levels(unit) + levels(time) - 1. A dimension with a
-    single level gets a SINGLE_LEVEL warning; if both do, the columns come
-    back unchanged with absorbed_dof 0.
+    intercept included. time_idx None absorbs unit means alone: absorbed_dof
+    is the number of units. Two-way, it is levels(unit) + levels(time) - 1;
+    a dimension with a single level gets a SINGLE_LEVEL warning, and if both
+    do, the columns come back unchanged with absorbed_dof 0.
     """
     M = np.array(columns, dtype=float)
     unit_idx = np.asarray(unit_idx, dtype=np.intp)
+    if time_idx is None:
+        _, inv, n_u = np.unique(unit_idx, return_inverse=True, return_counts=True)
+        sums = np.zeros((len(n_u),) + M.shape[1:])
+        np.add.at(sums, inv, M)
+        return M - (sums.T / n_u).T[inv], len(n_u)
     time_idx = np.asarray(time_idx, dtype=np.intp)
     levels = []
     for dim, idx in (("unit", unit_idx), ("time", time_idx)):
@@ -225,12 +231,13 @@ def absorb_fixed_effects(unit_idx, time_idx, columns):
 
 
 def within_fit(unit_idx, time_idx, y, columns) -> FitResult | None:
-    """OLS of y on named columns with unit and time effects absorbed.
+    """OLS of y on named columns with fixed effects absorbed (see absorb_fixed_effects).
 
-    Unit-clustered, with the effects in the small-sample factor, as in the
-    equivalent dummy regression. A column the effects absorb (within norm ≤
-    PIVOT_TOL × raw norm) is zeroed, so build_design drops it as a zero
-    column instead of fitting its rounding noise. None if every column is.
+    Unit-clustered, or row-clustered when the rows hold one unit, with the
+    effects in the small-sample factor, as in the equivalent dummy
+    regression. A column the effects absorb (within norm ≤ PIVOT_TOL × raw
+    norm) is zeroed, so build_design drops it as a zero column instead of
+    fitting its rounding noise. None if every column is.
     """
     names, cols = zip(*columns)
     raw = np.column_stack(cols)
@@ -241,7 +248,9 @@ def within_fit(unit_idx, time_idx, y, columns) -> FitResult | None:
     if not M.any():
         return None
     X = build_design(zip(names, M.T), add_intercept=False)
-    return ols_fit(X, W[:, 0], unit_idx, extra_dof=absorbed)
+    one_unit = (np.asarray(unit_idx) == unit_idx[0]).all()
+    return ols_fit(X, W[:, 0], np.arange(len(y)) if one_unit else unit_idx,
+                   extra_dof=absorbed)
 
 
 def jackknife_se(estimate_without, folds) -> float:

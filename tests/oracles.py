@@ -36,6 +36,38 @@ def cluster_sandwich(X, y, clusters, extra_dof=0):
     return beta, c * bread @ meat @ bread
 
 
+def gram_schmidt_design(columns, add_intercept=True, pivot_tol=1e-10):
+    """Kept names and (name, reason) drops of a column-by-column scan.
+
+    Columns are taken in the listed order; a column is kept when its
+    residual on the span of the kept ones, projected out twice by modified
+    Gram-Schmidt, exceeds pivot_tol times its own norm. A zero column is
+    dropped as such before any projection.
+    """
+    items = list(columns)
+    if add_intercept:
+        n = len(np.asarray(items[0][1], dtype=float)) if items else 0
+        items = [("_intercept", np.ones(n))] + items
+    n = len(np.asarray(items[0][1], dtype=float))
+    kept, dropped = [], []
+    basis = np.empty((n, 0))
+    for name, col in items:
+        x = np.asarray(col, dtype=float)
+        norm = np.linalg.norm(x)
+        if norm == 0.0:
+            dropped.append((name, "zero column"))
+            continue
+        r = x - basis @ (basis.T @ x)
+        r = r - basis @ (basis.T @ r)
+        rnorm = np.linalg.norm(r)
+        if rnorm <= pivot_tol * norm:
+            dropped.append((name, "collinear with earlier columns"))
+            continue
+        kept.append(name)
+        basis = np.column_stack([basis, r / rnorm])
+    return kept, dropped
+
+
 def twfe_dummy_fit(panel, extra_cols=()):
     """TWFE via an explicit full-dummy regression; returns (beta_policy, se).
 

@@ -124,6 +124,81 @@ class TestRuleTable:
         assert recommend(f).viable == recommend(f).viable
 
 
+# (viable, first reason code) of every method, in ALL_METHODS order, over
+# each timing class x n_treated x n_control, recorded from the two-function
+# rule table this one replaced. "+" is viable; the rest abbreviate codes.
+REASON_ABBREV = {"NA": "NOT_APPLICABLE", "NS": "NOT_STAGGERED",
+                 "TMT": "TOO_MANY_TREATED", "TFD": "TOO_FEW_DONORS",
+                 "NC": "NO_CONTROL", "SI": "STAGGERED_INPUT"}
+PINNED_RULE_TABLE = """
+SINGLE_TREATED 0 0  +   NS  TMT TMT NC  NC  NC  NC  NC  NC  NC
+SINGLE_TREATED 0 1  NA  NS  TMT TMT +   +   +   NS  NS  NS  NS
+SINGLE_TREATED 0 2  NA  NS  +   +   +   +   +   NS  NS  NS  NS
+SINGLE_TREATED 0 5  NA  NS  +   +   +   +   +   NS  NS  NS  NS
+SINGLE_TREATED 1 0  +   NS  TFD TFD NC  NC  NC  NC  NC  NC  NC
+SINGLE_TREATED 1 1  NA  NS  TFD TFD +   +   +   NS  NS  NS  NS
+SINGLE_TREATED 1 2  NA  NS  +   +   +   +   +   NS  NS  NS  NS
+SINGLE_TREATED 1 5  NA  NS  +   +   +   +   +   NS  NS  NS  NS
+SINGLE_TREATED 2 0  +   NS  TMT TMT NC  NC  NC  NC  NC  NC  NC
+SINGLE_TREATED 2 1  NA  NS  TMT TMT +   +   +   NS  NS  NS  NS
+SINGLE_TREATED 2 2  NA  NS  +   +   +   +   +   NS  NS  NS  NS
+SINGLE_TREATED 2 5  NA  NS  +   +   +   +   +   NS  NS  NS  NS
+SINGLE_TREATED 5 0  +   NS  TMT TMT NC  NC  NC  NC  NC  NC  NC
+SINGLE_TREATED 5 1  NA  NS  TMT TMT +   +   +   NS  NS  NS  NS
+SINGLE_TREATED 5 2  NA  NS  +   +   +   +   +   NS  NS  NS  NS
+SINGLE_TREATED 5 5  NA  NS  +   +   +   +   +   NS  NS  NS  NS
+SIMULTANEOUS   0 0  +   NS  TMT TMT NC  NC  NC  NC  NC  NC  NC
+SIMULTANEOUS   0 1  NA  NS  TMT TMT +   +   +   NS  NS  NS  NS
+SIMULTANEOUS   0 2  NA  NS  TMT TMT +   +   +   NS  NS  NS  NS
+SIMULTANEOUS   0 5  NA  NS  TMT TMT +   +   +   NS  NS  NS  NS
+SIMULTANEOUS   1 0  +   NS  TFD TFD NC  NC  NC  NC  NC  NC  NC
+SIMULTANEOUS   1 1  NA  NS  TFD TFD +   +   +   NS  NS  NS  NS
+SIMULTANEOUS   1 2  NA  NS  TFD TFD +   +   +   NS  NS  NS  NS
+SIMULTANEOUS   1 5  NA  NS  TFD TFD +   +   +   NS  NS  NS  NS
+SIMULTANEOUS   2 0  +   NS  TMT TMT NC  NC  NC  NC  NC  NC  NC
+SIMULTANEOUS   2 1  NA  NS  TMT TMT +   +   +   NS  NS  NS  NS
+SIMULTANEOUS   2 2  NA  NS  TMT TMT +   +   +   NS  NS  NS  NS
+SIMULTANEOUS   2 5  NA  NS  TMT TMT +   +   +   NS  NS  NS  NS
+SIMULTANEOUS   5 0  +   NS  TMT TMT NC  NC  NC  NC  NC  NC  NC
+SIMULTANEOUS   5 1  NA  NS  TMT TMT +   +   +   NS  NS  NS  NS
+SIMULTANEOUS   5 2  NA  NS  TMT TMT +   +   +   NS  NS  NS  NS
+SIMULTANEOUS   5 5  NA  NS  TMT TMT +   +   +   NS  NS  NS  NS
+STAGGERED      0 0  SI  +   TMT TMT NC  NC  NC  NC  NC  NC  NC
+STAGGERED      0 1  SI  NA  TMT TMT SI  SI  SI  +   +   +   +
+STAGGERED      0 2  SI  NA  TMT TMT SI  SI  SI  +   +   +   +
+STAGGERED      0 5  SI  NA  TMT TMT SI  SI  SI  +   +   +   +
+STAGGERED      1 0  SI  +   TFD TFD NC  NC  NC  NC  NC  NC  NC
+STAGGERED      1 1  SI  NA  TFD TFD SI  SI  SI  +   +   +   +
+STAGGERED      1 2  SI  NA  TFD TFD SI  SI  SI  +   +   +   +
+STAGGERED      1 5  SI  NA  TFD TFD SI  SI  SI  +   +   +   +
+STAGGERED      2 0  SI  +   TMT TMT NC  NC  NC  NC  NC  NC  NC
+STAGGERED      2 1  SI  NA  TMT TMT SI  SI  SI  +   +   +   +
+STAGGERED      2 2  SI  NA  TMT TMT SI  SI  SI  +   +   +   +
+STAGGERED      2 5  SI  NA  TMT TMT SI  SI  SI  +   +   +   +
+STAGGERED      5 0  SI  +   TMT TMT NC  NC  NC  NC  NC  NC  NC
+STAGGERED      5 1  SI  NA  TMT TMT SI  SI  SI  +   +   +   +
+STAGGERED      5 2  SI  NA  TMT TMT SI  SI  SI  +   +   +   +
+STAGGERED      5 5  SI  NA  TMT TMT SI  SI  SI  +   +   +   +
+"""
+
+
+def test_rule_table_pinned_over_design_grid():
+    rows = PINNED_RULE_TABLE.strip().splitlines()
+    assert len(rows) == 3 * 4 * 4
+    for row in rows:
+        timing, nt, nc, *cells = row.split()
+        rec = recommend(features(n_treated=int(nt), n_control=int(nc),
+                                 timing=timing, cohort_sizes={3: int(nt)}))
+        got = ["+" if rec.methods[m].viable else rec.methods[m].reasons[0][0]
+               for m in ALL_METHODS]
+        want = [c if c == "+" else REASON_ABBREV[c] for c in cells]
+        assert got == want, row
+    for nt, nc in itertools.product((0, 1, 2, 5), repeat=2):
+        with pytest.raises(pc.PanelCauseError) as ei:
+            recommend(features(n_treated=nt, n_control=nc, timing="NO_TREATED"))
+        assert ei.value.code == "NO_TREATED_UNITS"
+
+
 class TestCautions:
     def test_missing_data(self):
         rec = recommend(features(missing=True))

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -338,6 +339,19 @@ def test_fallback_to_grid_warns():
     # recorded with a full design rebuild on every pass
     assert est.gamma == pytest.approx(2.527080466723551, abs=1e-10)
     assert est.gamma_se == pytest.approx(1.9665559488403217, abs=1e-10)
+
+
+def test_fallback_bracket_contains_gamma():
+    # the grid re-centres each round, so it can leave the first bracket; the
+    # warning names the range every round's grid covered, which holds γ
+    with pytest.warns(pc.PanelCauseWarning, match="FIXED_POINT_FALLBACK") as rec:
+        est = pc.fit_debiased_ar(late_start_panel())
+    assert est.used_fallback
+    msg = next(str(w.message) for w in rec
+               if "FIXED_POINT_FALLBACK" in str(w.message))
+    lo, hi = (float(v) for v in re.search(r"\[(\S+), (\S+)\]", msg).groups())
+    assert lo <= est.gamma <= hi
+    assert est.gamma == pytest.approx(-1.507391822, abs=1e-9)
 
 
 def test_grid_refine_locates_minimum():

@@ -67,6 +67,8 @@ class TestIts:
         assert est.level_change == pytest.approx(beta[2], abs=1e-8)
         assert est.slope_change == pytest.approx(beta[3], abs=1e-8)
         assert est.level_change_se == pytest.approx(np.sqrt(V[2, 2]), rel=1e-8)
+        # the intercept is the first unit's effect, the dummies' reference
+        assert est.baseline_intercept == pytest.approx(beta[0], abs=1e-8)
 
     def test_covariate_adjustment_exact(self):
         rng = np.random.default_rng(43)
@@ -86,6 +88,13 @@ class TestIts:
         est = pc.fit_its(p)
         assert est.level_change == pytest.approx(2.0, abs=1e-10)
         assert est.fit.n == 11
+
+    def test_one_row_per_unit_leaves_nothing_to_fit(self):
+        # each unit keeps a single outcome: its effect absorbs every regressor
+        y = {u: [float("nan")] * 8 for u in "abc"}
+        y["a"][1], y["b"][5], y["c"][6] = 1.0, 2.0, 0.5
+        p = build_panel(list("abc"), 8, {u: 4 for u in "abc"}, y)
+        assert err_code(pc.fit_its, p).code == "RANK_ZERO"
 
     def test_no_adopter(self):
         p = build_panel(["a"], 8, {}, {"a": list(range(8))})
@@ -186,6 +195,52 @@ class TestCits:
                b["beta5"], b["beta6"], b["beta7"]]
         want = [ref[0], ref[1], ref[2], ref[3], ref[5], ref[6], ref[7]]
         np.testing.assert_allclose(got, want, atol=1e-8)
+
+    def test_matches_dummy_sandwich_unbalanced_with_covariate(self):
+        # seven units (three treated), a covariate, and rows lost to missing
+        # outcomes and a missing covariate cell: every beta and SE against
+        # the unit-dummy regression clustered on unit
+        rng = np.random.default_rng(46)
+        T, g = 12, 5
+        units = ["c0", "t0", "c1", "t1", "c2", "t2", "c3"]
+        adopt = {u: g for u in units if u.startswith("t")}
+        z = {u: rng.normal(size=T).tolist() for u in units}
+        y = {}
+        for u in units:
+            path = seg_path(T, g, b0=rng.normal(), jump=0.5, dslope=0.1)
+            if u in adopt:
+                path = path + 0.3 * np.arange(T) + 1.5 * (np.arange(T) >= g)
+            y[u] = (path + 0.9 * np.array(z[u]) + rng.normal(0, 0.4, T)).tolist()
+        for u, t in [("c0", 3), ("t1", 0), ("t1", 9), ("c2", 11), ("c3", 6)]:
+            y[u][t] = float("nan")
+        z["t2"][2] = float("nan")
+        p = build_panel(units, T, adopt, y, covariates={"z": z})
+        est = pc.fit_cits(p, covariates=("z",))
+
+        keep = np.isfinite(p.outcome) & np.isfinite(p.covariates["z"])
+        t = p.time_idx[keep].astype(float)
+        ui = p.unit_idx[keep]
+        trt = np.isin(ui, [units.index(u) for u in adopt]).astype(float)
+        pol = (t >= g).astype(float)
+        tsp = pol * (t - g)
+        X = np.column_stack([np.ones_like(t), t, pol, tsp, trt * t, trt * pol,
+                             trt * tsp, p.covariates["z"][keep]]
+                            + [(ui == i).astype(float) for i in range(1, len(units))])
+        beta, V = cluster_sandwich(X, p.outcome[keep], ui)
+        b = est.coefficients
+        got = [b["beta0"], b["beta1"], b["beta2"], b["beta3"], b["beta5"],
+               b["beta6"], b["beta7"], est.fit.coef("z")]
+        np.testing.assert_allclose(got, beta[:8], rtol=0, atol=1e-8)
+        assert b["beta4"] is None
+        se = np.sqrt(np.diag(V))
+        assert est.diff_level_change_se == pytest.approx(se[5], rel=1e-8)
+        assert est.diff_slope_change_se == pytest.approx(se[6], rel=1e-8)
+        for j, name in enumerate(["time", "policy", "time_since_policy",
+                                  "trt_x_time", "trt_x_policy",
+                                  "trt_x_time_since_policy", "z"], start=1):
+            assert est.fit.se(name) == pytest.approx(se[j], rel=1e-8), name
+        assert est.fit.n == int(keep.sum()) == 12 * 7 - 6
+        assert est.fit.cluster_count == 7
 
     def test_control_jump_subtracted(self):
         # both groups jump by 0.5 at the interruption; only the treated

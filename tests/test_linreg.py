@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from panelcause import PanelCauseError
-from panelcause.linreg import (INTERCEPT, build_design, ols_fit,
+from panelcause.linreg import (INTERCEPT, PIVOT_TOL, build_design, ols_fit,
                                absorb_fixed_effects, chi2_sf, normal_p,
                                normal_ci, unit_period_components)
 from oracles import (bipartite_components, chi2_upper_tail, cluster_sandwich,
-                     normal_quantile, normal_two_sided_p, ols_beta,
-                     twfe_dummy_fit)
+                     gram_schmidt_design, normal_quantile, normal_two_sided_p,
+                     ols_beta, twfe_dummy_fit)
 from helpers import build_panel
 
 
@@ -119,6 +119,58 @@ class TestBuildDesign:
         assert d.column_names == ["a"]
 
 
+# residual ratios within a factor of 10 of PIVOT_TOL, outside a factor-2 band
+NEAR_PIVOT = st.one_of(st.floats(-1.0, -np.log10(2.0)), st.floats(np.log10(2.0), 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 9),
+       st.lists(st.tuples(st.sampled_from(["new", "near", "zero", "dup", "combo"]),
+                          NEAR_PIVOT), min_size=1, max_size=12))
+def test_build_design_matches_gram_schmidt_oracle(seed, n, kinds):
+    # fresh directions come from an orthonormal basis, so a "near" column's
+    # residual on the kept span is exactly its designed share of its norm;
+    # n below the column count gives wide designs. A kept "near" column ends
+    # the list: it leaves the kept span with condition ~1/ratio, past which
+    # the oracle's own rounding (eps/ratio ~ 1e-6) decides later columns
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    span, fresh, cols = [], 0, []
+    for j, (kind, log_ratio) in enumerate(kinds):
+        c = rng.uniform(-10.0, 10.0, size=len(span))
+        base = Q[:, span] @ c
+        if kind == "zero":
+            x = np.zeros(n)
+        elif kind == "dup" and cols:
+            x = cols[int(rng.integers(len(cols)))][1] * float(rng.choice([1.0, -3.5]))
+        elif kind == "combo" or fresh == n:
+            x = base if span else Q @ rng.normal(size=n)
+        elif kind == "near" and span and np.linalg.norm(base) > 0:
+            ratio = PIVOT_TOL * 10.0 ** log_ratio
+            s = ratio * np.linalg.norm(base) / np.sqrt(1.0 - ratio ** 2)
+            x = base + s * Q[:, fresh]
+            fresh += 1
+            if ratio > PIVOT_TOL:
+                cols.append((f"c{j}", x * 10.0 ** rng.uniform(-3, 3)))
+                break
+        else:
+            x = base + rng.uniform(0.5, 2.0) * Q[:, fresh]
+            span.append(fresh)
+            fresh += 1
+        cols.append((f"c{j}", x * 10.0 ** rng.uniform(-3, 3)))
+    want_kept, want_dropped = gram_schmidt_design(cols, add_intercept=False)
+    if not want_kept:
+        with pytest.raises(PanelCauseError) as ei:
+            build_design(cols, add_intercept=False)
+        assert ei.value.code == "RANK_ZERO"
+        return
+    d = build_design(cols, add_intercept=False)
+    assert d.column_names == want_kept
+    assert d.dropped_columns == want_dropped
+    kept = dict(cols)
+    np.testing.assert_array_equal(d.data, np.column_stack([kept[k] for k in want_kept]))
+
+
 class TestAbsorb:
     def build(self, rng, U=6, T=5):
         adopt = {"u0": 2, "u1": 3}
@@ -150,6 +202,23 @@ class TestAbsorb:
         means = np.array([x[idx == g].mean() for g in range(3)])
         np.testing.assert_allclose(out, x - means[idx], atol=1e-12)
         assert dof == 3
+
+    def test_unit_only_absorption_is_unit_demeaning(self):
+        # time_idx None: unit means alone, absorbed_dof the units with rows,
+        # and no SINGLE_LEVEL warning (one unit is just the intercept)
+        rng = np.random.default_rng(24)
+        idx = np.array([2, 0, 2, 1, 0, 2, 4, 4, 1])
+        x = rng.normal(size=(9, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, dof = absorb_fixed_effects(idx, None, x)
+            one, dof_one = absorb_fixed_effects(np.zeros(5, dtype=int), None,
+                                                np.arange(5.0))
+        means = np.array([x[idx == u].mean(axis=0) for u in idx])
+        np.testing.assert_allclose(out, x - means, rtol=0, atol=1e-12)
+        assert dof == 4
+        np.testing.assert_allclose(one, np.arange(5.0) - 2.0, rtol=0, atol=1e-12)
+        assert dof_one == 1
 
     def test_single_level_dimension_warns_and_noops(self):
         x = np.arange(6.0)

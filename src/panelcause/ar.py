@@ -245,9 +245,10 @@ def fit_debiased_ar(panel: PanelDataset, covariates=(), lag_order: int = 1,
 
     SE is cluster-robust from a full OLS fit at the last pass's input γ and
     ignores the uncertainty in the debiasing step; set jackknife=True for a
-    unit-level jackknife SE that includes it. When the unit clusters cannot
-    support the sandwich (SE below CLUSTER_SE_ROUNDING times the model-based
-    SE), the SE, CI and p-value are NaN, with a CLUSTER_SE_DEGENERATE warning.
+    unit-level jackknife SE that includes it, over the units with used rows.
+    When the unit clusters cannot support the sandwich (SE below
+    CLUSTER_SE_ROUNDING times the model-based SE), the SE, CI and p-value
+    are NaN, with a CLUSTER_SE_DEGENERATE warning.
     """
     if lag_order < 1:
         raise PanelCauseError("CONFIG_ERROR", f"lag_order must be ≥1, got {lag_order}")
@@ -307,12 +308,12 @@ def fit_debiased_ar(panel: PanelDataset, covariates=(), lag_order: int = 1,
         time_effects[panel.label_of(int(t))] = fit.coefficients.get(name, 0.0)
 
     se_jack = None
-    if jackknife:
+    if jackknife:       # a unit without used rows leaves γ as it is: no fold
         se_jack = jackknife_se(
             lambda u: fit_debiased_ar(
                 panel.subset(units=[x for x in panel.units if x != u]),
                 covariates, lag_order).gamma,
-            panel.units)
+            [panel.units[i] for i in np.unique(rows[1])])
 
     return DebiasedArEstimate(
         gamma=gamma, gamma_se=se,

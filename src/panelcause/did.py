@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ar import GRAM_PIVOT_TOL
 from .errors import PanelCauseError, PanelCauseWarning
 from .linreg import (INTERCEPT, FitResult, chi2_sf, jackknife_se, normal_ci,
                      normal_p, two_way_effects, unit_period_components,
@@ -357,9 +358,16 @@ def fit_imputation_did(panel: PanelDataset, schedule=None,
     """Counterfactual imputation from a unit+time model fit on untreated rows.
 
     Treated-cell effects are Y_obs minus the prediction; the ATT is their
-    mean. The SE is a leave-one-unit-out jackknife (each fold refits the
-    untreated model and re-imputes). ``untreated_coefficients`` are the
-    dummy regression's: references are the first untreated unit and period.
+    mean. The SE is a leave-one-unit-out jackknife over the units with
+    complete rows. A fold is read off per-unit sums (see _summed_folds)
+    when another unit's untreated rows cover every untreated period, treated
+    cells remain, the main fit kept every covariate, each covariate's
+    squared within residual in the fold (on both effects and the covariates
+    before it) exceeds GRAM_PIVOT_TOL times its squared norm over the
+    untreated rows, and the fold's solve is not singular. Any other fold
+    refits the untreated model and re-imputes; either way a fold gives the
+    refit's warnings. ``untreated_coefficients`` are the dummy regression's:
+    references are the first untreated unit and period.
     """
     if schedule is None:
         schedule = derive_adoption(panel)
@@ -367,8 +375,26 @@ def fit_imputation_did(panel: PanelDataset, schedule=None,
         raise PanelCauseError("NO_VARIATION", "no treated cells to impute")
 
     effects, att, coefs, dropped = _impute_att(panel, covariates, skip_unit=None)
-    se = jackknife_se(lambda u: _impute_att(panel, covariates, u)[1], panel.units)
+    summed = _summed_folds(panel, covariates, coefs)
+
+    def without(u):
+        if u not in summed:
+            return _impute_att(panel, covariates, u)[1]
+        att_u, gone = summed[u]
+        _warn_dropped_periods(panel, gone)
+        return att_u
+
+    keep, _ = complete_rows(panel, covariates)
+    se = jackknife_se(without, [panel.units[i] for i in np.unique(panel.unit_idx[keep])])
     return ImputationEstimate(effects, att, se, coefs, dropped)
+
+
+def _warn_dropped_periods(panel, dropped):
+    if dropped:
+        warnings.warn(PanelCauseWarning(
+            "UNIDENTIFIED_TIME_FE",
+            f"periods with no untreated rows, treated cells dropped: "
+            f"{[panel.time_labels[t] for t in dropped]}"))
 
 
 def _impute_att(panel, covariates, skip_unit):
@@ -389,11 +415,7 @@ def _impute_att(panel, covariates, skip_unit):
             units=bad)
     un_times = set(panel.time_idx[un].tolist())
     dropped = tuple(sorted(set(panel.time_idx[tr].tolist()) - un_times))
-    if dropped:
-        warnings.warn(PanelCauseWarning(
-            "UNIDENTIFIED_TIME_FE",
-            f"periods with no untreated rows, treated cells dropped: "
-            f"{[panel.time_labels[t] for t in dropped]}"))
+    _warn_dropped_periods(panel, dropped)
     rows = np.flatnonzero(tr & ~np.isin(panel.time_idx, dropped))
     if not len(rows):
         raise PanelCauseError("NO_VARIATION", "no treated cells left after drops")
@@ -426,6 +448,116 @@ def _impute_att(panel, covariates, skip_unit):
                      for t in sorted(un_times) if t != t0)
     untreated.update(coefs)
     return effects, float(resid.mean()), untreated, dropped
+
+
+# folds solved together hold at most this many numbers in their period blocks
+FOLD_CHUNK = 1 << 18
+
+
+def _summed_folds(panel, covariates, coefs):
+    """Leave-one-unit-out ATTs from per-unit sums: unit -> (ATT, dropped periods).
+
+    Demeaning the untreated rows within each unit absorbs the unit effects
+    exactly, so over the columns [period dummies | covariates | y] the
+    untreated normal equations in θ = (period effects, betas) come from
+    G = Σ_u G_u, with G_u unit u's within-unit Gram matrix. The sum of the
+    treated-cell effects is Σ_u (h_u,y − h_uᵀθ), with h_u = W_u − (m_u/n_u)·S_u:
+    W_u sums the columns over u's m_u kept treated cells, S_u over its n_u
+    untreated rows. The fold without v solves (G − G_v)θ with the first
+    untreated period pinned, the period block eliminated first, and reads
+    ATT₋ᵥ = (Σh_y − h_v,y − (Σh − h_v)ᵀθ) / (m − m_v). Only the units
+    fit_imputation_did may read so are returned; it refits the others.
+    """
+    if not all(c in coefs for c in covariates):
+        return {}
+    keep, Xc = complete_rows(panel, covariates)
+    U, T, K = panel.unit_count, panel.time_count, len(covariates)
+    un = keep & (panel.policy == 0)
+    tr = keep & (panel.policy == 1)
+    ui, ti = panel.unit_idx[un], panel.time_idx[un]
+    N = np.zeros((U, T))
+    N[ui, ti] = 1.0
+    n = N.sum(axis=1)
+    inv_n = 1.0 / np.maximum(n, 1.0)
+    periods = np.flatnonzero(N.any(axis=0))
+    treated = np.zeros((U, T), dtype=bool)
+    treated[panel.unit_idx[tr], panel.time_idx[tr]] = True
+    dropped = np.flatnonzero(treated.any(axis=0) & ~N.any(axis=0))
+    cells = tr & N.any(axis=0)[panel.time_idx]
+    ru, rt = panel.unit_idx[cells], panel.time_idx[cells]
+    m = np.bincount(ru, minlength=U).astype(float)
+
+    # a fold stays connected and drops no new period when another unit
+    # covers every untreated period. A treated cell left at t then has its
+    # unit's untreated rows before t and the covering unit's at t: two
+    # units and two periods, so the within fit never warns SINGLE_LEVEL
+    covers = n == len(periods)
+    ok = (covers.sum() - covers > 0) & (m.sum() - m > 0)
+    folds = np.flatnonzero(ok)
+    if not len(folds):
+        return {}
+
+    z = np.column_stack([Xc, panel.outcome])
+    V = K + 1
+    zbar = np.zeros((U, V))
+    np.add.at(zbar, ui, z[un])
+    zbar *= inv_n[:, None]
+    dev = z[un] - zbar[ui]      # within-unit deviations of the untreated rows
+    H_d = -(m * inv_n)[:, None] * N
+    H_d[ru, rt] += 1.0
+    H_z = -m[:, None] * zbar
+    np.add.at(H_z, ru, z[cells])
+    G_dd = np.diag(N.sum(axis=0)) - (N.T * inv_n) @ N
+    G_dz = np.column_stack([np.bincount(ti, dev[:, j], T) for j in range(V)])
+    G_zz_u = np.stack([np.column_stack([np.bincount(ui, dev[:, i] * dev[:, j], U)
+                                        for j in range(V)]) for i in range(V)], axis=1)
+    # the normal equations square the covariates' conditioning, so a fold's
+    # error grows as eps over its pivot ratio: a ratio at or below
+    # GRAM_PIVOT_TOL sends the fold to the refit (at GRAM_PIVOT_TOL², the
+    # AR's rule, folds drifted up to 1.5e-6 from their refits)
+    floor = GRAM_PIVOT_TOL * (z[un][:, :K] ** 2).sum(axis=0)
+
+    P = periods[1:]
+    diag = np.arange(len(P))
+    out = {}
+    step = max(1, FOLD_CHUNK // max(len(P) ** 2, 1))
+    for lo in range(0, len(folds), step):
+        vs = folds[lo:lo + step]
+        pos = np.full(U, -1)
+        pos[vs] = np.arange(len(vs))
+        own = pos[ui] >= 0
+        slot = pos[ui[own]] * T + ti[own]
+        G_dz_v = np.stack([np.bincount(slot, dev[own, j], len(vs) * T).reshape(-1, T)
+                           for j in range(V)], axis=-1)
+        N_v = N[vs][:, P]
+        A = G_dd[np.ix_(P, P)] + N_v[:, :, None] * N_v[:, None, :] * inv_n[vs, None, None]
+        A[:, diag, diag] -= N_v
+        B = G_dz[P] - G_dz_v[:, P]
+        good = np.linalg.slogdet(A)[0] != 0     # a singular fold is refit
+        Y = np.zeros(B.shape)
+        Y[good] = np.linalg.solve(A[good], B[good])
+        # [covariates | y] within both effects; Gaussian elimination of the
+        # covariate rows meets build_design's pivots in covariate order
+        E = (G_zz_u.sum(axis=0) - G_zz_u[vs] - B.transpose(0, 2, 1) @ Y)[:, :K]
+        piv = np.ones((len(vs), K))
+        for j in range(K):
+            good &= E[:, j, j] > floor[j]
+            piv[:, j] = np.where(good, E[:, j, j], 1.0)
+            f = E[:, j + 1:, j] / piv[:, j, None]
+            E[:, j + 1:, j:] -= f[:, :, None] * E[:, None, j, j:]
+        beta = np.zeros((len(vs), K))
+        for j in reversed(range(K)):
+            rest = (E[:, j, j + 1:K] * beta[:, j + 1:]).sum(axis=1)
+            beta[:, j] = (E[:, j, K] - rest) / piv[:, j]
+        gamma = Y[:, :, K] - np.einsum("ctk,ck->ct", Y[:, :, :K], beta)
+        h_d = H_d[:, P].sum(axis=0) - H_d[vs][:, P]
+        h_z = H_z.sum(axis=0) - H_z[vs]
+        att = ((h_z[:, K] - (h_d * gamma).sum(axis=1) - (h_z[:, :K] * beta).sum(axis=1))
+               / (m.sum() - m[vs]))
+        for v, a in zip(vs[good], att[good]):
+            gone = tuple(int(t) for t in dropped if treated[:, t].sum() > treated[v, t])
+            out[panel.units[v]] = (float(a), gone)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -93,15 +93,15 @@ class PanelDataset:
             raise PanelCauseError(
                 "DUPLICATE_KEY",
                 f"duplicate observation for unit '{self.units[u]}' at time {self.time_labels[t]}")
-        # absorbing policy within unit
-        for u in range(len(self.units)):
-            mask = self.unit_idx == u
-            order = np.argsort(self.time_idx[mask])
-            p = self.policy[mask][order]
-            if len(p) and (np.diff(p.astype(int)) < 0).any():
-                raise PanelCauseError(
-                    "POLICY_REVERSAL",
-                    f"unit '{self.units[u]}' switches policy from 1 back to 0")
+        # absorbing policy within unit: rows by unit, then time; the first
+        # reversal in that order is the lowest-index unit's
+        order = np.lexsort((self.time_idx, self.unit_idx))
+        u = self.unit_idx[order]
+        back = (u[1:] == u[:-1]) & (np.diff(self.policy[order].astype(int)) < 0)
+        if back.any():
+            raise PanelCauseError(
+                "POLICY_REVERSAL",
+                f"unit '{self.units[u[1:][back.argmax()]]}' switches policy from 1 back to 0")
 
     # -- basic shape -------------------------------------------------------
 

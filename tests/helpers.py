@@ -85,3 +85,15 @@ def strip_runtime_columns(blob):
     rows = list(csv.reader(io.StringIO(blob.decode())))
     keep = [i for i, h in enumerate(rows[0]) if "runtime" not in h]
     return "\n".join(",".join(r[i] for i in keep) for r in rows).encode()
+
+
+def with_blank_unit(p):
+    """p plus a never-treated unit "blank", in every period, outcome blank."""
+    T = p.time_count
+    return PanelDataset(
+        p.units + ("blank",), p.time_labels,
+        np.concatenate([p.unit_idx, np.full(T, p.unit_count)]),
+        np.concatenate([p.time_idx, np.arange(T)]),
+        np.concatenate([p.outcome, np.full(T, np.nan)]),
+        np.concatenate([p.policy, np.zeros(T, dtype=np.int8)]),
+        {k: np.concatenate([v, np.zeros(T)]) for k, v in p.covariates.items()})

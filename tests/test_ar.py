@@ -10,7 +10,7 @@ import panelcause as pc
 import panelcause.ar as ar_module
 from panelcause.ar import FP_MAX_ITER, FP_TOL, _grid_refine
 from panelcause.panel import PanelDataset
-from helpers import build_panel
+from helpers import build_panel, with_blank_unit
 from oracles import debiased_ar_path, ols_beta
 
 
@@ -227,6 +227,17 @@ class TestOptions:
         m = len(th)
         want = np.sqrt((m - 1) / m * ((th - th.mean()) ** 2).sum())
         assert est.gamma_se_jackknife == pytest.approx(want, rel=1e-10)
+
+    def test_jackknife_skips_units_without_used_rows(self):
+        # an all-blank unit moved the jackknife SE from 0.616609 to 0.618772
+        config = pc.DgpConfig(12, 8, cohorts={3: 3, 5: 3}, ar_coef=0.5,
+                              effect={"kind": "constant", "delta": 1.0}, seed=4)
+        p, _ = pc.simulate_panel(config, 0)
+        est = pc.fit_debiased_ar(p, jackknife=True)
+        blank = pc.fit_debiased_ar(with_blank_unit(p), jackknife=True)
+        assert blank.gamma == est.gamma
+        assert blank.gamma_se_jackknife == pytest.approx(est.gamma_se_jackknife,
+                                                         abs=1e-12)
 
     def test_config_errors(self):
         p = ar_panel()

@@ -1,10 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import panelcause as pc
-from panelcause.did import NEVER_TREATED, NOT_YET_TREATED
+from panelcause.did import (NEVER_TREATED, NOT_YET_TREATED, _impute_att,
+                            _summed_folds)
 from panelcause.simharness import DgpConfig, simulate_panel
-from helpers import build_panel, linear_paths
+from helpers import build_panel, linear_paths, with_blank_unit
 from oracles import cluster_sandwich, ols_beta, twfe_dummy_fit
 
 
@@ -435,6 +440,24 @@ class TestImputation:
             est = pc.fit_imputation_did(p)
         assert np.isfinite(est.se)
 
+    def test_unit_without_complete_rows_is_not_a_fold(self):
+        # an all-blank unit moved the jackknife SE from 0.418871 to 0.420334
+        config = DgpConfig(12, 8, cohorts={3: 3, 5: 3},
+                           effect={"kind": "constant", "delta": 1.0}, seed=4)
+        p, _ = simulate_panel(config, 0)
+        est = pc.fit_imputation_did(p)
+        blank = pc.fit_imputation_did(with_blank_unit(p))
+        assert blank.att == est.att
+        assert blank.se == pytest.approx(est.se, abs=1e-12)
+
+    def test_dropped_fold_count_excludes_units_without_rows(self):
+        config = DgpConfig(n_units=6, n_periods=8, cohorts={4: 1},
+                           effect={"kind": "constant", "delta": 2.0}, seed=1)
+        p, _ = simulate_panel(config, 0)
+        with pytest.warns(pc.PanelCauseWarning,
+                          match=r"JACKKNIFE_FOLDS_DROPPED: 1 of 6 "):
+            pc.fit_imputation_did(with_blank_unit(p))
+
     def test_disconnected_untreated_design_rejected(self):
         # a and b are seen only before t=4, c and d only from t=4 on, so no
         # untreated row links e's and f's unit effects to periods 4-7
@@ -521,6 +544,178 @@ def test_imputation_pinned_on_unbalanced_panels(seed, with_covariate):
     assert list(est.untreated_coefficients) == list(want["coefficients"])
     for name, value in want["coefficients"].items():
         assert est.untreated_coefficients[name] == pytest.approx(value, abs=1e-10), name
+
+
+# ---------------------------------------------------------------------------
+# imputation jackknife folds read off per-unit sums
+
+
+def panel_from_cells(cells, adopt, T, seed, cov=None):
+    """cells: unit -> observed periods; adopt: unit -> adoption period.
+
+    Two-way outcome with an effect of 1.5, noise, and, given cov(ui, ti, rng),
+    a covariate x with coefficient 0.7.
+    """
+    rng = np.random.default_rng(seed)
+    units = list(cells)
+    rows = [(i, t) for i, u in enumerate(units) for t in cells[u]]
+    ui, ti = np.array(rows).T
+    policy = (ti >= np.array([adopt.get(units[i], T) for i in ui])).astype(int)
+    y = (rng.normal(size=len(units))[ui] + rng.normal(size=T)[ti]
+         + 1.5 * policy + 0.3 * rng.normal(size=len(rows)))
+    covs = None
+    if cov is not None:
+        covs = {"x": cov(ui, ti, rng)}
+        y = y + 0.7 * covs["x"]
+    return pc.PanelDataset(units, list(range(T)), ui, ti, y, policy, covs)
+
+
+def only_cover_panel():
+    # n0 alone is untreated in every period: n1 misses period 0, n2 misses
+    # 0 and 3, and the treated units' pre-periods end by period 3
+    cells = {"n0": range(7), "n1": range(1, 7), "n2": [1, 2, 4, 5, 6],
+             "a0": range(7), "a1": range(7), "b0": range(7),
+             "b1": [0, 1, 3, 4, 5, 6]}
+    return panel_from_cells(cells, {"a0": 2, "a1": 2, "b0": 4, "b1": 4}, 7, 91)
+
+
+def absorbed_cov_panel():
+    # x varies over time only within n0 and is a unit constant elsewhere,
+    # so the fold without n0 absorbs x into the unit effects
+    cells = {u: range(7) for u in ["n0", "n1", "n2", "n3", "a0", "a1", "b0", "b1"]}
+
+    def cov(ui, ti, rng):
+        level = rng.normal(size=ui.max() + 1)
+        return np.where(ui == 0, np.sin(1.3 * ti) + 0.2 * ti, level[ui])
+    return panel_from_cells(cells, {"a0": 2, "a1": 3, "b0": 4, "b1": 5}, 7, 92, cov)
+
+
+def fully_treated_panel():
+    # every unit adopts by period 4, so periods 4 and 5 have no untreated
+    # rows; only a observes period 5, so the fold without a drops period 4 alone
+    cells = {"a": range(6), "b": range(5), "c": range(5), "d": range(5)}
+    return panel_from_cells(cells, {"a": 2, "b": 3, "c": 4, "d": 4}, 6, 93)
+
+
+def assert_folds_match_refits(p, covariates=()):
+    """Each fold read off the sums matches its refit's ATT and warnings.
+
+    Returns the units whose folds were read off the sums.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        coefs = _impute_att(p, covariates, None)[2]
+    summed = _summed_folds(p, covariates, coefs)
+    for u, (att, gone) in summed.items():
+        with warnings.catch_warnings(record=True) as w:
+            warnings.simplefilter("always")
+            want = _impute_att(p, covariates, u)[1]
+        assert att == pytest.approx(want, rel=1e-10, abs=1e-10), u
+        periods = [p.time_labels[t] for t in gone]
+        assert [str(x.message) for x in w] == (
+            [f"UNIDENTIFIED_TIME_FE: periods with no untreated rows, treated "
+             f"cells dropped: {periods}"] if gone else []), u
+    return set(summed)
+
+
+def random_covariate(kind, T, scale):
+    """None, a trending covariate, or one within ``scale`` of unit + period effects."""
+    if kind == "trend":
+        return lambda ui, ti, r: r.normal(size=len(ui)) + 0.3 * ti
+    if kind == "near_absorbed":
+        return lambda ui, ti, r: (r.normal(size=ui.max() + 1)[ui] + r.normal(size=T)[ti]
+                                  + scale * r.normal(size=len(ui)))
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([None, "trend", "near_absorbed"]),
+       st.floats(-5.0, 0.0))
+def test_summed_folds_match_refits(seed, kind, log_scale):
+    rng = np.random.default_rng(seed)
+    U, T = int(rng.integers(4, 11)), int(rng.integers(4, 9))
+    units = [f"u{i}" for i in range(U)]
+    adopt = {u: int(rng.integers(1, T)) for u in units[int(rng.integers(0, 3)):]}
+    cells = {u: [t for t in range(T) if rng.random() >= 0.15] for u in units}
+    p = panel_from_cells(cells, adopt, T, seed, random_covariate(kind, T, 10 ** log_scale))
+    covariates = ("x",) if kind else ()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _impute_att(p, covariates, None)
+    except pc.PanelCauseError:
+        assume(False)
+    assert_folds_match_refits(p, covariates)
+
+
+def test_only_covering_unit_is_refit():
+    p = only_cover_panel()
+    assert assert_folds_match_refits(p) == set(p.units) - {"n0"}
+    est = pc.fit_imputation_did(p)       # recorded before the summed folds
+    assert est.att == pytest.approx(1.311259267315562, abs=1e-10)
+    assert est.se == pytest.approx(0.27228079890044304, abs=1e-10)
+
+
+def test_single_treated_unit_fold_is_refit():
+    config = DgpConfig(n_units=6, n_periods=8, cohorts={4: 1},
+                       effect={"kind": "constant", "delta": 2.0}, seed=1)
+    p, _ = simulate_panel(config, 0)
+    treated = set(pc.derive_adoption(p).treated_units)
+    assert assert_folds_match_refits(p) == set(p.units) - treated
+    with warnings.catch_warnings(record=True) as w:
+        warnings.simplefilter("always")
+        est = pc.fit_imputation_did(p)
+    # recorded before the summed folds
+    assert [str(x.message) for x in w] == [
+        "JACKKNIFE_FOLDS_DROPPED: 1 of 6 jackknife folds raised and were left "
+        "out (first: NO_VARIATION)"]
+    assert est.se == pytest.approx(0.23895364023219148, abs=1e-10)
+
+
+def test_covariate_absorbed_in_one_fold_is_refit():
+    p = absorbed_cov_panel()
+    assert assert_folds_match_refits(p, ("x",)) == set(p.units) - {"n0"}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert "x" not in _impute_att(p, ("x",), "n0")[2]
+    est = pc.fit_imputation_did(p, covariates=("x",))
+    assert est.att == pytest.approx(1.502561892864613, abs=1e-10)
+    assert est.se == pytest.approx(0.17988387572222808, abs=1e-10)
+
+
+def test_fully_treated_period_warnings_unchanged():
+    p = fully_treated_panel()
+    assert assert_folds_match_refits(p) == set(p.units)
+    with warnings.catch_warnings(record=True) as w:
+        warnings.simplefilter("always")
+        est = pc.fit_imputation_did(p)
+    # recorded before the summed folds: the main fit's, then each fold's
+    assert [str(x.message) for x in w] == [
+        f"UNIDENTIFIED_TIME_FE: periods with no untreated rows, treated cells "
+        f"dropped: {periods}" for periods in ([4, 5], [4], [4, 5], [4, 5], [4, 5])]
+    assert est.att == pytest.approx(1.092944513224637, abs=1e-10)
+    assert est.se == pytest.approx(0.1562073990938014, abs=1e-10)
+
+
+def shifted_outcome(p, a, c):
+    return pc.PanelDataset(p.units, p.time_labels, p.unit_idx, p.time_idx,
+                           a * p.outcome + c, p.policy, p.covariates)
+
+
+@pytest.mark.parametrize("make,covariates", [
+    (lambda: thinned_panel(5, False), ()), (lambda: thinned_panel(6, True), ("x",)),
+    (only_cover_panel, ()), (absorbed_cov_panel, ("x",)), (fully_treated_panel, ())])
+def test_imputation_outcome_shift_and_scale(make, covariates):
+    p = make()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        base = pc.fit_imputation_did(p, covariates=covariates)
+        shifted = pc.fit_imputation_did(shifted_outcome(p, 1.0, 1e3), covariates=covariates)
+        scaled = pc.fit_imputation_did(shifted_outcome(p, -3.0, 0.0), covariates=covariates)
+    assert shifted.att == pytest.approx(base.att, abs=1e-9)
+    assert shifted.se == pytest.approx(base.se, abs=1e-9)
+    assert scaled.att == pytest.approx(-3.0 * base.att, rel=1e-9)
+    assert scaled.se == pytest.approx(3.0 * base.se, rel=1e-9)
 
 
 def random_staggered(rng, max_cohorts=3):

@@ -74,6 +74,19 @@ class TestLoad:
                 "a,1,1.0,1\na,2,1.0,0\n")
         assert err_code(load, text) == "POLICY_REVERSAL"
 
+    def test_first_reversing_unit_named(self):
+        # b and d switch back to 0, rows shuffled; message recorded from the
+        # per-unit loop this check replaced
+        units = ["a", "b", "c", "d"]
+        pol = {"a": [0, 0, 1, 1], "b": [0, 1, 0, 1], "c": [0, 0, 0, 0],
+               "d": [1, 1, 0, 0]}
+        rows = [(i, t, pol[u][t]) for i, u in enumerate(units) for t in range(4)]
+        ui, ti, policy = np.array(rows)[np.random.default_rng(5).permutation(16)].T
+        with pytest.raises(pc.PanelCauseError) as ei:
+            pc.PanelDataset(units, range(4), ui, ti, np.zeros(16), policy)
+        assert str(ei.value) == ("POLICY_REVERSAL: unit 'b' switches policy "
+                                 "from 1 back to 0")
+
     def test_fractional_time_rejected(self):
         assert err_code(load, CSV.replace("a,2000", "a,2000.5", 1)) == \
             "UNPARSEABLE_CELL"

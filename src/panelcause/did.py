@@ -208,8 +208,11 @@ def fit_event_study(panel: PanelDataset, covariates=(), leads: int | None = None
                 f"lead variances are at most {v_max:.3g}, at rounding level "
                 f"against the outcome variance {scale:.3g}; no pre-trend test")))
         else:
-            stat = float(b @ np.linalg.pinv(V) @ b)
-            df = int(np.linalg.matrix_rank(V))
+            # one eigh: stat and df count the eigenvalues above len(V)·eps·max
+            w, U = np.linalg.eigh(V)
+            on = w > len(w) * np.finfo(float).eps * w.max()
+            stat = float(((U[:, on].T @ b) ** 2 / w[on]).sum())
+            df = int(on.sum())
             pre = (stat, df, chi2_sf(stat, df))
 
     return EventStudyEstimate(coeffs, -1, pre[0], pre[1], pre[2],

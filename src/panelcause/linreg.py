@@ -1,12 +1,12 @@
 """Shared least-squares machinery.
 
 Design-matrix assembly with deterministic collinearity handling (one
-Householder QR), OLS via orthogonal decomposition, exact unit or two-way
-fixed effects and the within regression built on them, the unit–period
-connectivity they rest on, the cluster-robust sandwich, the delete-one
-jackknife, and the normal and chi-square tails. All pure functions;
-estimator modules own the modelling choices. numpy and the standard
-library are the only dependencies.
+Householder QR, the design's only factorisation), OLS and the
+cluster-robust sandwich read off that QR, exact unit or two-way fixed
+effects and the within regression built on them, the unit–period
+connectivity they rest on, the delete-one jackknife, and the normal and
+chi-square tails. All pure functions; estimator modules own the modelling
+choices. numpy and the standard library are the only dependencies.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ PIVOT_TOL = 1e-10
 class DesignMatrix:
     data: np.ndarray                  # n × k, full column rank after drops
     column_names: list
+    qr: tuple                         # thin (Q, R) of data: Q n × k, R k × k
     dropped_columns: list = field(default_factory=list)  # (name, reason) pairs
 
 
@@ -58,7 +59,7 @@ def build_design(columns, add_intercept: bool = True,
     dropped = [(j, "zero column") for j in np.flatnonzero(norms == 0.0)]
     keep = np.flatnonzero(norms > 0.0)
     while len(keep):
-        R = np.linalg.qr(A[:, keep], mode="r")
+        Q, R = np.linalg.qr(A[:, keep])
         fail = np.abs(np.diagonal(R)) <= pivot_tol * norms[keep[:len(R)]]
         if not fail.any():
             break
@@ -66,10 +67,10 @@ def build_design(columns, add_intercept: bool = True,
         dropped.append((keep[j], "collinear with earlier columns"))
         keep = np.delete(keep, j)
     dropped += [(j, "collinear with earlier columns") for j in keep[n:]]
-    keep = keep[:n]
     if not len(keep):
         raise PanelCauseError("RANK_ZERO", "all columns dropped as zero/collinear")
-    return DesignMatrix(A[:, keep], [items[j][0] for j in keep],
+    keep, R = keep[:n], R[:, :n]
+    return DesignMatrix(A[:, keep], [items[j][0] for j in keep], (Q, R),
                         [(items[j][0], why) for j, why in sorted(dropped)])
 
 
@@ -115,14 +116,15 @@ def ols_fit(X: DesignMatrix, y, clusters, extra_dof: int = 0) -> FitResult:
     heteroskedasticity-robust (HC1-style) errors. ``extra_dof`` counts
     parameters absorbed out of the design (fixed effects) so the
     small-sample factor matches the equivalent dummy regression.
+
+    All of it comes from the design's thin QR, X = QR: β = R⁻¹Qᵀy, the fitted
+    values Q(Qᵀy), the bread (XᵀX)⁻¹ = R⁻¹R⁻ᵀ and the sandwich c·WWᵀ, with
+    W = R⁻¹S_Qᵀ and S_Q the cluster sums of the scores Q_i·e_i: bread·meat·
+    bread in the Q basis, a sum of squares, so symmetric and PSD as formed.
     """
     y = np.asarray(y, dtype=float)
-    A = X.data
-    n, k = A.shape
-    beta, *_ = np.linalg.lstsq(A, y, rcond=None)
-    fitted = A @ beta
-    resid = y - fitted
-
+    Q, R = X.qr
+    n, k = Q.shape
     labels = np.asarray(clusters)
     _, cluster_idx = np.unique(labels, return_inverse=True)
     G = int(cluster_idx.max()) + 1 if len(labels) else 0
@@ -130,20 +132,19 @@ def ols_fit(X: DesignMatrix, y, clusters, extra_dof: int = 0) -> FitResult:
         raise PanelCauseError("FEWER_CLUSTERS_THAN_TWO",
                               f"cluster-robust variance needs ≥2 clusters, got {G}")
 
-    xtx_inv = np.linalg.pinv(A.T @ A)
-    # meat: sum over clusters of (X_g' e_g)(X_g' e_g)'
-    scores = A * resid[:, None]
+    qty = Q.T @ y
+    r_inv = np.linalg.inv(R)
+    beta = r_inv @ qty
+    fitted = Q @ qty
+    resid = y - fitted
     S = np.zeros((G, k))
-    np.add.at(S, cluster_idx, scores)
-    meat = S.T @ S
-    k_eff = k + extra_dof
-    c = (G / (G - 1)) * ((n - 1) / max(n - k_eff, 1))
-    V = c * xtx_inv @ meat @ xtx_inv
-    V = (V + V.T) / 2
+    np.add.at(S, cluster_idx, Q * resid[:, None])
+    W = r_inv @ S.T
+    c = (G / (G - 1)) * ((n - 1) / max(n - k - extra_dof, 1))
 
     coefs = dict(zip(X.column_names, beta.tolist()))
-    return FitResult(coefs, V, list(X.column_names), resid, fitted,
-                     n, k, G, list(X.dropped_columns), xtx_inv)
+    return FitResult(coefs, c * (W @ W.T), list(X.column_names), resid, fitted,
+                     n, k, G, list(X.dropped_columns), r_inv @ r_inv.T)
 
 
 def two_way_effects(unit_idx, time_idx, columns):

@@ -36,6 +36,29 @@ def cluster_sandwich(X, y, clusters, extra_dof=0):
     return beta, c * bread @ meat @ bread
 
 
+def fwl_cluster_se(others, col, y, clusters, extra_dof=0):
+    """Cluster-robust and model SE of one column's coefficient, by Frisch–Waugh–Lovell.
+
+    ``others`` (n × m) holds the remaining, well-conditioned columns; lstsq
+    on them alone gives col's residual r and y's residual u, so a column
+    nearly collinear with them is never factored with them. The full
+    residual is e = u − r·(rᵀu)/(rᵀr). Returns (c^½·‖s‖/(rᵀr), s_e/‖r‖),
+    where s_g = Σ_{i∈g} r_i e_i over cluster g, c is the CR0 small-sample
+    factor of a k = m + 1 column design and s_e² = eᵀe/(n − k).
+    """
+    F = np.asarray(others, dtype=float)
+    r = col - F @ np.linalg.lstsq(F, col, rcond=None)[0]
+    u = y - F @ np.linalg.lstsq(F, y, rcond=None)[0]
+    rr = r @ r
+    e = u - r * (r @ u) / rr
+    n, k = len(y), F.shape[1] + 1
+    labels = sorted(set(clusters.tolist()))
+    s = np.array([r[clusters == g] @ e[clusters == g] for g in labels])
+    G = len(labels)
+    c = (G / (G - 1)) * ((n - 1) / max(n - k - extra_dof, 1))
+    return np.sqrt(c) * np.linalg.norm(s) / rr, np.sqrt(e @ e / (n - k) / rr)
+
+
 def gram_schmidt_design(columns, add_intercept=True, pivot_tol=1e-10):
     """Kept names and (name, reason) drops of a column-by-column scan.
 

@@ -10,8 +10,8 @@ from panelcause.linreg import (INTERCEPT, PIVOT_TOL, build_design, ols_fit,
                                absorb_fixed_effects, chi2_sf, normal_p,
                                normal_ci, unit_period_components)
 from oracles import (bipartite_components, chi2_upper_tail, cluster_sandwich,
-                     gram_schmidt_design, normal_quantile, normal_two_sided_p,
-                     ols_beta, twfe_dummy_fit)
+                     fwl_cluster_se, gram_schmidt_design, normal_quantile,
+                     normal_two_sided_p, ols_beta, twfe_dummy_fit)
 from helpers import build_panel
 
 
@@ -376,3 +376,25 @@ def test_ols_matches_oracle_property(seed, k):
     got = np.array([fit.coefficients[nm] for nm in X.column_names])
     np.testing.assert_allclose(got, ref_beta, atol=1e-8)
     np.testing.assert_allclose(fit.vcov, ref_V, atol=1e-8)
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-7, 1e-8, 1e-9])
+def test_near_collinear_kept_column_se_matches_fwl(eps):
+    # z = x + eps·noise has a residual ratio of about eps on [1, x], above
+    # PIVOT_TOL, so the design keeps it and its SEs must be its own: the
+    # Frisch–Waugh oracle never factors z together with x
+    rng = np.random.default_rng(7)
+    n = 200
+    x, noise = rng.normal(size=n), rng.normal(size=n)
+    clusters = np.arange(n) % 20
+    y = 1.0 + 2.0 * x + rng.normal(size=n) * (1.0 + np.abs(x))
+    z = x + eps * noise
+    X = build_design([("x", x), ("z", z)])
+    assert X.column_names == [INTERCEPT, "x", "z"]
+    fit = ols_fit(X, y, clusters)
+    se, model_se = fwl_cluster_se(np.column_stack([np.ones(n), x]), z, y, clusters)
+    assert fit.se("z") == pytest.approx(se, rel=1e-6)
+    assert fit.model_se("z") == pytest.approx(model_se, rel=1e-6)
+    np.testing.assert_array_equal(fit.vcov, fit.vcov.T)
+    eig = np.linalg.eigvalsh(fit.vcov)
+    assert eig.min() >= -1e-12 * eig.max()

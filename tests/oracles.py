@@ -6,11 +6,16 @@ instead of demeaning, exhaustive grid enumeration instead of projected
 gradient), so agreement is evidence, not tautology.
 """
 
+import csv
+import math
+
 import numpy as np
 from scipy import stats
 from scipy.optimize import nnls
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
+
+from panelcause import ColumnSpec, PanelCauseError, PanelDataset
 
 
 def ols_beta(X, y):
@@ -325,3 +330,154 @@ def debiased_ar_path(y, pol, lag_y, lag_p, fixed, tol, max_iter):
         if abs(path[-1] - g) <= tol or not np.any(lag_p):
             break
     return path
+
+
+# ---------------------------------------------------------------------------
+# panel CSV input and output
+
+
+def _parse_number(text, where):
+    try:
+        v = float(text)
+    except ValueError:
+        raise PanelCauseError("UNPARSEABLE_CELL",
+                              f"cannot parse '{text}' as a number at {where}") from None
+    if not math.isfinite(v):
+        raise PanelCauseError("UNPARSEABLE_CELL", f"non-finite value at {where}")
+    return v
+
+
+def row_load_panel(source, spec=ColumnSpec()):
+    """The record-by-record loader that ``panel.load_panel`` replaced.
+
+    Each record is parsed role by role; an auto-detected covariate column is
+    dropped at the end if any cell failed to parse. Rows are numbered after
+    blank records are dropped, and an empty unit field is a unit named "".
+    """
+    own = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
+    fh = open(source, "r", newline="") if own else source
+    try:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise PanelCauseError("NO_ROWS", "input file is empty") from None
+        header = [h.strip() for h in header]
+        col = {name: i for i, name in enumerate(header)}
+        for role in ("unit", "time", "outcome", "policy"):
+            name = getattr(spec, role)
+            if name not in col:
+                raise PanelCauseError("CONFIG_ERROR",
+                                      f"mapped {role} column '{name}' not in header {header}")
+        reserved = {spec.unit, spec.time, spec.outcome, spec.policy}
+        if spec.covariates is not None:
+            for name in spec.covariates:
+                if name not in col:
+                    raise PanelCauseError("CONFIG_ERROR",
+                                          f"covariate column '{name}' not in header")
+            cov_names = [c for c in spec.covariates if c not in reserved]
+        else:
+            cov_names = [c for c in header if c not in reserved]
+
+        raw = list(reader)
+        raw = [r for r in raw if any(f.strip() for f in r)]
+        if not raw:
+            raise PanelCauseError("NO_ROWS", "no data rows in input")
+
+        units: list = []
+        unit_pos: dict = {}
+        u_idx, labels_raw, outcome, policy = [], [], [], []
+        cov_vals = {c: [] for c in cov_names}
+        cov_numeric = {c: True for c in cov_names}
+        for lineno, row in enumerate(raw, start=2):
+            if len(row) < len(header):
+                row = row + [""] * (len(header) - len(row))
+            unit = row[col[spec.unit]].strip()
+            if unit not in unit_pos:
+                unit_pos[unit] = len(units)
+                units.append(unit)
+            u_idx.append(unit_pos[unit])
+
+            where = f"row {lineno}, column '{spec.time}'"
+            tval = _parse_number(row[col[spec.time]].strip(), where)
+            if tval != int(tval):
+                raise PanelCauseError("UNPARSEABLE_CELL",
+                                      f"time '{tval}' is not an integer at {where}")
+            labels_raw.append(int(tval))
+
+            ytxt = row[col[spec.outcome]].strip()
+            outcome.append(np.nan if ytxt == "" else _parse_number(
+                ytxt, f"row {lineno}, column '{spec.outcome}'"))
+
+            ptxt = row[col[spec.policy]].strip()
+            if ptxt == "":
+                raise PanelCauseError("UNPARSEABLE_CELL",
+                                      f"empty policy field at row {lineno}")
+            pval = _parse_number(ptxt, f"row {lineno}, column '{spec.policy}'")
+            if pval not in (0.0, 1.0):
+                raise PanelCauseError("NON_BINARY_POLICY",
+                                      f"policy value {pval} at row {lineno} is not 0/1")
+            policy.append(int(pval))
+
+            for c in cov_names:
+                txt = row[col[c]].strip()
+                if txt == "":
+                    cov_vals[c].append(np.nan)
+                    continue
+                if spec.covariates is None:
+                    # auto mode: any non-numeric value disqualifies the column
+                    try:
+                        v = float(txt)
+                    except ValueError:
+                        cov_numeric[c] = False
+                        cov_vals[c].append(np.nan)
+                        continue
+                    if not math.isfinite(v):
+                        cov_numeric[c] = False
+                        v = np.nan
+                    cov_vals[c].append(v)
+                else:
+                    cov_vals[c].append(_parse_number(
+                        txt, f"row {lineno}, column '{c}'"))
+    finally:
+        if own:
+            fh.close()
+
+    cov_names = [c for c in cov_names if cov_numeric[c]]
+
+    # normalize the time axis: arithmetic grid from min..max at the gcd step
+    distinct = sorted(set(labels_raw))
+    if len(distinct) > 1:
+        step = 0
+        for a, b in zip(distinct, distinct[1:]):
+            step = math.gcd(step, b - a)
+    else:
+        step = 1
+    time_labels = list(range(distinct[0], distinct[-1] + step, step))
+    t_idx = [(lab - distinct[0]) // step for lab in labels_raw]
+
+    return PanelDataset(units, time_labels, u_idx, t_idx, outcome, policy,
+                        {c: cov_vals[c] for c in cov_names})
+
+
+def row_write_csv(panel, dest):
+    """The row-by-row ``PanelDataset.write_csv`` that the column writer replaced."""
+    own = isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__")
+    fh = open(dest, "w", newline="") if own else dest
+    try:
+        w = csv.writer(fh)
+        names = list(panel.covariates)
+        w.writerow(["unit", "time", "outcome", "policy"] + names)
+        for i in range(panel.n_rows):
+            y = panel.outcome[i]
+            row = [panel.units[panel.unit_idx[i]],
+                   panel.time_labels[panel.time_idx[i]],
+                   "" if math.isnan(y) else repr(float(y)),
+                   int(panel.policy[i])]
+            for name in names:
+                v = panel.covariates[name][i]
+                row.append("" if math.isnan(v) else repr(float(v)))
+            w.writerow(row)
+    finally:
+        if own:
+            fh.close()

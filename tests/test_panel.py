@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import panelcause as pc
 from helpers import COHORT_PLAN, CASE_SPEC, build_panel
+from oracles import row_load_panel, row_write_csv
 
 CSV = """unit,time,outcome,policy
 a,2000,1.0,0
@@ -24,6 +26,100 @@ def err_code(fn, *args, **kw):
     with pytest.raises(pc.PanelCauseError) as ei:
         fn(*args, **kw)
     return ei.value.code
+
+
+def attempt(loader, text, spec):
+    try:
+        return loader(io.StringIO(text), spec)
+    except pc.PanelCauseError as e:
+        return str(e)
+
+
+def assert_same_panel(a, b):
+    assert a.units == b.units
+    assert a.time_labels == b.time_labels
+    assert all(type(t) is int for t in a.time_labels)
+    for name in ("unit_idx", "time_idx", "policy", "outcome"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    assert a.outcome.tobytes() == b.outcome.tobytes()
+    assert list(a.covariates) == list(b.covariates)
+    for name, x in a.covariates.items():
+        np.testing.assert_array_equal(x, b.covariates[name])
+        assert x.tobytes() == b.covariates[name].tobytes()
+
+
+CELLS = st.one_of(st.just(""), st.integers(-5, 5).map(str),
+                  st.floats(-1e3, 1e3).map(repr))
+VALUES = st.one_of(st.just(math.nan), st.floats(allow_nan=False, allow_infinity=False))
+UNIT_IDS = st.text('ab,"x ', min_size=1, max_size=4).filter(lambda s: s == s.strip() != "")
+
+
+@st.composite
+def panels(draw):
+    """Panels whose every unit and period has a row, NaN cells included."""
+    ids = draw(st.lists(UNIT_IDS, min_size=1, max_size=4, unique=True))
+    T, step, base = draw(st.integers(1, 6)), draw(st.integers(1, 5)), draw(st.integers(-30, 30))
+    names = draw(st.lists(st.sampled_from(["x", "pop", "a b", "x,y"]), max_size=2, unique=True))
+    ui, ti, policy = [], [], []
+    for u in range(len(ids)):
+        ts = range(T) if u == 0 else draw(
+            st.lists(st.integers(0, T - 1), min_size=1, max_size=T, unique=True))
+        adopt = draw(st.integers(0, T))
+        ui += [u] * len(ts)
+        ti += list(ts)
+        policy += [int(t >= adopt) for t in ts]
+    n = len(ui)
+    columns = {k: draw(st.lists(VALUES, min_size=n, max_size=n)) for k in ["outcome"] + names}
+    return pc.PanelDataset(ids, range(base, base + step * T, step), ui, ti,
+                           columns.pop("outcome"), policy, columns)
+
+
+PAD = st.sampled_from(["", " ", "  ", "\t"])
+BAD = {"time": ["x", "2.5", "inf", "nan", ""], "outcome": ["oops", "inf", "-inf", "nan"],
+       "policy": ["2", "", "yes", "0.5", "-1", "inf"], "x": ["red", "inf", "nan", "1,5"]}
+
+
+@st.composite
+def csv_texts(draw):
+    """(CSV text, ColumnSpec): quoted and padded fields, short and overlong
+    records, gapped negative time labels, auto or named covariates and up to
+    three bad cells, but no blank records and no empty unit fields."""
+    def field(text):
+        left, right = draw(PAD), draw(PAD)
+        if "," in text or '"' in text:
+            return '"' + left + text.replace('"', '""') + right + '"'
+        return left + text + right
+
+    extras = [f"x{j}" for j in range(draw(st.integers(0, 2)))]
+    header = draw(st.permutations(["unit", "time", "outcome", "policy"] + extras))
+    step, base = draw(st.integers(1, 5)), draw(st.integers(-20, 20))
+    records = []
+    for u in draw(st.lists(UNIT_IDS, min_size=1, max_size=4, unique=True)):
+        adopt = draw(st.integers(0, 8))
+        for k in draw(st.lists(st.integers(0, 7), min_size=1, max_size=5, unique=True)):
+            t = base + step * k
+            rec = {"unit": u, "time": draw(st.sampled_from([str(t), f"{t}.0", f"{t}e0"])),
+                   "outcome": draw(CELLS),
+                   "policy": draw(st.sampled_from(["{}", "{}.0"])).format(int(k >= adopt))}
+            records.append(rec | {x: draw(CELLS) for x in extras})
+    records = draw(st.permutations(records))
+    for _ in range(draw(st.integers(0, 3))):
+        role = draw(st.sampled_from(["time", "outcome", "policy"] + extras))
+        # bad cells go to the first three records, so that they often share one
+        records[draw(st.integers(0, min(len(records), 3) - 1))][role] = \
+            draw(st.sampled_from(BAD.get(role, BAD["x"])))
+    lines = [",".join(field(h) for h in header)]
+    for rec in records:
+        fields = [field(rec[h]) for h in header]
+        shape = draw(st.sampled_from(["full"] * 4 + ["short", "long"]))
+        if shape == "short":
+            fields = fields[:draw(st.integers(header.index("unit") + 1, len(header)))]
+        elif shape == "long":
+            fields += ["z", " 1"][:draw(st.integers(1, 2))]
+        lines.append(",".join(fields))
+    covariates = draw(st.one_of(st.none(), st.just(tuple(extras)), st.lists(
+        st.sampled_from(extras + ["outcome"]), unique=True).map(tuple)))
+    return "\n".join(lines) + "\n", pc.ColumnSpec(covariates=covariates)
 
 
 class TestLoad:
@@ -111,15 +207,43 @@ class TestLoad:
         # the never-observed 2002 column is all-missing in the dense grid
         assert np.isnan(p.outcome_matrix()[0, 1])
 
-    def test_roundtrip_write_read(self, tmp_path):
-        p = load(CSV.replace("1.8", ""))  # include a missing cell
-        dest = tmp_path / "out.csv"
-        p.write_csv(str(dest))
-        p2 = pc.load_panel(str(dest))
-        assert p2.units == p.units
-        assert p2.time_labels == p.time_labels
-        np.testing.assert_array_equal(p2.policy, p.policy)
-        np.testing.assert_allclose(p2.outcome, p.outcome, equal_nan=True)
+    def test_row_numbers_count_blank_records(self):
+        text = "unit,time,outcome,policy\na,1,1.0,0\n\n\n,,,\na,2,oops,0\n"
+        with pytest.raises(pc.PanelCauseError) as ei:
+            load(text)
+        assert str(ei.value) == ("UNPARSEABLE_CELL: cannot parse 'oops' as a "
+                                 "number at row 6, column 'outcome'")
+
+    def test_blank_records_before_header_skipped(self):
+        p = load("\n , \nunit,time,outcome,policy\na,1,1.0,0\n")
+        assert p.units == ("a",) and p.time_labels == (1,)
+
+    def test_empty_unit_rejected(self):
+        with pytest.raises(pc.PanelCauseError) as ei:
+            load("unit,time,outcome,policy\na,1,1.0,0\n,1,2.0,0\n")
+        assert str(ei.value) == "UNPARSEABLE_CELL: empty unit field at row 3"
+
+    @settings(max_examples=100, deadline=None)
+    @given(panels())
+    def test_roundtrip_write_read(self, p):
+        """write_csv matches the row writer byte for byte and reads back exactly."""
+        out, ref = io.StringIO(), io.StringIO()
+        p.write_csv(out)
+        row_write_csv(p, ref)
+        assert out.getvalue() == ref.getvalue()
+        assert_same_panel(pc.load_panel(io.StringIO(out.getvalue())), p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(csv_texts())
+    def test_matches_row_loader(self, case):
+        """Same panel, or the same error, as the record-by-record loader."""
+        text, spec = case
+        new, old = (attempt(f, text, spec) for f in (pc.load_panel, row_load_panel))
+        assert type(new) is type(old)
+        if isinstance(old, str):
+            assert new == old
+        else:
+            assert_same_panel(new, old)
 
 
 class TestAdoption:

@@ -26,8 +26,7 @@ from .panel import (NEVER, AdoptionSchedule, BalanceReport, ColumnSpec,
                     derive_adoption, load_panel)
 from .scm import (PlaceboResult, ScmEstimate, ScmWeights,
                   StaggeredAscmEstimate, fit_ascm, fit_scm,
-                  fit_staggered_ascm, placebo_inference, project_simplex,
-                  solve_simplex_lsq)
+                  fit_staggered_ascm, placebo_inference, solve_simplex_lsq)
 from .simharness import (DgpConfig, SimMetrics, TruthRecord, evaluate,
                          simulate_panel)
 
@@ -48,6 +47,6 @@ __all__ = [
     "derive_adoption", "load_panel",
     "PlaceboResult", "ScmEstimate", "ScmWeights", "StaggeredAscmEstimate",
     "fit_ascm", "fit_scm", "fit_staggered_ascm", "placebo_inference",
-    "project_simplex", "solve_simplex_lsq",
+    "solve_simplex_lsq",
     "DgpConfig", "SimMetrics", "TruthRecord", "evaluate", "simulate_panel",
 ]

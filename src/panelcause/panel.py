@@ -259,18 +259,18 @@ def load_panel(source, spec: ColumnSpec = ColumnSpec()) -> PanelDataset:
     """Read a header-bearing CSV into a validated PanelDataset.
 
     ``source`` may be a path or an open text stream. Blank records are
-    skipped, whitespace around fields is ignored and short records are
-    padded with blank fields. Unit, time and policy must be present in every
-    record; a blank outcome or covariate field is a missing cell. With
-    ``spec.covariates=None`` every other column whose non-blank fields are
-    all finite numbers is a covariate. Errors give the record's number in
-    the file, blank records included: the header is row 1 unless blank
-    records precede it.
+    skipped, whitespace around fields (spaces before an opening quote too)
+    is ignored and short records are padded with blank fields. Unit, time
+    and policy must be present in every record; a blank outcome or
+    covariate field is a missing cell. With ``spec.covariates=None`` every
+    other column whose non-blank fields are all finite numbers is a
+    covariate. Errors give the record's number in the file, blank records
+    included: the header is row 1 unless blank records precede it.
     """
     own = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
     fh = open(source, "r", newline="") if own else source
     try:
-        records = [(n, r) for n, r in enumerate(csv.reader(fh), 1)
+        records = [(n, r) for n, r in enumerate(csv.reader(fh, skipinitialspace=True), 1)
                    if any(map(str.strip, r))]
     finally:
         if own:

@@ -3,11 +3,11 @@
 Classic SCM solves a simplex-constrained least-squares match of the treated
 unit's pre-period trajectory (plus optional covariate pre-means) to a
 weighted combination of donors, via an exact forward active-set solver
-with accelerated projected gradient as its fallback. The augmented variant
-adds a ridge correction for any remaining pre-period imbalance (sign-free
-weights that still sum to one), and the staggered variant fits one
-synthetic control per adoption cohort under a partially pooled objective.
-Inference for a single treated unit is by in-space placebo permutation.
+certified by its Frank-Wolfe gap. The augmented variant adds a ridge
+correction for any remaining pre-period imbalance (sign-free weights that
+still sum to one), and the staggered variant fits one synthetic control per
+adoption cohort under a partially pooled objective. Inference for a single
+treated unit is by in-space placebo permutation.
 """
 
 from __future__ import annotations
@@ -74,16 +74,6 @@ class StaggeredAscmEstimate:
 # simplex-constrained least squares
 
 
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {w : w >= 0, sum w = 1} (sort-based)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    j = np.arange(1, len(v) + 1)
-    rho = np.nonzero(u + (1.0 - css) / j > 0)[0][-1]
-    theta = (1.0 - css[rho]) / (rho + 1.0)
-    return np.maximum(v + theta, 0.0)
-
-
 def _gap_terms(w, g, blocks):
     """Per-block Frank-Wolfe gap w·g - min g; nonnegative on the simplex, so
     rounding below zero is clipped and a zero tolerance stays unattainable."""
@@ -108,68 +98,112 @@ def _kkt_solve(AtA, Atb, idx, blk):
     return z if np.isfinite(z).all() else None
 
 
-def _active_set_polish(AtA, Atb, w_start, blocks, tol_gap):
-    """Exact minimiser by a forward active set, Lawson–Hanson style.
-
-    w_start must be the minimiser restricted to its own support, for
-    example a vertex of each block. Each round admits the coordinate whose
-    gradient most undercuts the weighted mean gradient of its block (the
-    block's largest Frank-Wolfe gap term) and solves the equality-
-    constrained least squares on the support from its KKT system. When
-    that solution leaves the simplex, the weights step back to the last
-    feasible point on the segment towards it and the coordinates that
-    reached zero leave the support. The support stays near rank + blocks,
-    so each KKT system is small and, in exact arithmetic, nonsingular.
-    Returns the weights once the Frank-Wolfe gap is below tol_gap, or None
-    when a system is singular or the round budget runs out (degenerate
-    geometry); the caller then falls back to the iterative solution.
-    """
-    k = len(w_start)
-    blk_of = np.empty(k, dtype=int)
-    for j, s in enumerate(blocks):
-        blk_of[s] = j
-    w = w_start.copy()
-    support = np.flatnonzero(w > 0)
-    for _ in range(2 * k + 10):
-        g = 2.0 * (AtA @ w - Atb)
-        terms = _gap_terms(w, g, blocks)
-        if sum(terms) < tol_gap:
+def _admit(AtA, Atb, w, new, blk_of):
+    """One active-set round: coordinate new joins w's support and the weights
+    move to the minimiser on it, stepping back to the simplex (dropping the
+    coordinates that reach zero) while it lies outside. None when rounding
+    stops the round: a singular KKT system, or new cannot enter."""
+    support = np.sort(np.append(w.nonzero()[0], new))
+    while True:
+        z = _kkt_solve(AtA, Atb, support, blk_of[support])
+        if z is None:
+            return None
+        out = z <= 0
+        if not out.any():
+            w = np.zeros(len(w))
+            w[support] = z
             return w
-        s = blocks[int(np.argmax(terms))]
-        new = s.start + int(np.argmin(g[s]))
-        if w[new] > 0:
-            return None          # rounding: the restricted optimum is stale
-        support = np.sort(np.append(support, new))
-        while True:
-            z = _kkt_solve(AtA, Atb, support, blk_of[support])
-            if z is None:
-                return None
-            out = z <= 0
-            if not out.any():
-                w = np.zeros(k)
-                w[support] = z
-                break
-            # step back: the farthest feasible point on the segment to z
-            ws = w[support]
-            ratio = ws[out] / (ws[out] - z[out])
-            if ratio.min() <= 0:
-                return None      # rounding: the admitted coordinate cannot enter
-            ws = ws + ratio.min() * (z - ws)
-            ws[np.flatnonzero(out)[np.argmin(ratio)]] = 0.0
-            keep = ws > 0
-            w = np.zeros(k)
-            w[support[keep]] = ws[keep]
-            support = support[keep]
-    return None
+        # step back: the farthest feasible point on the segment to z
+        ws = w[support]
+        if (ws[out] == 0).any():
+            return None
+        ratio = ws[out] / (ws[out] - z[out])
+        ws = ws + ratio.min() * (z - ws)
+        ws[np.flatnonzero(out)[np.argmin(ratio)]] = 0.0
+        keep = ws > 0
+        w = np.zeros(len(w))
+        w[support[keep]] = ws[keep]
+        support = support[keep]
 
 
 def _vertex(scores, blocks):
     """The point with weight one on the highest score of each block: a
-    feasible start for _active_set_polish, optimal on its own support."""
+    feasible start for an active-set pass, optimal on its own support."""
     v = np.zeros(len(scores))
     for s in blocks:
         v[s.start + int(np.argmax(scores[s]))] = 1.0
     return v
+
+
+def _active_set_polish(AtA, Atb, blocks, tol_gap, max_iter):
+    """Exact minimiser by a forward active set (Lawson & Hanson 1974, ch. 23).
+
+    Each round admits the coordinate whose gradient most undercuts its
+    block's weighted mean (the largest Frank-Wolfe gap term). In exact
+    arithmetic the objective falls every round, so a pass from the best
+    vertex of each block ends at the minimiser after finitely many rounds.
+    Rounding stops a pass short when _admit gives None or the admitted
+    coordinate already has weight (solve_simplex_lsq has the restart rule).
+    Returns (w, passes, gap) once gap < tol_gap.
+    """
+    # an exact power-of-two rescaling caps AᵀA (largest on its diagonal) at
+    # 2^30, far below where its rounding swamps the KKT unit constraint rows
+    unit = 2.0 ** min(0, 30 - int(np.frexp(np.diag(AtA).max())[1]))
+    AtA, Atb, tol_gap = unit * AtA, unit * Atb, unit * tol_gap
+    blk_of = np.empty(len(Atb), dtype=int)
+    for j, s in enumerate(blocks):
+        blk_of[s] = j
+    w = start = _vertex(2.0 * Atb - np.diag(AtA), blocks)
+    passes, rounds = 1, 0
+    for rounds in range(1, max_iter + 1):
+        g = 2.0 * (AtA @ w - Atb)
+        terms = _gap_terms(w, g, blocks)
+        if sum(terms) < tol_gap:
+            return w, passes, sum(terms) / unit
+        s = blocks[int(np.argmax(terms))]
+        new = s.start + int(np.argmin(g[s]))
+        w_next = None if w[new] > 0 else _admit(AtA, Atb, w, new, blk_of)
+        if w_next is None:
+            w_next = _vertex(w, blocks)
+            if np.array_equal(w_next, start):
+                break
+            start, passes = w_next, passes + 1
+        w = w_next
+    gap = sum(_gap_terms(w, 2.0 * (AtA @ w - Atb), blocks)) / unit
+    raise PanelCauseError(
+        "NO_CONVERGENCE",
+        f"simplex solver stopped after {rounds} active-set rounds in {passes} "
+        f"passes; optimality gap {gap:.3g}, tolerance {tol_gap / unit:.3g}",
+        gap=gap)
+
+
+def _gram(A, b, blocks):
+    """(AᵀA, Aᵀb, bᵀb) with each block's columns and b centred: on the
+    simplex that leaves A w - b unchanged, and it keeps a common level from
+    swamping the Gram matrix in rounding."""
+    A, b = np.array(A, dtype=float), np.array(b, dtype=float)
+    for s in blocks:
+        if A[:, s].size:
+            c = A[:, s].mean(axis=1)
+            A[:, s] -= c[:, None]
+            b -= c
+    return A.T @ A, A.T @ b, float(b @ b)
+
+
+def _gap_scale(gram, uniform):
+    """The certificate's scale: the objective at the uniform point, floored
+    at R / SOLVER_TOL, where R = 4·k·eps·(max|AᵀA| + max|Aᵀb|) is the
+    rounding level of the computed gap. A gradient entry 2((AᵀA w)_i -
+    (Aᵀb)_i) is a length-k dot product with weights summing to one, off by
+    up to 2·k·eps·(max|AᵀA| + max|Aᵀb|), and a gap term w·g - min g
+    differences two of them: c = 4. More blocks raise that worst case, which
+    rounding of random sign reaches only as sqrt(k)·eps. Both terms are
+    quadratic in (A, b), so the certificate is scale-equivariant."""
+    AtA, Atb, bb = gram
+    R = 4.0 * len(Atb) * np.finfo(float).eps * (np.abs(AtA).max()
+                                                 + np.abs(Atb).max())
+    f = float(uniform @ (AtA @ uniform) - 2.0 * (Atb @ uniform) + bb)
+    return max(f, R / SOLVER_TOL)
 
 
 def solve_simplex_lsq(A: np.ndarray, b: np.ndarray, blocks=None,
@@ -182,90 +216,30 @@ def solve_simplex_lsq(A: np.ndarray, b: np.ndarray, blocks=None,
     (AᵀA, Aᵀb, bᵀb) instead of A and b, for example as sub-blocks of a
     Gram matrix shared by many refits.
 
-    The exact solver is a forward active set (``_active_set_polish``)
-    started at the best vertex of each block, so its supports stay small.
-    Should it fail on degenerate geometry, accelerated projected gradient
-    (FISTA from the uniform point, adaptive restart) takes over and retries
-    the active set every 50 iterations from the vertex at the heaviest
-    coordinate of each block. Convergence is declared when the Frank-Wolfe
-    optimality gap falls below tol times the objective at the uniform point
-    (at least 1). Returns (w, objective, iterations, gap); iterations is 1
-    when the first active-set pass succeeds.
+    The forward active set (_active_set_polish) stops once the Frank-Wolfe
+    gap is below tol × _gap_scale. When rounding stops a pass short, the
+    next starts at the vertex of each block's heaviest weight; ``max_iter``
+    bounds the rounds over all passes, and NO_CONVERGENCE is raised when
+    they run out or a restart would repeat its pass's start. Returns (w,
+    objective, passes, gap): passes is 1 when the first pass succeeds and 0
+    when AᵀA = 0 after centring (any feasible w is optimal: the uniform one).
     """
     k = A.shape[1] if gram is None else len(gram[1])
     if blocks is None:
         blocks = [slice(0, k)]
-    if gram is None:
-        # each block's weights sum to one, so shifting its columns and b by
-        # the same vector leaves A w - b unchanged; centring the columns
-        # keeps a common level from swamping the Gram matrix in rounding
-        A, b = np.array(A, dtype=float), np.array(b, dtype=float)
-        for s in blocks:
-            if A[:, s].size:
-                c = A[:, s].mean(axis=1)
-                A[:, s] -= c[:, None]
-                b -= c
-        AtA, Atb, bb = A.T @ A, A.T @ b, float(b @ b)
-    else:
-        AtA, Atb, bb = gram
-
-    def proj(w):
-        out = np.empty_like(w)
-        for s in blocks:
-            out[s] = project_simplex(w[s])
-        return out
-
-    w = np.empty(k)
+    AtA, Atb, bb = gram = _gram(A, b, blocks) if gram is None else gram
+    uniform = np.empty(k)
     for s in blocks:
-        size = len(range(*s.indices(k)))
-        w[s] = 1.0 / size
+        uniform[s] = 1.0 / len(range(*s.indices(k)))
 
     def fval(w):
         return float(w @ (AtA @ w) - 2.0 * (Atb @ w) + bb)
 
-    def grad(w):
-        return 2.0 * (AtA @ w - Atb)
-
-    if not k or np.trace(AtA) == 0:    # A = 0: every feasible w is optimal
-        return w, fval(w), 0, 0.0
-    scale = max(1.0, fval(w))
-    tol_gap = tol * scale
-
-    L = None
-    y, t_mom, f_prev = w.copy(), 1.0, fval(w)
-    for it in range(1, max_iter + 1):
-        g = grad(w)
-        gap = sum(_gap_terms(w, g, blocks))
-        if gap < tol_gap:
-            return w, fval(w), it, gap
-        if it % 50 == 1:
-            # first the donor with the best own-block objective, later the
-            # heaviest coordinate of the projected-gradient iterate
-            start = _vertex(2.0 * Atb - np.diag(AtA) if it == 1 else w, blocks)
-            polished = _active_set_polish(AtA, Atb, start, blocks, tol_gap)
-            if polished is not None:
-                gp = sum(_gap_terms(polished, grad(polished), blocks))
-                return polished, fval(polished), it, gp
-        if L is None:
-            L = 2.0 * float(np.linalg.eigvalsh(AtA)[-1])
-        w_new = proj(y - grad(y) / L)
-        f_new = fval(w_new)
-        if f_new > f_prev:           # adaptive restart: drop momentum
-            y, t_mom = w.copy(), 1.0
-            w_new = proj(y - grad(y) / L)
-            f_new = fval(w_new)
-        t_new = (1.0 + np.sqrt(1.0 + 4.0 * t_mom ** 2)) / 2.0
-        y = w_new + ((t_mom - 1.0) / t_new) * (w_new - w)
-        w, t_mom, f_prev = w_new, t_new, f_new
-
-    g = grad(w)
-    gap = sum(_gap_terms(w, g, blocks))
-    if gap >= tol_gap:
-        raise PanelCauseError(
-            "NO_CONVERGENCE",
-            f"simplex solver hit {max_iter} iterations; objective {fval(w):.6g}, "
-            f"optimality gap {gap:.3g}", objective=fval(w), gap=gap)
-    return w, fval(w), max_iter, gap
+    if not k or np.trace(AtA) == 0:
+        return uniform, fval(uniform), 0, 0.0
+    w, passes, gap = _active_set_polish(
+        AtA, Atb, blocks, tol * _gap_scale(gram, uniform), max_iter)
+    return w, fval(w), passes, gap
 
 
 # ---------------------------------------------------------------------------

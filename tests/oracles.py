@@ -247,19 +247,6 @@ def nnls_simplex_min(A, b, blocks, weight=1e6):
     return w, float(r @ r)
 
 
-def simplex_projection_is_optimal(v, w, tol=1e-9):
-    """KKT check that w is the Euclidean projection of v onto the simplex."""
-    if abs(w.sum() - 1.0) > tol or (w < -tol).any():
-        return False
-    on = w > tol
-    if not on.any():
-        return False
-    theta = (v[on] - w[on]).mean()
-    if np.abs(v[on] - w[on] - theta).max() > 1e-6:
-        return False
-    return bool((v[~on] - theta <= 1e-6).all())
-
-
 # ---------------------------------------------------------------------------
 # placebo ranks
 

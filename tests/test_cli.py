@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -261,14 +262,14 @@ class TestSimulate:
         assert rc == 0 and err == ""
         assert "skipped ITS on one: NOT_APPLICABLE" in out
         assert any(l.startswith("one DID_TWFE: bias=") for l in out.splitlines())
-        run_doc = json.loads(open(f"{prefix}_run.json").read())
+        run_doc = json.loads(Path(f"{prefix}_run.json").read_text())
         assert run_doc["skipped"] == [{"config": "one", "method": "ITS",
                                        "reason": "NOT_APPLICABLE"}]
         assert run_doc["dgp_configs"][0]["cohorts"] == {"4": 4}
-        metrics = open(f"{prefix}_metrics.csv").read().splitlines()
+        metrics = Path(f"{prefix}_metrics.csv").read_text().splitlines()
         assert metrics[0].startswith("config,method,reps,failures,bias")
         assert len(metrics) == 2 and metrics[1].startswith("one,DID_TWFE,4,0,")
-        reps = open(f"{prefix}_reps.csv").read().splitlines()
+        reps = Path(f"{prefix}_reps.csv").read_text().splitlines()
         assert len(reps) == 5
 
     def test_rerun_is_byte_identical(self, capsys, config_path, tmp_path):
@@ -278,13 +279,13 @@ class TestSimulate:
         argv = ["simulate", "--data", config_path, "--method", "DID_TWFE",
                 "--reps", "3", "--out", prefix]
         assert main(argv) == 0
-        first = {s: open(f"{prefix}_{s}", "rb").read()
+        first = {s: Path(f"{prefix}_{s}").read_bytes()
                  for s in ("run.json", "metrics.csv", "reps.csv")}
         assert main(argv) == 0
         capsys.readouterr()
-        assert open(f"{prefix}_run.json", "rb").read() == first["run.json"]
+        assert Path(f"{prefix}_run.json").read_bytes() == first["run.json"]
         for s in ("metrics.csv", "reps.csv"):
-            again = open(f"{prefix}_{s}", "rb").read()
+            again = Path(f"{prefix}_{s}").read_bytes()
             assert strip_runtime_columns(again) == strip_runtime_columns(first[s]), s
             assert strip_runtime_columns(again) != b""
 
@@ -295,8 +296,8 @@ class TestSimulate:
         assert main(base + ["--out", p1, "--seed", "11"]) == 0
         assert main(base + ["--out", p2, "--seed", "12"]) == 0
         capsys.readouterr()
-        r1 = open(f"{p1}_reps.csv").read().splitlines()[1]
-        r2 = open(f"{p2}_reps.csv").read().splitlines()[1]
+        r1 = Path(f"{p1}_reps.csv").read_text().splitlines()[1]
+        r2 = Path(f"{p2}_reps.csv").read_text().splitlines()[1]
         assert r1.split(",")[3] != r2.split(",")[3]  # estimates differ
 
     def test_bad_config_json(self, capsys, tmp_path):

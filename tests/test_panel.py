@@ -218,6 +218,12 @@ class TestLoad:
         p = load("\n , \nunit,time,outcome,policy\na,1,1.0,0\n")
         assert p.units == ("a",) and p.time_labels == (1,)
 
+    def test_padded_quoted_unit(self):
+        # spaces before the opening quote do not end the quoting
+        p = load('unit,time,outcome,policy\n "Jones, OK",2000,1.0,0\n'
+                 '  "Jones, OK" , 2001 ,2.0,1\n')
+        assert p.units == ("Jones, OK",) and p.time_labels == (2000, 2001)
+
     def test_empty_unit_rejected(self):
         with pytest.raises(pc.PanelCauseError) as ei:
             load("unit,time,outcome,policy\na,1,1.0,0\n,1,2.0,0\n")

@@ -4,12 +4,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import panelcause as pc
-from panelcause.scm import (_cv_lambda, _rmspe_ratio, LAMBDA_GRID,
-                            project_simplex, solve_simplex_lsq)
+from panelcause.scm import (_cv_lambda, _gap_scale, _gram, _rmspe_ratio,
+                            LAMBDA_GRID, SOLVER_TOL, solve_simplex_lsq)
 from panelcause.simharness import DgpConfig, simulate_panel
 from helpers import build_panel
 from oracles import (exhaustive_simplex_min, grid_simplex_min,
-                     nnls_simplex_min, placebo_p, simplex_projection_is_optimal)
+                     nnls_simplex_min, placebo_p)
 
 
 def err(fn, *args, **kw):
@@ -18,23 +18,15 @@ def err(fn, *args, **kw):
     return ei.value
 
 
-class TestProjectSimplex:
-    def test_interior_point_unchanged(self):
-        w = np.array([0.2, 0.5, 0.3])
-        np.testing.assert_allclose(project_simplex(w), w, atol=1e-12)
+def uniform_point(blocks):
+    return np.concatenate([np.full(s.stop - s.start, 1.0 / (s.stop - s.start))
+                           for s in blocks])
 
-    def test_dominant_coordinate(self):
-        np.testing.assert_allclose(project_simplex(np.array([10.0, 0.0])),
-                                   [1.0, 0.0], atol=1e-12)
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.floats(-20, 20), min_size=1, max_size=10))
-    def test_kkt_conditions(self, vals):
-        v = np.array(vals)
-        w = project_simplex(v)
-        assert w.sum() == pytest.approx(1.0, abs=1e-9)
-        assert (w >= -1e-12).all()
-        assert simplex_projection_is_optimal(v, w)
+def allowance(A, b, blocks):
+    """SOLVER_TOL times the certificate's scale, as the solver forms it:
+    the solver stops at gap < allowance, and f(w) - f* <= gap."""
+    return SOLVER_TOL * _gap_scale(_gram(A, b, blocks), uniform_point(blocks))
 
 
 class TestSolver:
@@ -90,6 +82,30 @@ class TestSolver:
         e = err(solve_simplex_lsq, A, b, tol=0.0, max_iter=3)
         assert e.code == "NO_CONVERGENCE"
 
+    def test_restart_rule(self, monkeypatch):
+        # a pass stopped short restarts from the vertex at its iterate's
+        # heaviest weight and reaches the same minimiser; a restart that
+        # would repeat its pass's start raises
+        rng = np.random.default_rng(1)
+        A, b = rng.normal(size=(20, 30)), rng.normal(size=20)
+        w0, *_ = solve_simplex_lsq(A, b)
+        admit = pc.scm._admit
+
+        def fail_call(n):
+            calls = []
+
+            def flaky(*args):
+                calls.append(args)
+                return None if len(calls) == n else admit(*args)
+            monkeypatch.setattr(pc.scm, "_admit", flaky)
+
+        fail_call(3)
+        w, _, passes, _ = solve_simplex_lsq(A, b)
+        assert passes == 2
+        np.testing.assert_allclose(w, w0, rtol=0, atol=1e-12)
+        fail_call(1)
+        assert err(solve_simplex_lsq, A, b).code == "NO_CONVERGENCE"
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 6), st.integers(2, 8))
     def test_solution_feasible_and_stationary(self, seed, J, F):
@@ -100,8 +116,23 @@ class TestSolver:
         assert w.sum() == pytest.approx(1.0, abs=1e-8)
         assert (w >= -1e-10).all()
         # Frank-Wolfe gap certifies optimality within tolerance
-        assert gap <= pc.scm.SOLVER_TOL * max(
-            1.0, float(np.sum((x1 - X0.T @ (np.ones(J) / J)) ** 2)) + 1e-9)
+        assert gap <= allowance(X0.T, x1, [slice(0, J)])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_far_apart_donors(self, seed):
+        # donors at ±3000 and the target at their midpoint: the gradient's
+        # rounding (eps·max|AᵀA| ≈ 2e-8) exceeds 1e-10 times the objective
+        rng = np.random.default_rng(seed)
+        A = np.column_stack([3000.0 + rng.normal(size=12),
+                             -3000.0 + rng.normal(size=12)])
+        b = A.mean(axis=1) + rng.normal(0.0, 0.1, size=12)
+        w, obj, _, gap = solve_simplex_lsq(A, b)
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+        assert (w >= 0).all()
+        tol = allowance(A, b, [slice(0, 2)])
+        assert gap < tol
+        _, obj_ref = nnls_simplex_min(A, b, [slice(0, 2)])
+        assert float(np.sum((A @ w - b) ** 2)) <= obj_ref + tol
 
 
 def random_blocks(rng, J, n_blocks):
@@ -123,19 +154,17 @@ class TestSolverManyDonors:
             assert w[s].sum() == pytest.approx(1.0, abs=1e-8)
         assert (w >= -1e-10).all()
         # Frank-Wolfe certificate, recomputed from A and b
-        uniform = np.concatenate([np.full(s.stop - s.start, 1.0 / (s.stop - s.start))
-                                  for s in blocks])
-        scale = max(1.0, float(np.sum((A @ uniform - b) ** 2)))
+        tol = allowance(A, b, blocks)
         g = 2.0 * A.T @ (A @ w - b)
         fw = sum(float(w[s] @ g[s] - g[s].min()) for s in blocks)
-        assert gap <= pc.scm.SOLVER_TOL * scale
-        assert fw <= pc.scm.SOLVER_TOL * scale + 1e-12 * scale
+        assert gap <= tol
+        assert fw <= tol + 1e-2 * tol
         # no worse than the independent NNLS route
         w_ref, obj_ref = nnls_simplex_min(A, b, blocks)
         got = float(np.sum((A @ w - b) ** 2))
-        # the certificate bounds f(w) - f* by the gap, below SOLVER_TOL·scale
-        assert got <= obj_ref + pc.scm.SOLVER_TOL * scale
-        assert obj == pytest.approx(got, abs=1e-9 * scale)
+        # the certificate bounds f(w) - f* by the gap, below the allowance
+        assert got <= obj_ref + tol
+        assert obj == pytest.approx(got, abs=10.0 * tol)
         # a unique minimiser when the columns both supports use, with the
         # block sums, have full rank: then the weights must agree
         used = np.flatnonzero((w > 1e-12) | (w_ref > 1e-12))
@@ -145,6 +174,15 @@ class TestSolverManyDonors:
         M = np.vstack([A[:, used], C[:, used]])
         if np.linalg.matrix_rank(M) == len(used):
             np.testing.assert_allclose(w, w_ref, atol=1e-6)
+
+    def test_large_outcome_scale(self):
+        # at outcome × 1e8 the AᵀA entries (~1e17) reach the rounding level
+        # of the KKT systems' unit constraint entries unless they are
+        # rescaled; 7 of these 30 draws stopped short without that
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            A, b = rng.normal(size=(6, 16)), rng.normal(size=6)
+            self.check(1e8 * A, 1e8 * b, [slice(0, 8), slice(8, 16)])
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 40), st.integers(4, 16),

@@ -174,6 +174,10 @@ class _LagPolicyGram:
         self.A = quadratic(self.G)
         self.b = (C0.T @ self.G[:, 0], C1.T @ self.G[:, 0])
         self.raw = [np.diag(m) for m in quadratic(z.T @ z)]
+        # policy_coef's coefficients as Python floats: its (L+1)-square
+        # elimination is cheaper in floats than in numpy calls
+        self._floats = [[m.tolist() for m in coefs]
+                        for coefs in (self.A, self.b, self.raw)]
 
     def _gram(self, gamma):
         A0, A1, A2 = self.A
@@ -188,10 +192,12 @@ class _LagPolicyGram:
         times its raw squared norm. Policy is the last column, so its
         coefficient is the last right-hand side over the last pivot.
         """
-        A = self._gram(gamma).tolist()
-        b = (self.b[0] + gamma * self.b[1]).tolist()
-        r0, r1, r2 = self.raw
-        floor = (GRAM_PIVOT_TOL ** 2 * (r0 + gamma * (r1 + gamma * r2))).tolist()
+        (A0, A1, A2), (b0, b1), (r0, r1, r2) = self._floats
+        A = [[x0 + gamma * (x1 + gamma * x2) for x0, x1, x2 in zip(*rows)]
+             for rows in zip(A0, A1, A2)]
+        b = [x0 + gamma * x1 for x0, x1 in zip(b0, b1)]
+        floor = [GRAM_PIVOT_TOL ** 2 * (x0 + gamma * (x1 + gamma * x2))
+                 for x0, x1, x2 in zip(r0, r1, r2)]
         for j in range(len(A)):
             if A[j][j] <= floor[j]:
                 return None

@@ -26,6 +26,7 @@ NOT_YET_TREATED = "NOT_YET_TREATED"
 # the pre-trend test needs some lead variance above this share of the
 # outcome variance: a lead SE below ~1.5e-8 outcome SDs is rounding
 PRETREND_ROUNDING = np.finfo(float).eps
+NEVER_ADOPTS = np.iinfo(np.int64).max   # a never-treated unit's adoption period in arrays
 
 
 @dataclass
@@ -89,6 +90,12 @@ class BaconDecomposition:
     weighted_sum: float
 
 
+def _adoption_array(panel, schedule):
+    """Each unit's adoption period in panel order; NEVER_ADOPTS if it never adopts."""
+    times = [schedule.adoption_time[u] for u in panel.units]
+    return np.array([NEVER_ADOPTS if g is NEVER else g for g in times], dtype=np.int64)
+
+
 # ---------------------------------------------------------------------------
 # classic TWFE
 
@@ -140,11 +147,8 @@ def fit_event_study(panel: PanelDataset, covariates=(), leads: int | None = None
         raise PanelCauseError("NO_VARIATION", "no unit ever adopts the policy")
 
     ui, ti = panel.unit_idx[keep], panel.time_idx[keep]
-    adopt = np.full(panel.unit_count, np.iinfo(np.int64).max, dtype=np.int64)
-    for u, g in schedule.adoption_time.items():
-        if g is not NEVER:
-            adopt[panel.units.index(u)] = g
-    is_treated = adopt[ui] != np.iinfo(np.int64).max
+    adopt = _adoption_array(panel, schedule)
+    is_treated = adopt[ui] != NEVER_ADOPTS
     k_row = np.where(is_treated, ti - adopt[ui], 0)
 
     observed = sorted(set(k_row[is_treated].tolist()))
@@ -230,10 +234,16 @@ def fit_group_time_att(panel: PanelDataset, schedule=None,
 
     att(g, t) compares the outcome change from g-1 to t in cohort g against
     the same change among comparison units: never-treated, or units whose
-    adoption lies strictly after t. SEs come from a Rademacher multiplier
-    bootstrap over units; aggregation SEs reuse the same draws so they are
-    internally consistent. With covariates, outcomes are first residualized
-    against them (coefficients fit on untreated rows with unit+time effects).
+    adoption lies strictly after t. Each cohort's cells come from one
+    difference matrix Y[:, g:] − Y[:, g-1], masked to the treated and
+    comparison units with both cells observed; a period with either set
+    empty is omitted. SEs come from a Rademacher multiplier bootstrap over
+    units: the cells' influence vectors form Phi (units × cells), W holds
+    every aggregate's cell weights (by cohort, by event time, overall), and
+    each SE is a column SD of V·[Phi | Phi·W] for the same draws V, so the
+    aggregates' SEs are internally consistent. With covariates, outcomes
+    are first residualized against them (coefficients fit on untreated rows
+    with unit+time effects).
     """
     if comparison not in (NEVER_TREATED, NOT_YET_TREATED):
         raise PanelCauseError("CONFIG_ERROR", f"unknown comparison '{comparison}'")
@@ -247,89 +257,63 @@ def fit_group_time_att(panel: PanelDataset, schedule=None,
                 "SINGLETON_COHORT",
                 f"cohort g={panel.time_labels[g]} has a single unit; its SEs are unreliable"))
 
-    Y = panel.outcome_matrix().copy()
+    Y = panel.outcome_matrix()
     if covariates:
         Y = Y - _covariate_residualizer(panel, covariates)
+    adopt = _adoption_array(panel, schedule)
+    periods = np.arange(panel.time_count)
 
-    adopt = {u: g for u, g in schedule.adoption_time.items()}
-    uidx = {u: i for i, u in enumerate(panel.units)}
-    T = panel.time_count
-
-    cells, omitted, phis = {}, [], {}
+    keys, omitted, atts, phis = [], [], [], []
     for g in sorted(schedule.cohorts):
         if g == 0:
             omitted.append((g, None, "no pre-period for base g-1"))
             continue
-        treated_rows = [uidx[u] for u in schedule.cohorts[g]]
-        for t in range(g, T):
-            if comparison == NEVER_TREATED:
-                comp_rows = [uidx[u] for u in schedule.never_treated]
-            else:
-                comp_rows = [uidx[u] for u in panel.units
-                             if adopt[u] is NEVER or adopt[u] > t]
-            d_t = Y[treated_rows, t] - Y[treated_rows, g - 1]
-            d_c = Y[comp_rows, t] - Y[comp_rows, g - 1] if comp_rows else np.array([])
-            ok_t, ok_c = ~np.isnan(d_t), ~np.isnan(d_c)
-            if not ok_t.any() or not ok_c.any():
-                omitted.append((g, t, "empty comparison or treated set"))
-                continue
-            tr = np.asarray(treated_rows)[ok_t]
-            cr = np.asarray(comp_rows)[ok_c]
-            dt, dc = d_t[ok_t], d_c[ok_c]
-            att = float(dt.mean() - dc.mean())
-            phi = np.zeros(panel.unit_count)
-            phi[tr] = (dt - dt.mean()) / len(dt)
-            phi[cr] -= (dc - dc.mean()) / len(dc)
-            cells[(g, t)] = att
-            phis[(g, t)] = phi
-    if not cells:
+        ts = periods[g:]
+        D = Y[:, g:] - Y[:, [g - 1]]
+        ok = ~np.isnan(D)
+        treated = ok & (adopt == g)[:, None]
+        comp = ok & (adopt[:, None] > ts if comparison == NOT_YET_TREATED
+                     else (adopt == NEVER_ADOPTS)[:, None])
+        n_t, n_c = treated.sum(axis=0), comp.sum(axis=0)
+        live = (n_t > 0) & (n_c > 0)
+        omitted += [(g, t, "empty comparison or treated set") for t in ts[~live].tolist()]
+        keys += [(g, t) for t in ts[live].tolist()]
+        D, treated, comp = D[:, live], treated[:, live], comp[:, live]
+        n_t, n_c = n_t[live], n_c[live]
+        mean_t = np.where(treated, D, 0.0).sum(axis=0) / n_t
+        mean_c = np.where(comp, D, 0.0).sum(axis=0) / n_c
+        atts.append(mean_t - mean_c)
+        phis.append(np.where(treated, (D - mean_t) / n_t, 0.0)
+                    - np.where(comp, (D - mean_c) / n_c, 0.0))
+    if not keys:
         raise PanelCauseError("EMPTY_COMPARISON",
                               "no (cohort, time) cell has a nonempty comparison group",
                               omitted=omitted)
 
-    keys = list(cells)
-    Phi = np.column_stack([phis[k] for k in keys])          # units × cells
+    att = np.concatenate(atts)
+    Phi = np.hstack(phis)                                    # units × cells
+    cell_g = np.array([g for g, _ in keys])
+    cell_e = np.array([t - g for g, t in keys])
+    groups, events = np.unique(cell_g), np.unique(cell_e)
+    W_g = (cell_g[:, None] == groups).astype(float)
+    W_g /= W_g.sum(axis=0)
+    W_e = (cell_e[:, None] == events).astype(float)
+    W_e /= W_e.sum(axis=0)
+    sizes = schedule.cohort_sizes()
+    total = sum(sizes[g] for g in groups.tolist())
+    cohort_weights = {g: sizes[g] / total for g in groups.tolist()}
+    w_all = W_g @ np.array(list(cohort_weights.values()))
+    W = np.column_stack([W_g, W_e, w_all])                   # cells × aggregates
+
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     V = rng.choice((-1.0, 1.0), size=(bootstrap_reps, panel.unit_count))
-    draws = V @ Phi                                          # reps × cells
-
-    def agg(weights):
-        """Point estimate and bootstrap SE of a weighted cell combination."""
-        w = np.asarray(weights)
-        est = float(w @ np.array([cells[k] for k in keys]))
-        se = float(np.std(draws @ w, ddof=1))
-        return est, se
-
-    def weights_for(selected):
-        w = np.zeros(len(keys))
-        for k, wt in selected.items():
-            w[keys.index(k)] = wt
-        return w
-
-    by_cohort, cohort_cells = {}, {}
-    for g in sorted({g for g, _ in keys}):
-        ks = [k for k in keys if k[0] == g]
-        cohort_cells[g] = ks
-        by_cohort[g] = agg(weights_for({k: 1.0 / len(ks) for k in ks}))
-
-    sizes = schedule.cohort_sizes()
-    total = sum(sizes[g] for g in cohort_cells)
-    cohort_weights = {g: sizes[g] / total for g in cohort_cells}
-    overall_w = np.zeros(len(keys))
-    for g, ks in cohort_cells.items():
-        overall_w += cohort_weights[g] * weights_for({k: 1.0 / len(ks) for k in ks})
-    overall = (float(overall_w @ np.array([cells[k] for k in keys])),
-               float(np.std(draws @ overall_w, ddof=1)))
-
-    by_event = {}
-    for e in sorted({t - g for g, t in keys}):
-        ks = [k for k in keys if k[1] - k[0] == e]
-        by_event[e] = agg(weights_for({k: 1.0 / len(ks) for k in ks}))
-
-    cell_ses = {k: float(np.std(draws[:, i], ddof=1)) for i, k in enumerate(keys)}
-    cell_out = {k: (cells[k], cell_ses[k]) for k in keys}
-    return GroupTimeAtts(cell_out, comparison, overall, by_event, by_cohort,
-                         cohort_weights, omitted, bootstrap_reps, seed)
+    se = np.std(V @ np.hstack([Phi, Phi @ W]), axis=0, ddof=1)
+    pairs = list(zip(np.concatenate([att, att @ W]).tolist(), se.tolist()))
+    cells, aggs = pairs[:len(keys)], pairs[len(keys):]
+    by_cohort = dict(zip(groups.tolist(), aggs[:len(groups)]))
+    by_event = dict(zip(events.tolist(), aggs[len(groups):-1]))
+    return GroupTimeAtts(dict(zip(keys, cells)), comparison, aggs[-1], by_event,
+                         by_cohort, cohort_weights, omitted, bootstrap_reps, seed)
 
 
 def _untreated_betas(panel, un, Xc, covariates):

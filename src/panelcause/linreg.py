@@ -137,14 +137,25 @@ def ols_fit(X: DesignMatrix, y, clusters, extra_dof: int = 0) -> FitResult:
     beta = r_inv @ qty
     fitted = Q @ qty
     resid = y - fitted
-    S = np.zeros((G, k))
-    np.add.at(S, cluster_idx, Q * resid[:, None])
+    S = index_sums(cluster_idx, G, Q * resid[:, None])
     W = r_inv @ S.T
     c = (G / (G - 1)) * ((n - 1) / max(n - k - extra_dof, 1))
 
     coefs = dict(zip(X.column_names, beta.tolist()))
     return FitResult(coefs, c * (W @ W.T), list(X.column_names), resid, fitted,
                      n, k, G, list(X.dropped_columns), r_inv @ r_inv.T)
+
+
+def index_sums(index, size, values):
+    """Row sums of ``values`` by ``index`` into ``size`` slots: np.add.at on zeros.
+
+    One bincount over (index, column) slots, which adds each slot's rows in
+    row order as np.add.at does, so the sums are the same to the bit.
+    """
+    values = np.asarray(values, dtype=float)
+    k = int(np.prod(values.shape[1:]))
+    slot = (np.asarray(index)[:, None] * k + np.arange(k)).ravel()
+    return np.bincount(slot, values.ravel(), size * k).reshape((size,) + values.shape[1:])
 
 
 def two_way_effects(unit_idx, time_idx, columns):
@@ -160,10 +171,10 @@ def two_way_effects(unit_idx, time_idx, columns):
     X = np.asarray(columns, dtype=float)
     ui = np.asarray(unit_idx, dtype=np.intp)
     ti = np.asarray(time_idx, dtype=np.intp)
-    N = np.zeros((ui.max() + 1, ti.max() + 1))
-    np.add.at(N, (ui, ti), 1.0)
-    cell_sums = np.zeros(N.shape + X.shape[1:])
-    np.add.at(cell_sums, (ui, ti), X)
+    U, T = ui.max() + 1, ti.max() + 1
+    cell = ui * T + ti
+    N = np.bincount(cell, minlength=U * T).reshape(U, T).astype(float)
+    cell_sums = index_sums(cell, U * T, X).reshape((U, T) + X.shape[1:])
     inv_u = 1.0 / np.maximum(N.sum(axis=1), 1.0)
     B = N.T * inv_u
     sum_u = cell_sums.sum(axis=1)
@@ -215,8 +226,7 @@ def absorb_fixed_effects(unit_idx, time_idx, columns):
     unit_idx = np.asarray(unit_idx, dtype=np.intp)
     if time_idx is None:
         _, inv, n_u = np.unique(unit_idx, return_inverse=True, return_counts=True)
-        sums = np.zeros((len(n_u),) + M.shape[1:])
-        np.add.at(sums, inv, M)
+        sums = index_sums(inv, len(n_u), M)
         return M - (sums.T / n_u).T[inv], len(n_u)
     time_idx = np.asarray(time_idx, dtype=np.intp)
     levels = []

@@ -362,11 +362,9 @@ def complete_rows(panel: PanelDataset, covariates):
 
 def derive_adoption(panel: PanelDataset) -> AdoptionSchedule:
     """Group units into treatment cohorts by earliest period with policy=1."""
-    adoption: dict = {}
-    pm = panel.policy_matrix()
-    for i, u in enumerate(panel.units):
-        ts = np.flatnonzero(pm[i] == 1)
-        adoption[u] = int(ts[0]) if len(ts) else NEVER
+    on = panel.policy_matrix() == 1
+    first = np.where(on.any(axis=1), on.argmax(axis=1), -1).tolist()
+    adoption = {u: NEVER if g < 0 else g for u, g in zip(panel.units, first)}
     cohorts: dict = {}
     for u, g in adoption.items():
         if g is not NEVER:

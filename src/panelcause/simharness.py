@@ -5,9 +5,11 @@ common linear trend, and an AR(1) disturbance, then adds the configured
 treatment effect on treated cells — so every estimand (overall ATT,
 per-event-time, per-cohort) is known exactly and stored beside the panel.
 Each method is fitted, summarized and scored through its entry in
-``advisor.METHODS``, the same entry the CLI's ``fit`` uses. Replications derive independent RNG substreams from (seed, rep), so results
-are identical under any parallel schedule. PANELCAUSE_THREADS caps worker
-threads; the default is serial.
+``advisor.METHODS``, the same entry the CLI's ``fit`` uses. Replications
+derive independent RNG substreams from (seed, rep), so results are
+identical under any schedule. PANELCAUSE_THREADS sets worker threads
+(default serial), but the fits hold the GIL: threads give no speed-up and
+inflate each rep's runtime_s with time spent waiting.
 """
 
 from __future__ import annotations
@@ -105,15 +107,6 @@ class TruthRecord:
     adoption: dict              # unit id -> adoption period or None
 
 
-def _effect_value(effect, g, t):
-    kind = effect["kind"]
-    if kind == "constant":
-        return float(effect["delta"])
-    if kind == "dynamic":
-        return float(effect.get("base", 0.0)) + float(effect.get("slope", 0.0)) * (t - g)
-    return float(effect["deltas"][g])
-
-
 def simulate_panel(config: DgpConfig, rep: int):
     """One synthetic panel plus its truth record; bit-identical per (seed, rep)."""
     config.validate()
@@ -145,14 +138,18 @@ def simulate_panel(config: DgpConfig, rep: int):
         adopt[order[pos:pos + size]] = g
         pos += size
 
-    policy = np.zeros((U, T), dtype=np.int8)
-    delta = np.zeros((U, T))
-    for i in range(U):
-        g = adopt[i]
-        if g >= 0:
-            policy[i, g:] = 1
-            for t in range(g, T):
-                delta[i, t] = _effect_value(config.effect, g, t)
+    # policy and effect on the U×T grid; untreated cells carry effect 0.0
+    policy = ((adopt[:, None] >= 0) & (tgrid >= adopt[:, None])).astype(np.int8)
+    effect, kind = config.effect, config.effect["kind"]
+    if kind == "constant":
+        value = float(effect["delta"])
+    elif kind == "dynamic":
+        value = float(effect.get("base", 0.0)) + \
+            float(effect.get("slope", 0.0)) * (tgrid - adopt[:, None])
+    else:
+        value = np.array([float(effect["deltas"][g]) if g >= 0 else 0.0
+                          for g in adopt.tolist()])[:, None]
+    delta = np.where(policy == 1, value, 0.0)
     y = y0 + policy * delta
 
     units = [f"u{i:03d}" for i in range(U)]

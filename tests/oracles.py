@@ -15,7 +15,7 @@ from scipy.optimize import nnls
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from panelcause import ColumnSpec, PanelCauseError, PanelDataset
+from panelcause import ColumnSpec, PanelCauseError, PanelDataset, derive_adoption
 
 
 def ols_beta(X, y):
@@ -317,6 +317,95 @@ def debiased_ar_path(y, pol, lag_y, lag_p, fixed, tol, max_iter):
         if abs(path[-1] - g) <= tol or not np.any(lag_p):
             break
     return path
+
+
+# ---------------------------------------------------------------------------
+# adoption timing
+
+
+def loop_adoption(panel):
+    """unit -> first period with policy 1, or None, one unit at a time.
+
+    The per-unit loop ``panel.derive_adoption`` replaced; absent rows are
+    NaN in the policy grid and never count as adoption.
+    """
+    pm = panel.policy_matrix()
+    adoption = {}
+    for i, u in enumerate(panel.units):
+        ts = np.flatnonzero(pm[i] == 1)
+        adoption[u] = int(ts[0]) if len(ts) else None
+    return adoption
+
+
+# ---------------------------------------------------------------------------
+# group-time ATT
+
+
+def group_time_cells(panel, comparison="NEVER_TREATED", bootstrap_reps=999, seed=0):
+    """Group-time ATTs one (g, t) cell at a time, with the package's draws.
+
+    The per-cell loop that ``did.fit_group_time_att`` replaced: each cell
+    selects its treated and comparison units by list, differences their
+    outcomes from g-1 to t and forms its influence vector on its own. Every
+    aggregate is a weight vector applied to the cells and to V·Phi, with
+    V the same Rademacher draws (seeded by SeedSequence([seed])). Returns
+    a dict with cells {(g, t): (att, se)}, phis {(g, t): influence},
+    omitted, cohort_weights, by_cohort, by_event and overall.
+    """
+    sched = derive_adoption(panel)
+    Y = panel.outcome_matrix()
+    uidx = {u: i for i, u in enumerate(panel.units)}
+    cells, phis, omitted = {}, {}, []
+    for g in sorted(sched.cohorts):
+        if g == 0:
+            omitted.append((g, None, "no pre-period for base g-1"))
+            continue
+        treated = [uidx[u] for u in sched.cohorts[g]]
+        for t in range(g, panel.time_count):
+            if comparison == "NEVER_TREATED":
+                comp = [uidx[u] for u in sched.never_treated]
+            else:
+                comp = [uidx[u] for u in panel.units
+                        if sched.adoption_time[u] is None or sched.adoption_time[u] > t]
+            d_t = Y[treated, t] - Y[treated, g - 1]
+            d_c = Y[comp, t] - Y[comp, g - 1] if comp else np.array([])
+            ok_t, ok_c = ~np.isnan(d_t), ~np.isnan(d_c)
+            if not ok_t.any() or not ok_c.any():
+                omitted.append((g, t, "empty comparison or treated set"))
+                continue
+            dt, dc = d_t[ok_t], d_c[ok_c]
+            phi = np.zeros(panel.unit_count)
+            phi[np.asarray(treated)[ok_t]] = (dt - dt.mean()) / len(dt)
+            phi[np.asarray(comp)[ok_c]] -= (dc - dc.mean()) / len(dc)
+            cells[(g, t)] = float(dt.mean() - dc.mean())
+            phis[(g, t)] = phi
+    out = {"cells": {}, "phis": phis, "omitted": omitted}
+    if not cells:
+        return out
+    keys = list(cells)
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    V = rng.choice((-1.0, 1.0), size=(bootstrap_reps, panel.unit_count))
+    draws = V @ np.column_stack([phis[k] for k in keys])
+
+    def agg(ks, scale=1.0):
+        w = np.array([scale * (1.0 / len(ks)) if k in ks else 0.0 for k in keys])
+        return (float(w @ np.array([cells[k] for k in keys])),
+                float(np.std(draws @ w, ddof=1)), w)
+
+    out["cells"] = {k: (cells[k], float(np.std(draws[:, i], ddof=1)))
+                    for i, k in enumerate(keys)}
+    groups = sorted({g for g, _ in keys})
+    out["by_cohort"] = {g: agg([k for k in keys if k[0] == g])[:2] for g in groups}
+    events = sorted({t - g for g, t in keys})
+    out["by_event"] = {e: agg([k for k in keys if k[1] - k[0] == e])[:2] for e in events}
+    sizes = sched.cohort_sizes()
+    total = sum(sizes[g] for g in groups)
+    out["cohort_weights"] = {g: sizes[g] / total for g in groups}
+    w = sum(agg([k for k in keys if k[0] == g], out["cohort_weights"][g])[2]
+            for g in groups)
+    out["overall"] = (float(w @ np.array([cells[k] for k in keys])),
+                      float(np.std(draws @ w, ddof=1)))
+    return out
 
 
 # ---------------------------------------------------------------------------

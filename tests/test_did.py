@@ -10,7 +10,7 @@ from panelcause.did import (NEVER_TREATED, NOT_YET_TREATED, _impute_att,
                             _summed_folds)
 from panelcause.simharness import DgpConfig, simulate_panel
 from helpers import build_panel, linear_paths, with_blank_unit
-from oracles import cluster_sandwich, ols_beta, twfe_dummy_fit
+from oracles import cluster_sandwich, group_time_cells, ols_beta, twfe_dummy_fit
 
 
 def err(fn, *args, **kw):
@@ -351,6 +351,55 @@ class TestGroupTime:
     def test_unknown_comparison(self):
         assert err(pc.fit_group_time_att, cohort_effect_panel(),
                    comparison="nope").code == "CONFIG_ERROR"
+
+
+def random_group_time_panel(rng):
+    """Up to 12 units × 9 periods, adoption at any period (0 too) or never,
+    about 15% of the rows absent and 10% of the outcomes blank."""
+    U, T = int(rng.integers(2, 13)), int(rng.integers(2, 10))
+    ui, ti = np.nonzero(rng.random((U, T)) >= 0.15)
+    adopt = np.where(rng.random(U) < 0.3, T, rng.integers(0, T, U))
+    y = (rng.normal(size=U)[ui] + 0.4 * ti + rng.normal(size=len(ui))
+         + 1.5 * (ti >= adopt[ui]))
+    y[rng.random(len(y)) < 0.1] = np.nan
+    return pc.PanelDataset([f"u{i}" for i in range(U)], list(range(T)), ui, ti, y,
+                           (ti >= adopt[ui]).astype(int))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([NEVER_TREATED, NOT_YET_TREATED]),
+       st.integers(2, 60))
+def test_group_time_matches_per_cell_oracle(seed, comparison, reps):
+    p = random_group_time_panel(np.random.default_rng(seed))
+    assume(pc.derive_adoption(p).cohorts)
+    want = group_time_cells(p, comparison, reps, seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # SINGLETON_COHORT
+        if not want["cells"]:
+            e = err(pc.fit_group_time_att, p, comparison=comparison,
+                    bootstrap_reps=reps, seed=seed)
+            assert e.code == "EMPTY_COMPARISON"
+            assert e.details["omitted"] == want["omitted"]
+            return
+        got = pc.fit_group_time_att(p, comparison=comparison, bootstrap_reps=reps,
+                                    seed=seed)
+    # rounding is relative to the outcome's scale: a cell's ATT is a
+    # difference of means that may cancel far below it
+    scale = float(np.nanmax(np.abs(p.outcome)))
+
+    def close(a, b):
+        for x, y in zip(a, b):
+            assert abs(x - y) <= 1e-12 * max(abs(y), scale), (a, b)
+
+    assert got.omitted == want["omitted"]
+    assert got.cohort_weights == want["cohort_weights"]
+    for name, got_d, want_d in (("cells", got.cells, want["cells"]),
+                                ("by_cohort", got.by_cohort, want["by_cohort"]),
+                                ("by_event", got.by_event_time, want["by_event"])):
+        assert list(got_d) == list(want_d), name
+        for k in want_d:
+            close(got_d[k], want_d[k])
+    close(got.overall, want["overall"])
 
 
 class TestImputation:

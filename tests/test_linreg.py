@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from panelcause import PanelCauseError
 from panelcause.linreg import (INTERCEPT, PIVOT_TOL, build_design, ols_fit,
-                               absorb_fixed_effects, chi2_sf, normal_p,
+                               absorb_fixed_effects, chi2_sf, index_sums, normal_p,
                                normal_ci, unit_period_components)
 from oracles import (bipartite_components, chi2_upper_tail, cluster_sandwich,
                      fwl_cluster_se, gram_schmidt_design, normal_quantile,
@@ -236,6 +236,21 @@ class TestAbsorb:
             assert abs(col[p.unit_idx == u].sum()) < 1e-8
         for t in range(6):
             assert abs(col[p.time_idx == t].sum()) < 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 40), st.integers(1, 9),
+       st.sampled_from([(), (1,), (3,), (2, 2)]))
+def test_index_sums_equal_add_at_bit_for_bit(seed, n, size, tail):
+    # the same additions in the same order: equal to the bit, not just close
+    rng = np.random.default_rng(seed)
+    index = rng.integers(0, size, n)
+    values = rng.normal(size=(n,) + tail) * 10.0 ** rng.integers(-8, 9, size=(n,) + tail)
+    want = np.zeros((size,) + tail)
+    np.add.at(want, index, values)
+    got = index_sums(index, size, values)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import panelcause as pc
 from helpers import COHORT_PLAN, CASE_SPEC, build_panel
-from oracles import row_load_panel, row_write_csv
+from oracles import loop_adoption, row_load_panel, row_write_csv
 
 CSV = """unit,time,outcome,policy
 a,2000,1.0,0
@@ -272,6 +272,25 @@ class TestAdoption:
         assert pc.derive_adoption(
             build_panel(list("abcd"), T, {"a": 1, "b": 2}, flat)) \
             .timing_class == "STAGGERED"
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_matches_unit_loop(self, seed):
+        # absent rows (NaN in the policy grid), a unit without rows, adoption
+        # at period 0 and a unit whose first observed rows are treated
+        rng = np.random.default_rng(seed)
+        U, T = int(rng.integers(1, 10)), int(rng.integers(1, 8))
+        adopt = rng.integers(0, T + 1, U)
+        ui, ti = np.nonzero(rng.random((U, T)) >= 0.3)
+        p = pc.PanelDataset([f"u{i}" for i in range(U)], list(range(T)), ui, ti,
+                            np.zeros(len(ui)), (ti >= adopt[ui]).astype(int))
+        want = loop_adoption(p)
+        s = pc.derive_adoption(p)
+        assert list(s.adoption_time.items()) == list(want.items())
+        assert all(type(g) is int for g in s.adoption_time.values() if g is not None)
+        assert s.never_treated == tuple(u for u, g in want.items() if g is None)
+        assert s.cohorts == {g: tuple(u for u, h in want.items() if h == g)
+                             for g in sorted({g for g in want.values() if g is not None})}
 
     def test_cumulative_counts(self):
         flat = {u: [0.0] * 5 for u in "abcde"}

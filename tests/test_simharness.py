@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 
 import panelcause as pc
 from panelcause.advisor import ASCM, DID_TWFE, GROUP_TIME_DID, ITS, SCM
-from panelcause.simharness import (DgpConfig, evaluate, simulate_panel)
+from panelcause.simharness import (DgpConfig, TruthRecord, evaluate,
+                                   simulate_panel)
 
 
 def cfg(**over):
@@ -87,6 +89,79 @@ class TestReproducibility:
         warm, _ = simulate_panel(cfg(), rep=9)
         cold, _ = simulate_panel(cfg(), rep=9)
         assert np.array_equal(warm.outcome_matrix(), cold.outcome_matrix())
+
+
+# simulate_panel(config, 2) for each effect kind × confounding mode: sha256 of
+# outcome.tobytes() and policy.tobytes(), and the TruthRecord, recorded when
+# the generator still filled the effect one cell at a time. The documented
+# "bit-identical per (seed, rep)" holds across versions, not only reruns.
+PINNED_EFFECTS = {
+    "constant": {"kind": "constant", "delta": 1.3},
+    "dynamic": {"kind": "dynamic", "base": 0.3, "slope": 0.1},
+    "cohort": {"kind": "cohort", "deltas": {3: 0.7, 6: -1.9}},
+}
+PINNED_POLICY = {
+    "none": "7d305ba9f1574a4763de0cdcfbbdc52c54034e69f6fb660b265c40caf0360e08",
+    "intercept": "9c7847c1c88506c9e91cf50609b4158d83a0fab8d325d604b0a83bb30931432b",
+    "trend": "2d8c81f05cb47319e19d68c30c3160dbf8b8928e412723ee19b6fecf72592bdf",
+}
+
+
+def _cohort_event(early):
+    return {0: early, 1: early, 2: early, 3: 0.7, 4: 0.7, 5: 0.7}
+
+
+CONSTANT = ({k: 1.3 for k in range(6)}, {3: 1.3, 6: 1.3})
+DYNAMIC = ({0: 0.3, 1: 0.39999999999999997, 2: 0.5, 3: 0.6000000000000001, 4: 0.7,
+            5: 0.8}, {3: 0.5499999999999999, 6: 0.4})
+COHORT = {3: 0.6999999999999998, 6: -1.8999999999999997}
+# (outcome sha256, truth's att_overall, by_event, by_cohort)
+PINNED_DGP = {
+    ("constant", "none"): (
+        "2c94d49908727ce4847647c437b96585da0a759a423caf6f4256c4d3e58be4a0", 1.3, *CONSTANT),
+    ("constant", "intercept"): (
+        "b2f641cafbe8c7bc50d40aee286416ffd11bcfd2393e8efbcc1f83dbb3078d9a", 1.3, *CONSTANT),
+    ("constant", "trend"): (
+        "971a1d87b100bcd71b827b2b585c9488acee10ca136a4b6db6c00faa748634dc", 1.3, *CONSTANT),
+    ("dynamic", "none"): (
+        "3cf342bda6c8c51743a955ec01924045ce8bfc95a3d03fe0bbd05f520f84ff04",
+        0.509090909090909, *DYNAMIC),
+    ("dynamic", "intercept"): (
+        "70c15727779b794d5b5713ba1b23d3e339b6a3df07538e5d715eef742c5730ea",
+        0.5090909090909091, *DYNAMIC),
+    ("dynamic", "trend"): (
+        "59b0c2f8d6e10c4f797dfa5be0647d7dbcf2e53a4fdc540f198b0404b4a0fa29",
+        0.5090909090909091, *DYNAMIC),
+    ("cohort", "none"): (
+        "96f9421b1510e3951ccdc10c46734c2f28b3c5c39f8112c87afb759a17c5deb1",
+        -0.009090909090909153, _cohort_event(-0.41428571428571426), COHORT),
+    ("cohort", "intercept"): (
+        "101095f15ba78b1c4984b280ee58f881d70d1a851075f9913ad7fbeae7dd8a0c",
+        -0.009090909090909038, _cohort_event(-0.4142857142857142), COHORT),
+    ("cohort", "trend"): (
+        "974372b2d00c19fdf906ba70a2ce6f9afc83f1d7bea7116967f6254acc7ed105",
+        -0.009090909090909078, _cohort_event(-0.4142857142857142), COHORT),
+}
+PINNED_ADOPTERS = {     # unit number -> adoption period; the other units never adopt
+    "none": {0: 3, 1: 3, 2: 3, 3: 3, 4: 6, 5: 6, 6: 6},
+    "intercept": {1: 6, 4: 3, 5: 3, 6: 6, 9: 6, 12: 3, 13: 3},
+    "trend": {1: 3, 2: 3, 3: 6, 4: 3, 6: 6, 9: 6, 13: 3},
+}
+
+
+@pytest.mark.parametrize("kind,confounding", sorted(PINNED_DGP))
+def test_generator_pinned_bit_for_bit(kind, confounding):
+    c = DgpConfig(n_units=14, n_periods=9, cohorts={3: 4, 6: 3},
+                  effect=PINNED_EFFECTS[kind], trend=0.05, ar_coef=0.4,
+                  confounding=confounding, seed=11)
+    panel, truth = simulate_panel(c, rep=2)
+    outcome_sha, *truth_values = PINNED_DGP[(kind, confounding)]
+    assert hashlib.sha256(panel.outcome.tobytes()).hexdigest() == outcome_sha
+    assert hashlib.sha256(panel.policy.tobytes()).hexdigest() == \
+        PINNED_POLICY[confounding]
+    adopters = PINNED_ADOPTERS[confounding]
+    assert truth == TruthRecord(
+        *truth_values, {f"u{i:03d}": adopters.get(i) for i in range(14)})
 
 
 class TestConfig:

@@ -8,6 +8,12 @@ correction for any remaining pre-period imbalance (sign-free weights that
 still sum to one), and the staggered variant fits one synthetic control per
 adoption cohort under a partially pooled objective. Inference for a single
 treated unit is by in-space placebo permutation.
+
+The solver takes a batch of problems that share AᵀA and solves them in
+lockstep; a single fit is a batch of one. The leave-one-donor-out refits of
+placebo inference and ridge CV are each one batch off the shared donor Gram
+matrix. Reruns are byte-identical; the last digits may differ from versions
+that solved the refits one at a time.
 """
 
 from __future__ import annotations
@@ -23,6 +29,9 @@ from .panel import NEVER, PanelDataset, derive_adoption
 SOLVER_TOL = 1e-10
 SOLVER_MAX_ITER = 10_000
 LAMBDA_GRID = np.logspace(-4, 6, 21)
+# leave-one-out problems (and ridge-CV folds) solved together hold at most
+# this many numbers in each of their per-coordinate arrays
+BATCH_CHUNK = 1 << 15
 
 
 @dataclass
@@ -71,110 +80,197 @@ class StaggeredAscmEstimate:
 
 
 # ---------------------------------------------------------------------------
-# simplex-constrained least squares
+# simplex-constrained least squares: a batch of problems sharing AᵀA, with
+# each array of per-coordinate state holding one row per problem
 
 
-def _gap_terms(w, g, blocks):
-    """Per-block Frank-Wolfe gap w·g - min g; nonnegative on the simplex, so
-    rounding below zero is clipped and a zero tolerance stays unattainable."""
-    return [max(0.0, float(w[s] @ g[s] - g[s].min())) for s in blocks]
+def _gap_terms(W, g, g_own, starts):
+    """Per-block Frank-Wolfe gap terms w·g - min g, one row per problem; g_own
+    is g with +inf off each problem's coordinates, where its w is zero.
+    Nonnegative on the simplex, so rounding below zero is clipped and a
+    zero tolerance stays unattainable."""
+    wg = np.add.reduceat(W * g, starts, axis=1)
+    return np.maximum(0.0, wg - np.minimum.reduceat(g_own, starts, axis=1))
 
 
-def _kkt_solve(AtA, Atb, idx, blk):
-    """Minimiser of the least squares restricted to the support idx, with
-    each block's weights on it summing to one; None if the KKT system is
-    singular. blk holds each support coordinate's block number, 0..nb-1."""
-    p, nb = len(idx), int(blk.max()) + 1
-    kkt = np.zeros((p + nb, p + nb))
-    kkt[:p, :p] = AtA[idx][:, idx]
-    kkt[p + blk, np.arange(p)] = 1.0
-    kkt[np.arange(p), p + blk] = 1.0
-    rhs = np.ones(p + nb)
-    rhs[:p] = Atb[idx]
+def _kkt_solve(K, R, S, unit):
+    """Minimiser of each row's least squares restricted to its support S[i],
+    with each block's weights on it summing to one, as a row of length k
+    (zero off the support); a row of NaN where the KKT system is singular
+    or its solution not finite. K is the bordered matrix [[AᵀA, E], [Eᵀ,
+    0]] of all k coordinates (E: block membership) and R the rows' [Aᵀb,
+    1]: each KKT system is K's principal submatrix on the support and the
+    block-sum rows, with its weight rows times the row's unit. The systems
+    are padded to the largest support with identity rows and zero
+    right-hand sides and solved as one stack."""
+    n, k = S.shape
+    nb = len(K) - k
+    p = S.sum(axis=1)
+    P = int(p.max())
+    sel = np.empty((n, P + nb), dtype=np.intp)
+    sel[:, :P] = np.argsort(~S, axis=1, kind="stable")[:, :P]  # ascending
+    sel[:, P:] = np.arange(k, k + nb)
+    rows = np.arange(n)[:, None]
+    kkt = K[sel[:, :, None], sel[:, None, :]]
+    kkt[:, :P] *= unit[:, None, None]
+    rhs = R[rows, sel]
+    rhs[:, :P] *= unit[:, None]
+    if p.min() < P:
+        pad = np.zeros(sel.shape, dtype=bool)
+        pad[:, :P] = np.arange(P) >= p[:, None]
+        kkt *= ~(pad[:, :, None] | pad[:, None, :])
+        kkt.reshape(n, -1)[:, ::P + nb + 1] += pad     # the diagonal
+        rhs *= ~pad
     try:
-        z = np.linalg.solve(kkt, rhs)[:p]
+        z = np.linalg.solve(kkt, rhs[:, :, None])[:, :P, 0]
     except np.linalg.LinAlgError:
-        return None
-    return z if np.isfinite(z).all() else None
+        z = np.stack([_solve_or_nan(a, b) for a, b in zip(kkt, rhs)])[:, :P]
+    Z = np.zeros(S.shape)
+    Z[rows, sel[:, :P]] = z      # a padded position solves to zero
+    if not np.isfinite(z).all():
+        Z[~np.isfinite(z).all(axis=1)] = np.nan
+    return Z
 
 
-def _admit(AtA, Atb, w, new, blk_of):
-    """One active-set round: coordinate new joins w's support and the weights
-    move to the minimiser on it, stepping back to the simplex (dropping the
-    coordinates that reach zero) while it lies outside. None when rounding
-    stops the round: a singular KKT system, or new cannot enter."""
-    support = np.sort(np.append(w.nonzero()[0], new))
-    while True:
-        z = _kkt_solve(AtA, Atb, support, blk_of[support])
-        if z is None:
-            return None
-        out = z <= 0
-        if not out.any():
-            w = np.zeros(len(w))
-            w[support] = z
-            return w
-        # step back: the farthest feasible point on the segment to z
-        ws = w[support]
-        if (ws[out] == 0).any():
-            return None
-        ratio = ws[out] / (ws[out] - z[out])
-        ws = ws + ratio.min() * (z - ws)
-        ws[np.flatnonzero(out)[np.argmin(ratio)]] = 0.0
-        keep = ws > 0
-        w = np.zeros(len(w))
-        w[support[keep]] = ws[keep]
-        support = support[keep]
+def _solve_or_nan(a, b):
+    """np.linalg.solve(a, b), or NaN where a is singular."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        return np.full(b.shape, np.nan)
+
+
+def _admit(K, R, W, new, unit):
+    """One active-set round per row: coordinate new[i] joins the support of
+    W[i] and the weights move to the minimiser on it, stepping back to the
+    simplex (dropping the coordinates that reach zero) while it lies
+    outside. A row of NaN where rounding stops the round: a singular KKT
+    system, or new[i] cannot enter (it already has weight, or would go
+    negative)."""
+    live = np.arange(len(W))
+    out = np.full(W.shape, np.nan)
+    S = W > 0
+    S[live, new] = True
+    free = W[live, new] == 0
+    if not free.all():
+        live, W, S, R, unit = (a[free] for a in (live, W, S, R, unit))
+    while len(live):
+        Z = _kkt_solve(K, R, S, unit)
+        neg = S & (Z <= 0)
+        inside = ~neg.any(axis=1)
+        if inside.all():
+            out[live] = Z
+            break
+        out[live[inside]] = Z[inside]
+        # step back unless a coordinate at zero (new) would go negative
+        step = ~inside & ~(neg & (W == 0)).any(axis=1)
+        if not step.all():
+            live, W, S, Z, neg, R, unit = (
+                a[step] for a in (live, W, S, Z, neg, R, unit))
+        # the farthest feasible point on the segment to Z
+        ratio = np.full(W.shape, np.inf)
+        np.divide(W, W - Z, out=ratio, where=neg)
+        W = W + ratio.min(axis=1, keepdims=True) * (Z - W)
+        W[np.arange(len(W)), ratio.argmin(axis=1)] = 0.0
+        S &= W > 0
+        W *= S
+    return out
 
 
 def _vertex(scores, blocks):
-    """The point with weight one on the highest score of each block: a
-    feasible start for an active-set pass, optimal on its own support."""
-    v = np.zeros(len(scores))
+    """Each row's point with weight one on its highest score in each block:
+    a feasible start for an active-set pass, optimal on its own support."""
+    v = np.zeros(scores.shape)
+    rows = np.arange(len(scores))
     for s in blocks:
-        v[s.start + int(np.argmax(scores[s]))] = 1.0
+        v[rows, s.start + np.argmax(scores[:, s], axis=1)] = 1.0
     return v
 
 
-def _active_set_polish(AtA, Atb, blocks, tol_gap, max_iter):
-    """Exact minimiser by a forward active set (Lawson & Hanson 1974, ch. 23).
+def _active_set_polish(AtA, Atb, bb, mask, blocks, tol, max_iter):
+    """Exact minimisers by a forward active set (Lawson & Hanson 1974, ch. 23),
+    for a batch of problems solved in lockstep.
 
-    Each round admits the coordinate whose gradient most undercuts its
-    block's weighted mean (the largest Frank-Wolfe gap term). In exact
-    arithmetic the objective falls every round, so a pass from the best
-    vertex of each block ends at the minimiser after finitely many rounds.
-    Rounding stops a pass short when _admit gives None or the admitted
-    coordinate already has weight (solve_simplex_lsq has the restart rule).
-    Returns (w, passes, gap) once gap < tol_gap.
+    Problem i minimises wᵀAᵀA w - 2 w·Aᵀb[:, i] + bb[i] over the product of
+    the block simplexes, with w zero off mask[i]. Each round, one matmul
+    gives every unconverged problem's gradient, and each admits the
+    coordinate whose gradient most undercuts its block's weighted mean (the
+    largest Frank-Wolfe gap term). In exact arithmetic the objective falls
+    every round, so a pass from the best vertex of each block ends at the
+    minimiser after finitely many rounds. Rounding stops a pass short when
+    _admit gives NaN; the next pass starts at the vertex of each block's
+    heaviest weight. NO_CONVERGENCE is raised when a restart would repeat
+    its pass's start, or a problem is still short after max_iter rounds.
+    A problem stops once its gap is below tol × _gap_scale on its own
+    coordinates; one whose AᵀA is zero there takes the uniform point (any
+    feasible w is optimal) with 0 passes. Returns (W, passes, gaps), one
+    row or entry per problem.
     """
-    # an exact power-of-two rescaling caps AᵀA (largest on its diagonal) at
-    # 2^30, far below where its rounding swamps the KKT unit constraint rows
-    unit = 2.0 ** min(0, 30 - int(np.frexp(np.diag(AtA).max())[1]))
-    AtA, Atb, tol_gap = unit * AtA, unit * Atb, unit * tol_gap
-    blk_of = np.empty(len(Atb), dtype=int)
-    for j, s in enumerate(blocks):
-        blk_of[s] = j
-    w = start = _vertex(2.0 * Atb - np.diag(AtA), blocks)
-    passes, rounds = 1, 0
-    for rounds in range(1, max_iter + 1):
-        g = 2.0 * (AtA @ w - Atb)
-        terms = _gap_terms(w, g, blocks)
-        if sum(terms) < tol_gap:
-            return w, passes, sum(terms) / unit
-        s = blocks[int(np.argmax(terms))]
-        new = s.start + int(np.argmin(g[s]))
-        w_next = None if w[new] > 0 else _admit(AtA, Atb, w, new, blk_of)
-        if w_next is None:
-            w_next = _vertex(w, blocks)
-            if np.array_equal(w_next, start):
+    m, k = mask.shape
+    starts = [s.start for s in blocks]
+    blk_of = np.repeat(np.arange(len(blocks)), np.diff([*starts, k]))
+    in_block = blk_of == np.arange(len(blocks))[:, None]
+    W_out = mask.astype(float)
+    for s in blocks:
+        W_out[:, s] /= mask[:, s].sum(axis=1, keepdims=True)
+    tol_gap = tol * _gap_scale((AtA, Atb, bb), W_out)
+    diag = np.where(mask, np.diag(AtA), 0.0)
+    # an exact power-of-two rescaling of each KKT system's weight rows caps
+    # its AᵀA (largest on the diagonal) at 2^30, far below where its rounding
+    # swamps the unit constraint rows; gradients and gaps stay unscaled
+    unit = 2.0 ** np.minimum(0, 30 - np.frexp(diag.max(axis=1))[1])
+    # the bordered KKT matrix [[AᵀA, E], [Eᵀ, 0]] of all k coordinates, E
+    # their block membership, and each problem's right-hand side [Aᵀb, 1]
+    K = np.zeros((k + len(blocks), k + len(blocks)))
+    K[:k, :k] = AtA
+    K[k + blk_of, np.arange(k)] = K[np.arange(k), k + blk_of] = 1.0
+    R = np.ones((m, len(K)))
+    R[:, :k] = Atb.T
+    gaps = np.zeros(m)
+    passes = (diag.sum(axis=1) > 0).astype(int)
+    ids = np.flatnonzero(passes)           # the unconverged problems, in order
+    R, mask, unit, tol_gap = R[ids], mask[ids], unit[ids], tol_gap[ids]
+    start = _vertex(np.where(mask, 2.0 * R[:, :k] - diag[ids], -np.inf), blocks)
+    W = start.copy()
+    rounds = 0
+    while len(ids):
+        rounds += 1
+        g = 2.0 * (W @ AtA.T - R[:, :k])
+        g_own = np.where(mask, g, np.inf)
+        terms = _gap_terms(W, g, g_own, starts)
+        gap = terms.sum(axis=1)
+        conv = gap < tol_gap
+        if conv.any():
+            W_out[ids[conv]], gaps[ids[conv]] = W[conv], gap[conv]
+            ids, R, mask, unit, tol_gap, W, start, g_own, terms, gap = (
+                a[~conv] for a in (ids, R, mask, unit, tol_gap, W, start,
+                                   g_own, terms, gap))
+            if not len(ids):
                 break
-            start, passes = w_next, passes + 1
-        w = w_next
-    gap = sum(_gap_terms(w, 2.0 * (AtA @ w - Atb), blocks)) / unit
-    raise PanelCauseError(
+        if rounds >= max_iter:
+            raise _no_convergence(rounds, passes[ids[0]], gap[0], tol_gap[0])
+        b = np.argmax(terms, axis=1)
+        new = np.argmin(np.where(in_block[b], g_own, np.inf), axis=1)
+        nxt = _admit(K, R, W, new, unit)
+        stopped = np.isnan(nxt[:, 0])
+        if stopped.any():
+            v = _vertex(W[stopped], blocks)
+            again = np.flatnonzero((v == start[stopped]).all(axis=1))
+            if len(again):
+                i = np.flatnonzero(stopped)[again[0]]
+                raise _no_convergence(rounds, passes[ids[i]], gap[i], tol_gap[i])
+            nxt[stopped] = start[stopped] = v
+            passes[ids[stopped]] += 1
+        W = nxt
+    return W_out, passes, gaps
+
+
+def _no_convergence(rounds, passes, gap, tol_gap):
+    return PanelCauseError(
         "NO_CONVERGENCE",
         f"simplex solver stopped after {rounds} active-set rounds in {passes} "
-        f"passes; optimality gap {gap:.3g}, tolerance {tol_gap / unit:.3g}",
-        gap=gap)
+        f"passes; optimality gap {gap:.3g}, tolerance {tol_gap:.3g}",
+        gap=float(gap))
 
 
 def _gram(A, b, blocks):
@@ -191,19 +287,31 @@ def _gram(A, b, blocks):
 
 
 def _gap_scale(gram, uniform):
-    """The certificate's scale: the objective at the uniform point, floored
-    at R / SOLVER_TOL, where R = 4·k·eps·(max|AᵀA| + max|Aᵀb|) is the
-    rounding level of the computed gap. A gradient entry 2((AᵀA w)_i -
-    (Aᵀb)_i) is a length-k dot product with weights summing to one, off by
-    up to 2·k·eps·(max|AᵀA| + max|Aᵀb|), and a gap term w·g - min g
-    differences two of them: c = 4. More blocks raise that worst case, which
-    rounding of random sign reaches only as sqrt(k)·eps. Both terms are
-    quadratic in (A, b), so the certificate is scale-equivariant."""
+    """The certificate's scale of each problem, on the coordinates its row of
+    uniform weights (gram holds AᵀA, Aᵀb as k×m and bᵀb as m entries): the
+    objective at the uniform point, floored at R / SOLVER_TOL, where R =
+    4·k·eps·(max|AᵀA| + max|Aᵀb|) is the rounding level of the computed gap
+    (k, AᵀA and Aᵀb restricted to the problem's coordinates). A gradient
+    entry 2((AᵀA w)_i - (Aᵀb)_i) is a length-k dot product with weights
+    summing to one, off by up to 2·k·eps·(max|AᵀA| + max|Aᵀb|), and a gap
+    term w·g - min g differences two of them: c = 4. More blocks raise that
+    worst case, which rounding of random sign reaches only as sqrt(k)·eps.
+    Both terms are quadratic in (A, b), so the certificate is
+    scale-equivariant."""
     AtA, Atb, bb = gram
-    R = 4.0 * len(Atb) * np.finfo(float).eps * (np.abs(AtA).max()
-                                                 + np.abs(Atb).max())
-    f = float(uniform @ (AtA @ uniform) - 2.0 * (Atb @ uniform) + bb)
-    return max(f, R / SOLVER_TOL)
+    mask = uniform > 0
+    # max|AᵀA| on each problem's coordinates: the overall maximum unless
+    # the problem leaves out its row or column
+    absA = np.abs(AtA)
+    top = np.unravel_index(np.argmax(absA), absA.shape)
+    big = np.full(len(mask), absA[top])
+    for i in np.flatnonzero(~(mask[:, top[0]] & mask[:, top[1]])):
+        big[i] = absA[np.ix_(mask[i], mask[i])].max()
+    R = 4.0 * mask.sum(axis=1) * np.finfo(float).eps * (
+        big + np.where(mask, np.abs(Atb.T), 0.0).max(axis=1))
+    f = (np.einsum("ij,ij->i", uniform @ AtA.T, uniform)
+         - 2.0 * np.einsum("ji,ij->i", Atb, uniform) + bb)
+    return np.maximum(f, R / SOLVER_TOL)
 
 
 def solve_simplex_lsq(A: np.ndarray, b: np.ndarray, blocks=None,
@@ -211,35 +319,31 @@ def solve_simplex_lsq(A: np.ndarray, b: np.ndarray, blocks=None,
                       gram=None):
     """Minimize ||A w - b||^2 over a simplex (or product of simplexes).
 
-    ``blocks`` is a list of index slices, each constrained to its own
-    simplex; None means one simplex over all of w. ``gram`` may give
-    (AᵀA, Aᵀb, bᵀb) instead of A and b, for example as sub-blocks of a
-    Gram matrix shared by many refits.
+    ``blocks`` is a list of contiguous index slices covering w in order,
+    each constrained to its own simplex; None means one simplex over all of
+    w. ``gram`` may give (AᵀA, Aᵀb, bᵀb) instead of A and b.
 
-    The forward active set (_active_set_polish) stops once the Frank-Wolfe
-    gap is below tol × _gap_scale. When rounding stops a pass short, the
-    next starts at the vertex of each block's heaviest weight; ``max_iter``
-    bounds the rounds over all passes, and NO_CONVERGENCE is raised when
-    they run out or a restart would repeat its pass's start. Returns (w,
-    objective, passes, gap): passes is 1 when the first pass succeeds and 0
-    when AᵀA = 0 after centring (any feasible w is optimal: the uniform one).
+    The forward active set (_active_set_polish, here a batch of one) stops
+    once the Frank-Wolfe gap is below tol × _gap_scale. When rounding stops
+    a pass short, the next starts at the vertex of each block's heaviest
+    weight; ``max_iter`` bounds the rounds over all passes, and
+    NO_CONVERGENCE is raised when they run out or a restart would repeat
+    its pass's start. Returns (w, objective, passes, gap): passes is 1 when
+    the first pass succeeds and 0 when AᵀA = 0 after centring (any feasible
+    w is optimal: the uniform one).
     """
     k = A.shape[1] if gram is None else len(gram[1])
     if blocks is None:
         blocks = [slice(0, k)]
-    AtA, Atb, bb = gram = _gram(A, b, blocks) if gram is None else gram
-    uniform = np.empty(k)
-    for s in blocks:
-        uniform[s] = 1.0 / len(range(*s.indices(k)))
-
-    def fval(w):
-        return float(w @ (AtA @ w) - 2.0 * (Atb @ w) + bb)
-
-    if not k or np.trace(AtA) == 0:
-        return uniform, fval(uniform), 0, 0.0
-    w, passes, gap = _active_set_polish(
-        AtA, Atb, blocks, tol * _gap_scale(gram, uniform), max_iter)
-    return w, fval(w), passes, gap
+    AtA, Atb, bb = _gram(A, b, blocks) if gram is None else gram
+    if not k:
+        return np.zeros(0), float(bb), 0, 0.0
+    W, passes, gaps = _active_set_polish(
+        AtA, np.asarray(Atb)[:, None], np.array([bb]), np.ones((1, k), bool),
+        blocks, tol, max_iter)
+    w = W[0]
+    return (w, float(w @ (AtA @ w) - 2.0 * (Atb @ w) + bb), int(passes[0]),
+            float(gaps[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -335,19 +439,27 @@ def _synth_gaps(y, Y_donors, w, g):
 def _donor_gram(X0):
     """Gram matrix of the donor features (rows) centred across donors.
 
-    Refitting donor i on the others reads (AᵀA, Aᵀb, bᵀb) off it with
-    _leave_out: on the simplex, shifting every donor by the same vector
-    leaves A w - b unchanged, and the centring keeps a common level from
-    swamping the products in rounding.
+    On the simplex, shifting every donor by the same vector leaves A w - b
+    unchanged, so refitting donor i on the others can read (AᵀA, Aᵀb, bᵀb)
+    off it; the centring keeps a common level from swamping the products
+    in rounding.
     """
     Xc = X0 - X0.mean(axis=0)
     return Xc @ Xc.T
 
 
-def _leave_out(G, i):
-    """(pool, gram) of donor i fitted on every other donor."""
-    pool = np.delete(np.arange(len(G)), i)
-    return pool, (G[pool][:, pool], G[pool, i], float(G[i, i]))
+def _leave_outs(G):
+    """Simplex weights of each donor fitted on all the others, row i for donor
+    i (zero at i), from the donor Gram G: problem i has AᵀA = G, Aᵀb =
+    G[:, i] and bᵀb = G[i, i] with coordinate i masked out. The fits are
+    solved in lockstep, as one batch unless that would exceed BATCH_CHUNK."""
+    J = len(G)
+    off = ~np.eye(J, dtype=bool)
+    step = max(1, BATCH_CHUNK // J)
+    return np.vstack([
+        _active_set_polish(G, G[:, f], np.diag(G)[f], off[f], [slice(0, J)],
+                           SOLVER_TOL, SOLVER_MAX_ITER)[0]
+        for f in (slice(lo, lo + step) for lo in range(0, J, step))])
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +481,10 @@ def placebo_inference(panel: PanelDataset, treated, donors=None, covariates=(),
     """In-space permutation test on post/pre RMSPE ratios.
 
     Each donor is refit as a pseudo-treated unit (remaining donors as its
-    pool, the real treated unit excluded). Donors whose pre-period fit is
+    pool, the real treated unit excluded). The refits are solved in
+    lockstep off the shared donor Gram (_leave_outs): a rerun repeats them
+    bit for bit, and their last digits may differ from versions that solved
+    them one at a time. Donors whose pre-period fit is
     worse than cutoff × the treated unit's pre-RMSPE are excluded. The
     p-value counts placebos with ratios at least as extreme as the treated
     unit's (ties count), plus one, over retained placebos plus one.
@@ -384,17 +499,17 @@ def placebo_inference(panel: PanelDataset, treated, donors=None, covariates=(),
     t_ratio = _rmspe_ratio(t_pre, _post_rmspe(base.gaps))
 
     drows = np.array([panel.units.index(d) for d in donors])
-    G = _donor_gram(_features(panel, drows, g, covariates))
-    Y = panel.outcome_matrix()
+    W = _leave_outs(_donor_gram(_features(panel, drows, g, covariates)))
+    Yd = panel.outcome_matrix()[drows]
+    resid = Yd - W @ Yd
+    pre = np.sqrt(np.mean(resid[:, :g] ** 2, axis=1))
+    post = np.sqrt(np.mean(resid[:, g:] ** 2, axis=1))
     ratios, excluded = {}, []
-    for i, d in enumerate(donors):
-        pool, gram = _leave_out(G, i)
-        w, *_ = solve_simplex_lsq(None, None, gram=gram)
-        pre, gaps, _ = _synth_gaps(Y[drows[i]], Y[drows[pool]], w, g)
-        if pre > exclusion_cutoff * t_pre:
+    for d, pre_d, post_d in zip(donors, pre.tolist(), post.tolist()):
+        if pre_d > exclusion_cutoff * t_pre:
             excluded.append(d)
-            continue
-        ratios[d] = _rmspe_ratio(pre, _post_rmspe(gaps))
+        else:
+            ratios[d] = _rmspe_ratio(pre_d, post_d)
     if not ratios:
         raise PanelCauseError("ALL_EXCLUDED",
                               "every placebo failed the pre-fit exclusion rule")
@@ -409,23 +524,29 @@ def placebo_inference(panel: PanelDataset, treated, donors=None, covariates=(),
 
 
 def _ridge_augment(X0: np.ndarray, x1: np.ndarray, w: np.ndarray, lams):
-    """Simplex weights plus a sign-free ridge correction, one row per penalty.
+    """Simplex weights plus a sign-free ridge correction, per fold and penalty.
 
-    X0 rows are donors. Centering features across donors makes each
-    correction Xc (XcᵀXc + lam I)⁺ (x1 - X0ᵀw) sum to zero exactly, so
-    augmented weights still sum to one. One SVD of the centred features
-    serves every penalty. Directions whose Gram eigenvalue plus lam is
-    below the rounding floor get no correction: at lam = 0, where the Gram
-    matrix is singular whenever donors-1 < features, that is the
+    Arrays carry a leading fold axis: X0 is folds × donors × features, x1
+    folds × features and w folds × donors; the result is folds × penalties
+    × donors. Centering features across donors makes each correction
+    Xc (XcᵀXc + lam I)⁺ (x1 - X0ᵀw) sum to zero exactly, so augmented
+    weights still sum to one. One stacked SVD of the centred features
+    serves every fold and penalty. Directions whose Gram eigenvalue plus
+    lam is below the rounding floor get no correction: at lam = 0, where
+    the Gram matrix is singular whenever donors-1 < features, that is the
     minimum-norm solution, the lam -> 0 limit.
     """
-    Xc = X0 - X0.mean(axis=0)
+    Xc = X0 - X0.mean(axis=1, keepdims=True)
     U, sv, Vt = np.linalg.svd(Xc, full_matrices=False)
+    sv = sv[:, None, :]
     lams = np.asarray(lams, dtype=float)[:, None]
     ev = sv ** 2 + lams
-    floor = np.finfo(float).eps * X0.shape[1] * (sv[:1] ** 2 + lams)
+    floor = np.finfo(float).eps * X0.shape[2] * (sv[..., :1] ** 2 + lams)
     coef = np.divide(sv, ev, out=np.zeros_like(ev), where=ev > floor)
-    return w + (coef * (Vt @ (x1 - X0.T @ w))) @ U.T
+    resid = x1 - np.einsum("fjk,fj->fk", X0, w)
+    out = (coef * (Vt @ resid[:, :, None])[:, None, :, 0]) @ U.transpose(0, 2, 1)
+    out += w[:, None, :]
+    return out
 
 
 def _cv_lambda(X0: np.ndarray, grid=LAMBDA_GRID):
@@ -433,20 +554,26 @@ def _cv_lambda(X0: np.ndarray, grid=LAMBDA_GRID):
 
     Each donor in turn becomes pseudo-treated with the rest as its pool;
     weights are fit on all but the last pre period and scored on the
-    held-out one. Ties resolve to the larger penalty.
+    held-out one. The simplex fits are solved in lockstep off the shared
+    donor Gram (_leave_outs) and the folds' ridge corrections come from
+    stacked SVDs, in chunks of at most BATCH_CHUNK numbers: a rerun repeats
+    the scores bit for bit, and their last digits may differ from versions
+    that fit the folds one at a time. Ties resolve to the larger penalty.
     """
     J, F = X0.shape
     if F < 2 or J < 3:
         raise PanelCauseError("TOO_FEW_PERIODS",
                               "ridge CV needs ≥2 matched features and ≥3 donors")
     fit, last = X0[:, :F - 1], X0[:, F - 1]
-    G = _donor_gram(fit)
+    off = ~np.eye(J, dtype=bool)
+    pools = np.nonzero(off)[1].reshape(J, J - 1)         # fold j: all but j
+    W = _leave_outs(_donor_gram(fit))[off].reshape(J, J - 1)
     scores = np.zeros(len(grid))
-    for j in range(J):
-        pool, gram = _leave_out(G, j)
-        w, *_ = solve_simplex_lsq(None, None, gram=gram)
-        w_aug = _ridge_augment(fit[pool], fit[j], w, grid)
-        scores += (last[j] - w_aug @ last[pool]) ** 2
+    step = max(1, BATCH_CHUNK // (len(grid) * J))
+    for f in (slice(lo, lo + step) for lo in range(0, J, step)):
+        w_aug = _ridge_augment(fit[pools[f]], fit[f], W[f], grid)
+        pred = (w_aug @ last[pools[f]][:, :, None])[..., 0]
+        scores += ((last[f, None] - pred) ** 2).sum(axis=0)
     best = np.flatnonzero(scores <= scores.min())[-1]
     return float(grid[best]), dict(zip(grid.tolist(), scores.tolist()))
 
@@ -468,7 +595,8 @@ def fit_ascm(panel: PanelDataset, treated, donors=None, covariates=(),
     cv_scores = None
     if lam == "cv":
         lam, cv_scores = _cv_lambda(X0)
-    w_aug = _ridge_augment(X0, x1, base.weights.as_array(donors), [lam])[0]
+    w_aug = _ridge_augment(X0[None], x1[None], base.weights.as_array(donors)[None],
+                           [lam])[0, 0]
 
     Y = panel.outcome_matrix()
     pre, gaps, att = _synth_gaps(Y[trow], Y[drows], w_aug, g)
@@ -625,7 +753,7 @@ def _staggered_fit_once(panel, schedule, donors, nu, lam):
         A_g, b_g = per[g]
         X0 = A_g.T                                  # donors × features
         lam_g, cv_scores = (lam, None) if lam != "cv" else _cv_lambda(X0)
-        w_aug = _ridge_augment(X0, b_g, W[i], [lam_g])[0]
+        w_aug = _ridge_augment(X0[None], b_g[None], W[i][None], [lam_g])[0, 0]
         crows = [panel.units.index(u) for u in schedule.cohorts[g]]
         pre, gaps, att_g = _synth_gaps(Y[crows].mean(axis=0), Y[drows], w_aug, g)
         obj = float(np.sum((b_g - X0.T @ w_aug) ** 2))

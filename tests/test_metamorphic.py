@@ -1,9 +1,10 @@
-"""Outcome shift and scale: what every regression estimator must do with them.
+"""Transforms of the input that must not change what a method reports.
 
 Adding c to every outcome leaves a method's point estimate and SE as they
 are; multiplying every outcome by a multiplies the estimate by a and the SE
-by |a|. Each method is called as the advisor, the CLI and the Monte Carlo
-harness call it, through ``advisor.METHODS[m].fit`` and ``.point``.
+by |a|. Shuffling the rows, renaming the units and shifting the time labels
+change nothing. Each method is called as the advisor, the CLI and the Monte
+Carlo harness call it, through ``advisor.METHODS[m].fit`` and ``.point``.
 """
 
 import warnings
@@ -93,6 +94,8 @@ def test_scm_outcome_scale(a):
     np.testing.assert_allclose(scaled.weights.as_array(est.donors),
                                est.weights.as_array(est.donors),
                                rtol=0, atol=1e-9)
+    assert pc.placebo_inference(with_outcome(p, a, 0.0), est.treated).p_value \
+        == pc.placebo_inference(p, est.treated).p_value
 
 
 @pytest.mark.parametrize("a", [1e-4, 1e4])
@@ -102,3 +105,83 @@ def test_staggered_ascm_fixed_nu_outcome_scale(a):
     scaled = pc.fit_staggered_ascm(with_outcome(p, a, 0.0), nu=0.5)
     assert scaled.att == pytest.approx(a * est.att, rel=1e-9)
     assert scaled.se == pytest.approx(abs(a) * est.se, rel=1e-9)
+
+
+# Labels and order: every method, on a panel it fits.
+LABEL_CASES = (
+    [(SINGLE_TREATED, m) for m in (adv.SCM, adv.ASCM, adv.ITS, adv.CITS,
+                                   adv.DID_TWFE, adv.EVENT_STUDY)]
+    + [(STAGGERED, m) for m in (adv.ITS_MULTI_BASELINE, adv.GROUP_TIME_DID,
+                                adv.IMPUTATION_DID, adv.DEBIASED_AR,
+                                adv.STAGGERED_ASCM)])
+
+
+def rebuilt(p, units=None, time_labels=None, rows=None, unit_idx=None):
+    rows = np.arange(len(p.outcome)) if rows is None else rows
+    unit_idx = p.unit_idx if unit_idx is None else unit_idx
+    return pc.PanelDataset(
+        p.units if units is None else units,
+        p.time_labels if time_labels is None else time_labels,
+        unit_idx[rows], p.time_idx[rows], p.outcome[rows], p.policy[rows],
+        {k: v[rows] for k, v in p.covariates.items()})
+
+
+def relabelled(p):
+    """(transform, panel, old unit -> new unit) for each label transform;
+    the renamed units sort in the reverse of their order."""
+    n = p.unit_count
+    names = [f"r{n - i:03d}" for i in range(n)]
+    same = dict(zip(p.units, p.units))
+    rows = np.random.default_rng(0).permutation(len(p.outcome))
+    return [("shuffled rows", rebuilt(p, rows=rows), same),
+            ("renamed units", rebuilt(p, units=names),
+             dict(zip(p.units, names))),
+            ("time labels + 1000",
+             rebuilt(p, time_labels=[t + 1000 for t in p.time_labels]), same)]
+
+
+def test_label_cases_cover_every_method():
+    assert sorted(m for _, m in LABEL_CASES) == sorted(adv.METHODS)
+
+
+@pytest.mark.parametrize("cfg,method", LABEL_CASES,
+                         ids=[m for _, m in LABEL_CASES])
+def test_labels_and_row_order(cfg, method):
+    spec = adv.METHODS[method]
+    p = simulate_panel(cfg, 0)[0]
+
+    def fit(q):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return spec.fit(q, (), 0.95, 0)
+
+    est = fit(p)
+    for name, q, rename in relabelled(p):
+        got = fit(q)
+        assert spec.point(got) == pytest.approx(spec.point(est), rel=1e-10,
+                                                nan_ok=True), name
+
+
+@pytest.mark.parametrize("method", [adv.SCM, adv.ASCM])
+def test_weights_and_placebo_by_donor(method):
+    # the weights, compared by donor label, and the placebo p, exactly. The
+    # leave-one-out refits run as one batch in donor order: reversing the
+    # units reverses it (the label transforms keep it)
+    spec = adv.METHODS[method]
+    p = simulate_panel(SINGLE_TREATED, 0)[0]
+    n = p.unit_count
+    panels = relabelled(p) + [
+        ("reversed units", rebuilt(p, units=p.units[::-1],
+                                   unit_idx=n - 1 - p.unit_idx),
+         dict(zip(p.units, p.units)))]
+    est = spec.fit(p, (), 0.95, 0)
+    base = pc.placebo_inference(p, est.treated)
+    for name, q, rename in panels:
+        got = spec.fit(q, (), 0.95, 0)
+        w = est.weights.weights
+        np.testing.assert_allclose(
+            [got.weights.weights[rename[d]] for d in w], list(w.values()),
+            rtol=1e-10, atol=1e-12, err_msg=name)
+        res = pc.placebo_inference(q, rename[est.treated])
+        assert res.p_value == base.p_value, name
+        assert sorted(res.excluded) == sorted(rename[d] for d in base.excluded)

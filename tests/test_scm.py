@@ -4,8 +4,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import panelcause as pc
-from panelcause.scm import (_cv_lambda, _gap_scale, _gram, _rmspe_ratio,
-                            LAMBDA_GRID, SOLVER_TOL, solve_simplex_lsq)
+from panelcause.scm import (_active_set_polish, _cv_lambda, _donor_gram,
+                            _gap_scale, _gram, _leave_outs, _ridge_augment,
+                            _rmspe_ratio, LAMBDA_GRID, SOLVER_MAX_ITER,
+                            SOLVER_TOL, solve_simplex_lsq)
 from panelcause.simharness import DgpConfig, simulate_panel
 from helpers import build_panel
 from oracles import (exhaustive_simplex_min, grid_simplex_min,
@@ -26,7 +28,9 @@ def uniform_point(blocks):
 def allowance(A, b, blocks):
     """SOLVER_TOL times the certificate's scale, as the solver forms it:
     the solver stops at gap < allowance, and f(w) - f* <= gap."""
-    return SOLVER_TOL * _gap_scale(_gram(A, b, blocks), uniform_point(blocks))
+    AtA, Atb, bb = _gram(A, b, blocks)
+    return SOLVER_TOL * _gap_scale((AtA, Atb[:, None], np.array([bb])),
+                                   uniform_point(blocks)[None])[0]
 
 
 class TestSolver:
@@ -89,22 +93,41 @@ class TestSolver:
         rng = np.random.default_rng(1)
         A, b = rng.normal(size=(20, 30)), rng.normal(size=20)
         w0, *_ = solve_simplex_lsq(A, b)
-        admit = pc.scm._admit
-
-        def fail_call(n):
-            calls = []
-
-            def flaky(*args):
-                calls.append(args)
-                return None if len(calls) == n else admit(*args)
-            monkeypatch.setattr(pc.scm, "_admit", flaky)
-
-        fail_call(3)
+        stop_admission(monkeypatch, 3)
         w, _, passes, _ = solve_simplex_lsq(A, b)
         assert passes == 2
         np.testing.assert_allclose(w, w0, rtol=0, atol=1e-12)
-        fail_call(1)
+        stop_admission(monkeypatch, 1)
         assert err(solve_simplex_lsq, A, b).code == "NO_CONVERGENCE"
+
+    def test_restart_of_one_problem_in_a_batch(self, monkeypatch):
+        # problem t of a leave-one-out batch stops short at its 3rd
+        # admission: it restarts and reaches its minimiser, and no other
+        # problem of the batch moves. Problem 2's heaviest weight has left
+        # its start by then; problem 0's has not, so its restart would
+        # repeat its start, and one such problem fails the whole batch
+        rng = np.random.default_rng(2)
+        G = _donor_gram(rng.normal(size=(25, 12)))
+        J, t = len(G), 2
+
+        def batch():
+            return _active_set_polish(G, G, np.diag(G).copy(),
+                                      ~np.eye(J, dtype=bool), [slice(0, J)],
+                                      SOLVER_TOL, SOLVER_MAX_ITER)
+
+        W0, passes0, _ = batch()
+        assert (passes0 == 1).all()
+        stop_admission(monkeypatch, 3, row_of=lambda B: B == G[:, t])
+        W, passes, _ = batch()
+        assert passes[t] == 2
+        assert (np.delete(passes, t) == 1).all()
+        np.testing.assert_allclose(W[t], W0[t], rtol=0, atol=1e-12)
+        # the others only see t's support size, through the padding of the
+        # stacked KKT systems: rounding level at most
+        np.testing.assert_allclose(np.delete(W, t, axis=0),
+                                   np.delete(W0, t, axis=0), rtol=0, atol=1e-15)
+        stop_admission(monkeypatch, 3, row_of=lambda B: B == G[:, 0])
+        assert err(batch).code == "NO_CONVERGENCE"
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 6), st.integers(2, 8))
@@ -133,6 +156,26 @@ class TestSolver:
         assert gap < tol
         _, obj_ref = nnls_simplex_min(A, b, [slice(0, 2)])
         assert float(np.sum((A @ w - b) ** 2)) <= obj_ref + tol
+
+
+def stop_admission(monkeypatch, n, row_of=None):
+    """Make the n-th admission stop short, as rounding can: scm._admit gives
+    NaN for that round. With row_of (the round's linear terms Aᵀb, one row
+    per problem -> bool per coordinate), only the problem whose row it
+    matches counts admissions."""
+    admit = pc.scm._admit
+    seen = []
+
+    def flaky(K, R, W, new, unit):
+        out = admit(K, R, W, new, unit)
+        rows = np.arange(len(W)) if row_of is None else \
+            np.flatnonzero(row_of(R[:, :W.shape[1]]).all(axis=1))
+        if len(rows):
+            seen.append(1)
+            if len(seen) == n:
+                out[rows[0]] = np.nan
+        return out
+    monkeypatch.setattr(pc.scm, "_admit", flaky)
 
 
 def random_blocks(rng, J, n_blocks):
@@ -209,6 +252,150 @@ class TestSolverManyDonors:
         else:
             b = 10.0 + rng.normal(size=F)
         self.check(A, b, random_blocks(rng, J, n_blocks))
+
+
+def _features_of(panel):
+    """Donor pre-period outcomes (donors × periods) of a one-treated panel."""
+    g = pc.derive_adoption(panel).adoption_time[panel.units[0]]
+    return panel.outcome_matrix()[1:, :g]
+
+
+def thirty_donor_panel(seed):
+    """One unit adopting at t=10 against 30 never-treated donors, 16 periods.
+
+    With 10 pre periods and 30 donors the simplex problems have more donors
+    than features, as in real SCM use, so the solver's active set matters.
+    """
+    cfg = DgpConfig(n_units=31, n_periods=16, cohorts={10: 1},
+                    effect={"kind": "dynamic", "base": 1.0, "slope": 0.1},
+                    intercept_sd=3.0, ar_coef=0.5, seed=seed)
+    return simulate_panel(cfg, 0)[0]
+
+
+def leave_out_gram(G, i):
+    """(pool, gram) of donor i fitted alone on every other donor."""
+    pool = np.delete(np.arange(len(G)), i)
+    return pool, (G[np.ix_(pool, pool)], G[pool, i], float(G[i, i]))
+
+
+def objective(gram, w):
+    AtA, Atb, bb = gram
+    return float(w @ AtA @ w - 2.0 * Atb @ w + bb)
+
+
+class TestLeaveOuts:
+    """The leave-one-donor-out fits of placebo inference and ridge CV, solved
+    in lockstep, against each fit solved alone on its deleted sub-Gram."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(3, 40), st.integers(2, 16),
+           st.sampled_from(["gaussian", "panel", "ties", "collinear"]))
+    def test_batch_matches_solo(self, seed, J, F, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "gaussian":
+            X0 = rng.normal(size=(J, F))
+        else:
+            X0 = 10.0 + rng.normal(size=(J, 2)) @ rng.normal(size=(2, F)) \
+                + 0.3 * rng.normal(size=(J, F))
+        if kind in ("ties", "collinear"):
+            for d in rng.integers(0, J, rng.integers(1, J)):
+                a, b = rng.choice(J, 2, replace=False)
+                t = 1.0 if kind == "ties" else rng.uniform()
+                X0[d] = t * X0[a] + (1.0 - t) * X0[b]
+        G = _donor_gram(X0)
+        W = _leave_outs(G)
+        assert (np.diag(W) == 0).all()
+        # identical donors tie exactly, and rounding picks among them: they
+        # are compared as one donor carrying their total weight
+        _, first, group = np.unique(X0, axis=0, return_index=True,
+                                    return_inverse=True)
+        group = group.ravel()
+        for i in range(J):
+            pool, gram = leave_out_gram(G, i)
+            w, obj, _, gap = solve_simplex_lsq(None, None, gram=gram)
+            tol = SOLVER_TOL * _gap_scale(
+                (gram[0], gram[1][:, None], np.array([gram[2]])),
+                np.full((1, J - 1), 1.0 / (J - 1)))[0]
+            assert abs(objective(gram, W[i, pool]) - obj) <= 10.0 * tol
+            got = np.bincount(group[pool], W[i, pool], len(first))
+            want = np.bincount(group[pool], w, len(first))
+            # within 1e-12, or within the forward error of the KKT system
+            # on the union of both supports (collinear donors make it
+            # ill-conditioned), whichever is larger
+            used = np.flatnonzero((got > 0) | (want > 0))
+            Xd = X0[first[used]] - X0[i]
+            kkt = np.ones((len(used) + 1, len(used) + 1))
+            kkt[:-1, :-1] = Xd @ Xd.T
+            kkt[-1, -1] = 0.0
+            atol = max(1e-12, np.linalg.cond(kkt) * np.finfo(float).eps)
+            np.testing.assert_array_equal(got > atol, want > atol)
+            np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+
+    def test_each_problem_certified_on_its_own_pool(self):
+        # the batch's certificate scales equal the solo ones on each deleted
+        # sub-Gram; the maximum |AᵀA| leaves the pool of the donors it sits on
+        rng = np.random.default_rng(3)
+        G = _donor_gram(rng.normal(size=(9, 5)) * np.arange(1.0, 10.0)[:, None])
+        J = len(G)
+        off = ~np.eye(J, dtype=bool)
+        got = _gap_scale((G, G, np.diag(G)), off / (J - 1.0))
+        for i in range(J):
+            _, (AtA, Atb, bb) = leave_out_gram(G, i)
+            want = _gap_scale((AtA, Atb[:, None], np.array([bb])),
+                              np.full((1, J - 1), 1.0 / (J - 1)))[0]
+            assert got[i] == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_singular_kkt_stops_only_its_row(self):
+        # two identical coordinates in one support make that KKT system
+        # singular: its row comes back NaN, and the rest of the stack solves
+        A = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0], [2.0, 2.0, 1.0]])
+        b = np.array([1.0, 2.0, 0.0])
+        K = np.zeros((4, 4))
+        K[:3, :3] = A.T @ A
+        K[3, :3] = K[:3, 3] = 1.0
+        R = np.tile(np.append(A.T @ b, 1.0), (2, 1))
+        S = np.array([[True, True, False], [True, False, True]])
+        Z = pc.scm._kkt_solve(K, R, S, np.ones(2))
+        assert np.isnan(Z[0]).all()
+        sub = K[np.ix_([0, 2, 3], [0, 2, 3])]
+        want = np.linalg.solve(sub, R[1, [0, 2, 3]])[:2]
+        np.testing.assert_allclose(Z[1], [want[0], 0.0, want[1]], rtol=0,
+                                   atol=1e-12)
+
+    def test_unattainable_tolerance_raises_through_placebo(self, monkeypatch):
+        # the treated unit's own fit as it is; the leave-out batch at tol=0,
+        # max_iter=3
+        polish = pc.scm._active_set_polish
+
+        def strict(AtA, Atb, bb, mask, blocks, tol, max_iter):
+            if len(mask) > 1:
+                tol, max_iter = 0.0, 3
+            return polish(AtA, Atb, bb, mask, blocks, tol, max_iter)
+        monkeypatch.setattr(pc.scm, "_active_set_polish", strict)
+        p = donor_panel(n_donors=6, combo=(0.4, 0.3, 0.3), donor_noise=0.1,
+                        treated_noise=0.15, T=12)
+        assert err(pc.placebo_inference, p, "tr").code == "NO_CONVERGENCE"
+
+    @pytest.mark.parametrize("X0", [
+        _features_of(thirty_donor_panel(0)), _features_of(thirty_donor_panel(4)),
+        np.random.default_rng(9).normal(size=(12, 6))])
+    def test_cv_scores_match_fold_loop(self, X0):
+        # each fold solved alone and augmented on its own, in one loop
+        J, F = X0.shape
+        fit, last = X0[:, :F - 1], X0[:, F - 1]
+        G = _donor_gram(fit)
+        scores = np.zeros(len(LAMBDA_GRID))
+        for j in range(J):
+            pool, gram = leave_out_gram(G, j)
+            w, *_ = solve_simplex_lsq(None, None, gram=gram)
+            w_aug = _ridge_augment(fit[pool][None], fit[j][None], w[None],
+                                   LAMBDA_GRID)[0]
+            scores += (last[j] - w_aug @ last[pool]) ** 2
+        want = LAMBDA_GRID[np.flatnonzero(scores <= scores.min())[-1]]
+        lam, got = _cv_lambda(X0)
+        np.testing.assert_allclose(list(got.values()), scores, rtol=1e-12,
+                                   atol=0)
+        assert lam == want
 
 
 def donor_panel(effect=2.0, T=10, g=6, treated_noise=0.0, seed=110,
@@ -518,18 +705,6 @@ class TestStaggeredAscm:
         p2 = pp.PanelDataset(p.units, p.time_labels, p.unit_idx, p.time_idx,
                              y, p.policy, p.covariates)
         assert err(pc.fit_staggered_ascm, p2, nu=0.0).code == "MISSING_CELLS"
-
-
-def thirty_donor_panel(seed):
-    """One unit adopting at t=10 against 30 never-treated donors, 16 periods.
-
-    With 10 pre periods and 30 donors the simplex problems have more donors
-    than features, as in real SCM use, so the solver's active set matters.
-    """
-    cfg = DgpConfig(n_units=31, n_periods=16, cohorts={10: 1},
-                    effect={"kind": "dynamic", "base": 1.0, "slope": 0.1},
-                    intercept_sd=3.0, ar_coef=0.5, seed=seed)
-    return simulate_panel(cfg, 0)[0]
 
 
 class TestPinnedOutputs:

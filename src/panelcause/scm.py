@@ -29,8 +29,9 @@ from .panel import NEVER, PanelDataset, derive_adoption
 SOLVER_TOL = 1e-10
 SOLVER_MAX_ITER = 10_000
 LAMBDA_GRID = np.logspace(-4, 6, 21)
-# leave-one-out problems (and ridge-CV folds) solved together hold at most
-# this many numbers in each of their per-coordinate arrays
+# ridge-CV folds whose SVDs are stacked together hold at most this many
+# numbers in each folds × penalties × donors array; a single stack at 80
+# donors raised an ASCM fit's temporaries from 1.2 MB to 4.2 MB
 BATCH_CHUNK = 1 << 15
 
 
@@ -93,38 +94,42 @@ def _gap_terms(W, g, g_own, starts):
     return np.maximum(0.0, wg - np.minimum.reduceat(g_own, starts, axis=1))
 
 
-def _kkt_solve(K, R, S, unit):
+def _kkt_solve(K, R, S, ki):
     """Minimiser of each row's least squares restricted to its support S[i],
     with each block's weights on it summing to one, as a row of length k
     (zero off the support); a row of NaN where the KKT system is singular
-    or its solution not finite. K is the bordered matrix [[AᵀA, E], [Eᵀ,
-    0]] of all k coordinates (E: block membership) and R the rows' [Aᵀb,
-    1]: each KKT system is K's principal submatrix on the support and the
-    block-sum rows, with its weight rows times the row's unit. The systems
-    are padded to the largest support with identity rows and zero
-    right-hand sides and solved as one stack."""
+    or its solution not finite. K[ki[i]] is row i's bordered matrix [[AᵀA,
+    E], [Eᵀ, 0]] of all k coordinates (E: block membership) and R[i] its
+    right-hand side [Aᵀb, 1], their weight rows times the row's unit: each
+    KKT system is a principal submatrix on the support and the block-sum
+    rows. The systems are padded to the largest support with identity rows
+    and zero right-hand sides and solved as one stack."""
     n, k = S.shape
-    nb = len(K) - k
-    p = S.sum(axis=1)
-    P = int(p.max())
-    sel = np.empty((n, P + nb), dtype=np.intp)
-    sel[:, :P] = np.argsort(~S, axis=1, kind="stable")[:, :P]  # ascending
-    sel[:, P:] = np.arange(k, k + nb)
+    nb = K.shape[1] - k
     rows = np.arange(n)[:, None]
-    kkt = K[sel[:, :, None], sel[:, None, :]]
-    kkt[:, :P] *= unit[:, None, None]
-    rhs = R[rows, sel]
-    rhs[:, :P] *= unit[:, None]
-    if p.min() < P:
-        pad = np.zeros(sel.shape, dtype=bool)
-        pad[:, :P] = np.arange(P) >= p[:, None]
-        kkt *= ~(pad[:, :, None] | pad[:, None, :])
-        kkt.reshape(n, -1)[:, ::P + nb + 1] += pad     # the diagonal
-        rhs *= ~pad
-    try:
-        z = np.linalg.solve(kkt, rhs[:, :, None])[:, :P, 0]
-    except np.linalg.LinAlgError:
-        z = np.stack([_solve_or_nan(a, b) for a, b in zip(kkt, rhs)])[:, :P]
+    if n == 1:                  # one system: no sort, no padding, no stack
+        sel = np.concatenate((S[0].nonzero()[0], np.arange(k, k + nb)))
+        P = len(sel) - nb
+        z = _solve_or_nan(K[ki[0]][sel[:, None], sel], R[0, sel])[None, :P]
+        sel = sel[None]
+    else:
+        p = S.sum(axis=1)
+        P = int(p.max())
+        sel = np.empty((n, P + nb), dtype=np.intp)
+        sel[:, :P] = np.argsort(~S, axis=1, kind="stable")[:, :P]  # ascending
+        sel[:, P:] = np.arange(k, k + nb)
+        kkt = K[ki[:, None, None], sel[:, :, None], sel[:, None, :]]
+        rhs = R[rows, sel]
+        if p.min() < P:
+            pad = np.zeros(sel.shape, dtype=bool)
+            pad[:, :P] = np.arange(P) >= p[:, None]
+            kkt *= ~(pad[:, :, None] | pad[:, None, :])
+            kkt.reshape(n, -1)[:, ::P + nb + 1] += pad     # the diagonal
+            rhs *= ~pad
+        try:
+            z = np.linalg.solve(kkt, rhs[:, :, None])[:, :P, 0]
+        except np.linalg.LinAlgError:
+            z = np.stack([_solve_or_nan(a, b) for a, b in zip(kkt, rhs)])[:, :P]
     Z = np.zeros(S.shape)
     Z[rows, sel[:, :P]] = z      # a padded position solves to zero
     if not np.isfinite(z).all():
@@ -140,33 +145,31 @@ def _solve_or_nan(a, b):
         return np.full(b.shape, np.nan)
 
 
-def _admit(K, R, W, new, unit):
+def _admit(K, R, W, new, ki):
     """One active-set round per row: coordinate new[i] joins the support of
     W[i] and the weights move to the minimiser on it, stepping back to the
     simplex (dropping the coordinates that reach zero) while it lies
     outside. A row of NaN where rounding stops the round: a singular KKT
     system, or new[i] cannot enter (it already has weight, or would go
-    negative)."""
+    negative). K, R and ki are as in _kkt_solve."""
     live = np.arange(len(W))
-    out = np.full(W.shape, np.nan)
     S = W > 0
+    taken = S[live, new]
     S[live, new] = True
-    free = W[live, new] == 0
-    if not free.all():
-        live, W, S, R, unit = (a[free] for a in (live, W, S, R, unit))
-    while len(live):
-        Z = _kkt_solve(K, R, S, unit)
+    out = Z = _kkt_solve(K, R, S, ki)
+    while True:
         neg = S & (Z <= 0)
-        inside = ~neg.any(axis=1)
-        if inside.all():
-            out[live] = Z
+        outside = neg.any(axis=1)
+        if not outside.any():
             break
-        out[live[inside]] = Z[inside]
         # step back unless a coordinate at zero (new) would go negative
-        step = ~inside & ~(neg & (W == 0)).any(axis=1)
-        if not step.all():
-            live, W, S, Z, neg, R, unit = (
-                a[step] for a in (live, W, S, Z, neg, R, unit))
+        stuck = (neg & (W == 0)).any(axis=1)
+        out[live[outside & stuck]] = np.nan
+        step = outside & ~stuck
+        if not step.any():
+            break
+        live, W, S, Z, neg, R, ki = (
+            a[step] for a in (live, W, S, Z, neg, R, ki))
         # the farthest feasible point on the segment to Z
         ratio = np.full(W.shape, np.inf)
         np.divide(W, W - Z, out=ratio, where=neg)
@@ -174,6 +177,8 @@ def _admit(K, R, W, new, unit):
         W[np.arange(len(W)), ratio.argmin(axis=1)] = 0.0
         S &= W > 0
         W *= S
+        out[live] = Z = _kkt_solve(K, R, S, ki)
+    out[taken] = np.nan
     return out
 
 
@@ -210,48 +215,57 @@ def _active_set_polish(AtA, Atb, bb, mask, blocks, tol, max_iter):
     starts = [s.start for s in blocks]
     blk_of = np.repeat(np.arange(len(blocks)), np.diff([*starts, k]))
     in_block = blk_of == np.arange(len(blocks))[:, None]
-    W_out = mask.astype(float)
-    for s in blocks:
-        W_out[:, s] /= mask[:, s].sum(axis=1, keepdims=True)
+    W_out = mask / np.add.reduceat(mask, starts, axis=1)[:, blk_of]
     tol_gap = tol * _gap_scale((AtA, Atb, bb), W_out)
+    full = mask.all()
     diag = np.where(mask, np.diag(AtA), 0.0)
     # an exact power-of-two rescaling of each KKT system's weight rows caps
     # its AᵀA (largest on the diagonal) at 2^30, far below where its rounding
     # swamps the unit constraint rows; gradients and gaps stay unscaled
     unit = 2.0 ** np.minimum(0, 30 - np.frexp(diag.max(axis=1))[1])
     # the bordered KKT matrix [[AᵀA, E], [Eᵀ, 0]] of all k coordinates, E
-    # their block membership, and each problem's right-hand side [Aᵀb, 1]
+    # their block membership, with its weight rows times each distinct unit
+    # (problem i's is K[ki[i]]), and each problem's right-hand side [Aᵀb,
+    # 1] with its weight part times its unit
     K = np.zeros((k + len(blocks), k + len(blocks)))
     K[:k, :k] = AtA
     K[k + blk_of, np.arange(k)] = K[np.arange(k), k + blk_of] = 1.0
-    R = np.ones((m, len(K)))
-    R[:, :k] = Atb.T
+    units = np.array(sorted(set(unit.tolist())))
+    ki = np.searchsorted(units, unit)
+    K = np.repeat(K[None], len(units), axis=0)
+    K[:, :k] *= units[:, None, None]
+    B = np.array(Atb.T)
+    R = np.ones((m, K.shape[1]))
+    R[:, :k] = B * unit[:, None]
     gaps = np.zeros(m)
     passes = (diag.sum(axis=1) > 0).astype(int)
     ids = np.flatnonzero(passes)           # the unconverged problems, in order
-    R, mask, unit, tol_gap = R[ids], mask[ids], unit[ids], tol_gap[ids]
-    start = _vertex(np.where(mask, 2.0 * R[:, :k] - diag[ids], -np.inf), blocks)
+    if len(ids) < m:
+        B, R, ki, mask, tol_gap, diag = (
+            a[ids] for a in (B, R, ki, mask, tol_gap, diag))
+    start = _vertex(np.where(mask, 2.0 * B - diag, -np.inf), blocks)
     W = start.copy()
     rounds = 0
     while len(ids):
         rounds += 1
-        g = 2.0 * (W @ AtA.T - R[:, :k])
-        g_own = np.where(mask, g, np.inf)
+        g = 2.0 * (W @ AtA.T - B)
+        g_own = g if full else np.where(mask, g, np.inf)
         terms = _gap_terms(W, g, g_own, starts)
         gap = terms.sum(axis=1)
         conv = gap < tol_gap
         if conv.any():
             W_out[ids[conv]], gaps[ids[conv]] = W[conv], gap[conv]
-            ids, R, mask, unit, tol_gap, W, start, g_own, terms, gap = (
-                a[~conv] for a in (ids, R, mask, unit, tol_gap, W, start,
+            ids, B, R, ki, mask, tol_gap, W, start, g_own, terms, gap = (
+                a[~conv] for a in (ids, B, R, ki, mask, tol_gap, W, start,
                                    g_own, terms, gap))
             if not len(ids):
                 break
         if rounds >= max_iter:
             raise _no_convergence(rounds, passes[ids[0]], gap[0], tol_gap[0])
-        b = np.argmax(terms, axis=1)
-        new = np.argmin(np.where(in_block[b], g_own, np.inf), axis=1)
-        nxt = _admit(K, R, W, new, unit)
+        if len(blocks) > 1:     # the block with the largest gap term
+            g_own = np.where(in_block[np.argmax(terms, axis=1)], g_own, np.inf)
+        new = np.argmin(g_own, axis=1)
+        nxt = _admit(K, R, W, new, ki)
         stopped = np.isnan(nxt[:, 0])
         if stopped.any():
             v = _vertex(W[stopped], blocks)
@@ -303,14 +317,15 @@ def _gap_scale(gram, uniform):
     # max|AᵀA| on each problem's coordinates: the overall maximum unless
     # the problem leaves out its row or column
     absA = np.abs(AtA)
-    top = np.unravel_index(np.argmax(absA), absA.shape)
-    big = np.full(len(mask), absA[top])
-    for i in np.flatnonzero(~(mask[:, top[0]] & mask[:, top[1]])):
-        big[i] = absA[np.ix_(mask[i], mask[i])].max()
+    big = np.full(len(mask), absA.max())
+    if not mask.all():
+        r, c = divmod(int(np.argmax(absA)), len(absA))
+        for i in np.flatnonzero(~(mask[:, r] & mask[:, c])):
+            big[i] = absA[np.ix_(mask[i], mask[i])].max()
     R = 4.0 * mask.sum(axis=1) * np.finfo(float).eps * (
-        big + np.where(mask, np.abs(Atb.T), 0.0).max(axis=1))
-    f = (np.einsum("ij,ij->i", uniform @ AtA.T, uniform)
-         - 2.0 * np.einsum("ji,ij->i", Atb, uniform) + bb)
+        big + (np.abs(Atb.T) * mask).max(axis=1))
+    f = (((uniform @ AtA.T) * uniform).sum(axis=1)
+         - 2.0 * (Atb.T * uniform).sum(axis=1) + bb)
     return np.maximum(f, R / SOLVER_TOL)
 
 
@@ -452,14 +467,10 @@ def _leave_outs(G):
     """Simplex weights of each donor fitted on all the others, row i for donor
     i (zero at i), from the donor Gram G: problem i has AᵀA = G, Aᵀb =
     G[:, i] and bᵀb = G[i, i] with coordinate i masked out. The fits are
-    solved in lockstep, as one batch unless that would exceed BATCH_CHUNK."""
+    solved in lockstep as one batch."""
     J = len(G)
-    off = ~np.eye(J, dtype=bool)
-    step = max(1, BATCH_CHUNK // J)
-    return np.vstack([
-        _active_set_polish(G, G[:, f], np.diag(G)[f], off[f], [slice(0, J)],
-                           SOLVER_TOL, SOLVER_MAX_ITER)[0]
-        for f in (slice(lo, lo + step) for lo in range(0, J, step))])
+    return _active_set_polish(G, G, np.diag(G), ~np.eye(J, dtype=bool),
+                              [slice(0, J)], SOLVER_TOL, SOLVER_MAX_ITER)[0]
 
 
 # ---------------------------------------------------------------------------

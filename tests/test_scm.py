@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 import panelcause as pc
 from panelcause.scm import (_active_set_polish, _cv_lambda, _donor_gram,
                             _gap_scale, _gram, _leave_outs, _ridge_augment,
-                            _rmspe_ratio, LAMBDA_GRID, SOLVER_MAX_ITER,
-                            SOLVER_TOL, solve_simplex_lsq)
+                            _rmspe_ratio, BATCH_CHUNK, LAMBDA_GRID,
+                            SOLVER_MAX_ITER, SOLVER_TOL, solve_simplex_lsq)
 from panelcause.simharness import DgpConfig, simulate_panel
 from helpers import build_panel
 from oracles import (exhaustive_simplex_min, grid_simplex_min,
@@ -160,14 +160,15 @@ class TestSolver:
 
 def stop_admission(monkeypatch, n, row_of=None):
     """Make the n-th admission stop short, as rounding can: scm._admit gives
-    NaN for that round. With row_of (the round's linear terms Aᵀb, one row
-    per problem -> bool per coordinate), only the problem whose row it
-    matches counts admissions."""
+    NaN for that round. With row_of (the round's linear terms Aᵀb times each
+    problem's unit, 1 at the scales used here, one row per problem -> bool
+    per coordinate), only the problem whose row it matches counts
+    admissions."""
     admit = pc.scm._admit
     seen = []
 
-    def flaky(K, R, W, new, unit):
-        out = admit(K, R, W, new, unit)
+    def flaky(K, R, W, new, ki):
+        out = admit(K, R, W, new, ki)
         rows = np.arange(len(W)) if row_of is None else \
             np.flatnonzero(row_of(R[:, :W.shape[1]]).all(axis=1))
         if len(rows):
@@ -345,6 +346,28 @@ class TestLeaveOuts:
                               np.full((1, J - 1), 1.0 / (J - 1)))[0]
             assert got[i] == pytest.approx(want, rel=1e-12, abs=0)
 
+    def test_problems_with_different_units(self):
+        # donors at a scale whose Gram exceeds 2^30, one of them half as
+        # large again: the leave-out that drops it rescales its KKT weight
+        # rows by another power of two than the rest (and fits on three
+        # donors), and each problem still matches its solo solve
+        rng = np.random.default_rng(6)
+        X0 = 1e5 * rng.normal(size=(12, 5))
+        X0[0] *= 1.5
+        G = _donor_gram(X0)
+        diag = np.where(~np.eye(len(G), dtype=bool), np.diag(G), 0.0)
+        exponent = np.minimum(0, 30 - np.frexp(diag.max(axis=1))[1])
+        assert len(np.unique(exponent)) > 1
+        W, passes, _ = _active_set_polish(
+            G, G, np.diag(G), ~np.eye(len(G), dtype=bool),
+            [slice(0, len(G))], SOLVER_TOL, SOLVER_MAX_ITER)
+        for i in range(len(G)):
+            pool, gram = leave_out_gram(G, i)
+            w, _, solo_passes, _ = solve_simplex_lsq(None, None, gram=gram)
+            assert passes[i] == solo_passes == 1
+            np.testing.assert_array_equal(W[i, pool] > 0, w > 0)
+            np.testing.assert_allclose(W[i, pool], w, rtol=0, atol=1e-12)
+
     def test_singular_kkt_stops_only_its_row(self):
         # two identical coordinates in one support make that KKT system
         # singular: its row comes back NaN, and the rest of the stack solves
@@ -355,8 +378,10 @@ class TestLeaveOuts:
         K[3, :3] = K[:3, 3] = 1.0
         R = np.tile(np.append(A.T @ b, 1.0), (2, 1))
         S = np.array([[True, True, False], [True, False, True]])
-        Z = pc.scm._kkt_solve(K, R, S, np.ones(2))
+        Z = pc.scm._kkt_solve(K[None], R, S, np.zeros(2, dtype=int))
         assert np.isnan(Z[0]).all()
+        assert np.isnan(pc.scm._kkt_solve(K[None], R[:1], S[:1],
+                                          np.zeros(1, dtype=int))).all()
         sub = K[np.ix_([0, 2, 3], [0, 2, 3])]
         want = np.linalg.solve(sub, R[1, [0, 2, 3]])[:2]
         np.testing.assert_allclose(Z[1], [want[0], 0.0, want[1]], rtol=0,
@@ -378,10 +403,13 @@ class TestLeaveOuts:
 
     @pytest.mark.parametrize("X0", [
         _features_of(thirty_donor_panel(0)), _features_of(thirty_donor_panel(4)),
-        np.random.default_rng(9).normal(size=(12, 6))])
+        np.random.default_rng(9).normal(size=(12, 6)),
+        np.random.default_rng(10).normal(size=(40, 6))])
     def test_cv_scores_match_fold_loop(self, X0):
-        # each fold solved alone and augmented on its own, in one loop
+        # each fold solved alone and augmented on its own, in one loop; at
+        # 40 donors the stacked SVDs come in more than one chunk
         J, F = X0.shape
+        assert J < 40 or BATCH_CHUNK < len(LAMBDA_GRID) * J * J
         fit, last = X0[:, :F - 1], X0[:, F - 1]
         G = _donor_gram(fit)
         scores = np.zeros(len(LAMBDA_GRID))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -381,8 +382,13 @@ def build_parser():
     return top
 
 
+# one parser per process, built on the first main() call: parsing leaves
+# no state in it, and building it costs about 40 add_argument calls
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except PanelCauseError as exc:

@@ -162,21 +162,27 @@ class PanelDataset:
         """Restrict to the given unit ids and/or inclusive normalized-time window."""
         keep = np.ones(self.n_rows, dtype=bool)
         if units is not None:
-            uset = {self.units.index(u) for u in units}
-            keep &= np.isin(self.unit_idx, sorted(uset))
+            pos = {u: i for i, u in enumerate(self.units)}
+            chosen = np.zeros(self.unit_count, dtype=bool)
+            try:
+                chosen[[pos[u] for u in units]] = True
+            except KeyError as exc:
+                raise PanelCauseError("CONFIG_ERROR", f"unknown unit {exc}") from None
+            keep &= chosen[self.unit_idx]
         if time_window is not None:
             lo, hi = time_window
             keep &= (self.time_idx >= lo) & (self.time_idx <= hi)
         if not keep.any():
             raise PanelCauseError("NO_ROWS", "subset selects no observations")
-        old_units = [self.units[i] for i in sorted(set(self.unit_idx[keep].tolist()))]
-        unit_map = {self.units.index(u): i for i, u in enumerate(old_units)}
+        unit_idx = self.unit_idx[keep]
+        present = np.zeros(self.unit_count, dtype=bool)
+        present[unit_idx] = True
         lo = int(self.time_idx[keep].min()) if time_window is None else time_window[0]
         hi = int(self.time_idx[keep].max()) if time_window is None else time_window[1]
-        labels = self.time_labels[lo:hi + 1]
         return PanelDataset(
-            old_units, labels,
-            np.array([unit_map[i] for i in self.unit_idx[keep]]),
+            [self.units[i] for i in np.flatnonzero(present).tolist()],
+            self.time_labels[lo:hi + 1],
+            (np.cumsum(present) - 1)[unit_idx],
             self.time_idx[keep] - lo,
             self.outcome[keep], self.policy[keep],
             {k: v[keep] for k, v in self.covariates.items()})
@@ -194,7 +200,7 @@ class PanelDataset:
                    text(self.outcome), self.policy.tolist()]
         columns += [text(self.covariates[name]) for name in names]
         own = isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__")
-        fh = open(dest, "w", newline="") if own else dest
+        fh = open(dest, "w", newline="", encoding="utf-8") if own else dest
         try:
             w = csv.writer(fh)
             w.writerow(["unit", "time", "outcome", "policy"] + names)
@@ -235,12 +241,24 @@ class BalanceReport:
 
 
 def _parse_column(cells, blank_ok):
-    """Parse stripped cells as finite floats; a blank cell is NaN if ``blank_ok``.
+    """Parse raw cells as finite floats; a blank cell is NaN if ``blank_ok``.
 
     Returns ``(values, bad)``: ``bad`` is None when every cell parses, and
     otherwise ``(i, reason)`` for the first bad cell i, with ``values``
-    holding the cells before it.
+    holding the cells before it. ``float`` ignores surrounding whitespace,
+    so one conversion over the raw cells reads a good column. The walk over
+    stripped cells runs only when that conversion raises or gives a
+    non-finite value: it names the first bad cell, and reads cells that
+    only ``str.strip`` empties (``" "``, ``"\\t"``) as blank.
     """
+    try:
+        text = [c or "nan" for c in cells] if blank_ok and "" in cells else cells
+        values = np.fromiter(map(float, text), float, len(text))
+        if not any(cells[i] for i in np.flatnonzero(~np.isfinite(values)).tolist()):
+            return values, None
+    except ValueError:
+        pass
+    cells = [c.strip() for c in cells]
     blank = "nan" if blank_ok else ""
     values, reason = [], None
     try:
@@ -255,29 +273,58 @@ def _parse_column(cells, blank_ok):
     return values, None if reason is None else (len(values), reason)
 
 
+def _read_records(source):
+    """Every CSV record of a path (UTF-8, BOM allowed) or an open text stream."""
+    if not (isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")):
+        return list(csv.reader(source, skipinitialspace=True))
+    try:
+        with open(source, newline="", encoding="utf-8-sig") as fh:
+            return list(csv.reader(fh, skipinitialspace=True))
+    except UnicodeDecodeError as exc:
+        # the decoder's position is within its chunk: find the file's offset
+        with open(source, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as whole:
+            exc = whole
+        raise PanelCauseError(
+            "CONFIG_ERROR", f"file is not UTF-8 text: byte {exc.object[exc.start]:#04x} "
+                            f"at byte offset {exc.start} cannot be decoded",
+            offset=exc.start) from None
+
+
+def _columns(rows, width):
+    """Transpose records into ``width`` columns, padding short records."""
+    columns = list(itertools.zip_longest(*rows, fillvalue=""))
+    return columns + [("",) * len(rows)] * (width - len(columns))
+
+
 def load_panel(source, spec: ColumnSpec = ColumnSpec()) -> PanelDataset:
     """Read a header-bearing CSV into a validated PanelDataset.
 
-    ``source`` may be a path or an open text stream. Blank records are
-    skipped, whitespace around fields (spaces before an opening quote too)
-    is ignored and short records are padded with blank fields. Unit, time
-    and policy must be present in every record; a blank outcome or
-    covariate field is a missing cell. With ``spec.covariates=None`` every
-    other column whose non-blank fields are all finite numbers is a
-    covariate. Errors give the record's number in the file, blank records
-    included: the header is row 1 unless blank records precede it.
+    ``source`` may be a path, read as UTF-8 with or without a byte-order
+    mark, or an open text stream. A file that is not UTF-8 is
+    ``CONFIG_ERROR``, naming the byte offset that cannot be decoded. Blank
+    records are skipped, whitespace around fields (spaces before an
+    opening quote too) is ignored and short records are padded with blank
+    fields. Unit, time and policy must be present in every record; a blank
+    outcome or covariate field is a missing cell. With
+    ``spec.covariates=None`` every other column whose non-blank fields are
+    all finite numbers is a covariate. Errors give the record's number in
+    the file, blank records included: the header is row 1 unless blank
+    records precede it.
+
+    The records are read in one pass and transposed once. Only the unit
+    column is stripped: a blank record has a blank unit field, so only
+    those records are tested for being blank. Each numeric column is one
+    ``float`` conversion over its raw cells.
     """
-    own = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
-    fh = open(source, "r", newline="") if own else source
-    try:
-        records = [(n, r) for n, r in enumerate(csv.reader(fh, skipinitialspace=True), 1)
-                   if any(map(str.strip, r))]
-    finally:
-        if own:
-            fh.close()
-    if not records:
+    records = _read_records(source)
+    first = next((n for n, r in enumerate(records) if any(map(str.strip, r))), None)
+    if first is None:
         raise PanelCauseError("NO_ROWS", "input file is empty")
-    header = [h.strip() for h in records[0][1]]
+    header = [h.strip() for h in records[first]]
     col = {name: i for i, name in enumerate(header)}
     for role in ("unit", "time", "outcome", "policy"):
         name = getattr(spec, role)
@@ -290,12 +337,22 @@ def load_panel(source, spec: ColumnSpec = ColumnSpec()) -> PanelDataset:
             raise PanelCauseError("CONFIG_ERROR", f"covariate column '{name}' not in header")
     cov_names = dict.fromkeys(c for c in (header if spec.covariates is None
                                           else spec.covariates) if c not in reserved)
-    if len(records) == 1:
-        raise PanelCauseError("NO_ROWS", "no data rows in input")
 
-    row_no, rows = zip(*records[1:])
-    columns = list(itertools.zip_longest(*rows, fillvalue=""))
-    columns += [("",) * len(rows)] * (len(header) - len(columns))
+    # the header is record first + 1 (numbering from 1), so rows[i] is
+    # record first + 2 + i
+    rows = records[first + 1:]
+    row_no = range(first + 2, first + 2 + len(rows))
+    columns = _columns(rows, len(header))
+    units = [c.strip() for c in columns[col[spec.unit]]]
+    if "" in units:
+        blank = {i for i, u in enumerate(units) if not u and not any(map(str.strip, rows[i]))}
+        if blank:
+            kept = [i for i in range(len(rows)) if i not in blank]
+            rows, row_no = [rows[i] for i in kept], [row_no[i] for i in kept]
+            units = [units[i] for i in kept]
+            columns = _columns(rows, len(header))
+    if not rows:
+        raise PanelCauseError("NO_ROWS", "no data rows in input")
 
     # (data row, role rank, code, message before and after " at row N"):
     # the first bad cell in record order, then in role order, is raised
@@ -305,12 +362,11 @@ def load_panel(source, spec: ColumnSpec = ColumnSpec()) -> PanelDataset:
         failures.append((i, rank, code, head, tail))
 
     def parse(rank, name, blank_ok=True, required=True):
-        values, bad = _parse_column([c.strip() for c in columns[col[name]]], blank_ok)
+        values, bad = _parse_column(columns[col[name]], blank_ok)
         if bad and required:
             fail(bad[0], rank, bad[1], f", column '{name}'")
         return values, bad
 
-    units = [c.strip() for c in columns[col[spec.unit]]]
     if "" in units:
         fail(units.index(""), 0, "empty unit field")
     t, _ = parse(1, spec.time, blank_ok=False)
@@ -338,10 +394,10 @@ def load_panel(source, spec: ColumnSpec = ColumnSpec()) -> PanelDataset:
     labels = [int(v) for v in distinct.tolist()]
     step = math.gcd(*(v - labels[0] for v in labels[1:])) or 1
     t_idx = np.array([(v - labels[0]) // step for v in labels])[t_pos]
-    unit_pos: dict = {}
-    u_idx = [unit_pos.setdefault(u, len(unit_pos)) for u in units]
+    unit_pos = {u: i for i, u in enumerate(dict.fromkeys(units))}
     return PanelDataset(list(unit_pos), range(labels[0], labels[-1] + step, step),
-                        u_idx, t_idx, outcome, policy, covariates)
+                        list(map(unit_pos.__getitem__, units)), t_idx, outcome, policy,
+                        covariates)
 
 
 def complete_rows(panel: PanelDataset, covariates):

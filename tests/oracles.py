@@ -536,6 +536,30 @@ def row_load_panel(source, spec=ColumnSpec()):
                         {c: cov_vals[c] for c in cov_names})
 
 
+def loop_subset(panel, units=None, time_window=None):
+    """The ``PanelDataset.subset`` that the position-array version replaced:
+    unit positions by ``tuple.index`` and a per-row dict lookup."""
+    keep = np.ones(panel.n_rows, dtype=bool)
+    if units is not None:
+        uset = {panel.units.index(u) for u in units}
+        keep &= np.isin(panel.unit_idx, sorted(uset))
+    if time_window is not None:
+        lo, hi = time_window
+        keep &= (panel.time_idx >= lo) & (panel.time_idx <= hi)
+    if not keep.any():
+        raise PanelCauseError("NO_ROWS", "subset selects no observations")
+    old_units = [panel.units[i] for i in sorted(set(panel.unit_idx[keep].tolist()))]
+    unit_map = {panel.units.index(u): i for i, u in enumerate(old_units)}
+    lo = int(panel.time_idx[keep].min()) if time_window is None else time_window[0]
+    hi = int(panel.time_idx[keep].max()) if time_window is None else time_window[1]
+    return PanelDataset(
+        old_units, panel.time_labels[lo:hi + 1],
+        np.array([unit_map[i] for i in panel.unit_idx[keep]]),
+        panel.time_idx[keep] - lo,
+        panel.outcome[keep], panel.policy[keep],
+        {k: v[keep] for k, v in panel.covariates.items()})
+
+
 def row_write_csv(panel, dest):
     """The row-by-row ``PanelDataset.write_csv`` that the column writer replaced."""
     own = isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import panelcause
+from panelcause import cli
 from panelcause.advisor import ALL_METHODS
 from panelcause.cli import main
 from helpers import build_panel, strip_runtime_columns
@@ -236,11 +237,58 @@ class TestErrors:
         assert ei.value.code == 2
         capsys.readouterr()
 
+    def test_not_utf8_is_one_error_line(self, capsys, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes("unit,time,outcome,policy\nM\xfcnchen,1,1.0,0\n".encode("latin-1"))
+        for argv in (["describe"], ["fit", "--method", "DID_TWFE"]):
+            rc, out, err = run(capsys, *argv, "--data", str(p))
+            assert rc == 1 and out == ""
+            assert err == (f"error CONFIG_ERROR: {p}: file is not UTF-8 text: "
+                           "byte 0xfc at byte offset 26 cannot be decoded\n")
+
+    def test_utf8_bom_accepted(self, capsys, flat_2x1_csv, tmp_path):
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + Path(flat_2x1_csv).read_bytes())
+        outs = [run(capsys, "describe", "--data", d, "--format", "json")
+                for d in (flat_2x1_csv, str(p))]
+        assert outs[0][0] == outs[1][0] == 0
+        assert outs[1][1] == outs[0][1].replace(flat_2x1_csv, str(p))
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as ei:
             main(["--version"])
         assert ei.value.code == 0
         assert capsys.readouterr().out.startswith("panelcause ")
+
+
+class TestSharedParser:
+    def test_keeps_no_state_between_calls(self, capsys, flat_2x1_csv,
+                                          case_csv_path):
+        """One parser serves every main() call in a process: each call
+        prints what it prints as the process's first call."""
+        case = ["--data", case_csv_path, "--unit-col", "state", "--time-col",
+                "year", "--outcome-col", "rate", "--policy-col", "adopted"]
+        calls = [["fit", "--data", flat_2x1_csv, "--method", "DID_TWFE"],
+                 ["fit", "--data", flat_2x1_csv, "--method", "KRIGING"],
+                 ["fit", *case, "--method", "DID_TWFE", "--force", "--seed", "7"],
+                 ["recommend", *case, "--format", "json"],
+                 ["fit", "--data", flat_2x1_csv, "--method", "DID_TWFE"]]
+
+        def call(argv):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = f"exit {exc.code}"
+            return rc, capsys.readouterr().out.encode()
+
+        first = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            first.append(call(argv))
+        assert first[1] == ("exit 2", b"")
+        cli._parser.cache_clear()
+        assert [call(argv) for argv in calls] == first
+        assert cli._parser.cache_info().misses == 1
 
 
 class TestSimulate:

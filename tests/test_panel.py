@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import panelcause as pc
 from helpers import COHORT_PLAN, CASE_SPEC, build_panel
-from oracles import loop_adoption, row_load_panel, row_write_csv
+from oracles import loop_adoption, loop_subset, row_load_panel, row_write_csv
 
 CSV = """unit,time,outcome,policy
 a,2000,1.0,0
@@ -48,8 +49,9 @@ def assert_same_panel(a, b):
         assert x.tobytes() == b.covariates[name].tobytes()
 
 
-CELLS = st.one_of(st.just(""), st.integers(-5, 5).map(str),
-                  st.floats(-1e3, 1e3).map(repr))
+# whitespace-only cells are blank; "1_000" and "+.5" are numbers to float()
+CELLS = st.one_of(st.sampled_from(["", " ", "\t", "1_000", "+.5"]),
+                  st.integers(-5, 5).map(str), st.floats(-1e3, 1e3).map(repr))
 VALUES = st.one_of(st.just(math.nan), st.floats(allow_nan=False, allow_infinity=False))
 UNIT_IDS = st.text('ab,"x ', min_size=1, max_size=4).filter(lambda s: s == s.strip() != "")
 
@@ -75,8 +77,11 @@ def panels(draw):
 
 
 PAD = st.sampled_from(["", " ", "  ", "\t"])
-BAD = {"time": ["x", "2.5", "inf", "nan", ""], "outcome": ["oops", "inf", "-inf", "nan"],
-       "policy": ["2", "", "yes", "0.5", "-1", "inf"], "x": ["red", "inf", "nan", "1,5"]}
+BAD = {"time": ["x", "2.5", "inf", "nan", "", "\t", "1e400"],
+       "outcome": ["oops", "inf", "-inf", "nan", "1e400"],
+       "policy": ["2", "", " ", "yes", "0.5", "-1", "inf"],
+       "x": ["red", "inf", "nan", "1,5", "1e400"]}
+BLANK_RECORDS = st.sampled_from(["", ",,,", " , \t ,"])
 
 
 @st.composite
@@ -229,6 +234,30 @@ class TestLoad:
             load("unit,time,outcome,policy\na,1,1.0,0\n,1,2.0,0\n")
         assert str(ei.value) == "UNPARSEABLE_CELL: empty unit field at row 3"
 
+    def test_utf8_bom_accepted(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + CSV.encode())
+        assert_same_panel(pc.load_panel(path), load(CSV))
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+    def test_not_utf8_names_byte_offset(self, tmp_path, bom):
+        # the bad byte lies past the reader's first decoded chunk
+        good = (CSV + "".join(f"c,{t},1.0,0\n" for t in range(2000, 3000))).encode()
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(bom + good + "d\xe9,2000,1.0,0\n".encode("latin-1"))
+        with pytest.raises(pc.PanelCauseError) as ei:
+            pc.load_panel(path)
+        assert str(ei.value) == (
+            f"CONFIG_ERROR: file is not UTF-8 text: byte 0xe9 at byte offset "
+            f"{len(bom) + len(good) + 1} cannot be decoded")
+
+    def test_write_csv_is_utf8(self, tmp_path):
+        p = pc.PanelDataset(["Zürich", "Genève"], [0], [0, 1], [0, 0], [1.0, 2.0], [0, 0])
+        path = tmp_path / "utf8.csv"
+        p.write_csv(path)
+        assert "Zürich".encode() in path.read_bytes()
+        assert pc.load_panel(path).units == p.units
+
     @settings(max_examples=100, deadline=None)
     @given(panels())
     def test_roundtrip_write_read(self, p):
@@ -250,6 +279,41 @@ class TestLoad:
             assert new == old
         else:
             assert_same_panel(new, old)
+
+    @settings(max_examples=200, deadline=None)
+    @given(csv_texts(), st.data())
+    def test_blank_records_only_shift_row_numbers(self, case, data):
+        """Blank records anywhere, before the header too, give the same panel,
+        or the same error with its row moved down by the blanks above it."""
+        text, spec = case
+        lines = text.splitlines()
+        at = data.draw(st.lists(st.integers(0, len(lines)), max_size=4))
+        padded = list(lines)
+        for p in sorted(at, reverse=True):
+            padded.insert(p, data.draw(BLANK_RECORDS))
+        new = attempt(pc.load_panel, "\n".join(padded) + "\n", spec)
+        old = attempt(pc.load_panel, text, spec)
+        assert type(new) is type(old)
+        if isinstance(old, str):
+            def shift(m):
+                n = int(m[1])
+                return f"at row {n + sum(p < n for p in at)}"
+            assert new == re.sub(r"at row (\d+)", shift, old)
+        else:
+            assert_same_panel(new, old)
+
+    @settings(max_examples=100, deadline=None)
+    @given(csv_texts(), st.sampled_from(["", "  ", '" "', '"\t"']),
+           st.integers(0, 2), st.integers(0, 2))
+    def test_blank_unit_among_fields_named(self, case, unit, before, after):
+        """A record with a blank unit but other fields filled is not a blank
+        record: it is the first bad cell when it follows the header."""
+        text, spec = case
+        head, _, body = text.partition("\n")
+        record = ",".join(unit if h.strip() == "unit" else "1" for h in head.split(","))
+        text = "\n" * before + head + "\n" + ",,,\n" * after + record + "\n" + body
+        assert attempt(pc.load_panel, text, spec) == \
+            f"UNPARSEABLE_CELL: empty unit field at row {2 + before + after}"
 
 
 class TestAdoption:
@@ -366,6 +430,34 @@ class TestSubset:
     def test_subset_empty(self):
         p = load(CSV)
         assert err_code(p.subset, units=["a"], time_window=(5, 9)) == "NO_ROWS"
+
+    def test_unknown_unit(self):
+        with pytest.raises(pc.PanelCauseError) as ei:
+            load(CSV).subset(units=["a", "z"])
+        assert str(ei.value) == "CONFIG_ERROR: unknown unit 'z'"
+
+    @settings(max_examples=200, deadline=None)
+    @given(panels(), st.data())
+    def test_matches_loop_subset(self, p, data):
+        """Same panel, or the same error, as the per-row lookup it replaced."""
+        units = data.draw(st.one_of(st.none(), st.lists(st.sampled_from(p.units))))
+        index = st.integers(0, p.time_count - 1)
+        window = data.draw(st.one_of(st.none(), st.tuples(index, index)))
+        new, old = (attempt_subset(f, p, units, window)
+                    for f in (pc.PanelDataset.subset, loop_subset))
+        assert type(new) is type(old)
+        if isinstance(old, str):
+            assert new == old
+        else:
+            assert_same_panel(new, old)
+            assert new.unit_idx.dtype == old.unit_idx.dtype
+
+
+def attempt_subset(subset, p, units, window):
+    try:
+        return subset(p, units=units, time_window=window)
+    except pc.PanelCauseError as e:
+        return str(e)
 
 
 @settings(max_examples=50, deadline=None)

@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -27,7 +28,13 @@ from .simharness import DgpConfig, evaluate
 
 
 def _jsonable(x):
-    """Nested dataclasses/arrays → plain JSON types; NaN → None."""
+    """Nested dataclasses/arrays → plain JSON types; NaN → None, ±inf → "±Infinity"."""
+    if isinstance(x, float):                 # np.float64 is a float too
+        return _json_float(x)
+    if isinstance(x, dict):
+        return {_key(k): _jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_jsonable(v) for v in x]
     if isinstance(x, FitResult):
         return {"n": x.n, "rank": x.rank, "cluster_count": x.cluster_count,
                 "coefficients": _jsonable(x.coefficients),
@@ -35,21 +42,21 @@ def _jsonable(x):
     if dataclasses.is_dataclass(x) and not isinstance(x, type):
         return {f.name: _jsonable(getattr(x, f.name))
                 for f in dataclasses.fields(x)}
-    if isinstance(x, dict):
-        return {_key(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, (np.integer,)):
+    if isinstance(x, np.integer):
         return int(x)
-    if isinstance(x, (float, np.floating)):
-        x = float(x)
-        if np.isnan(x):
-            return None
-        if np.isinf(x):
-            return "Infinity" if x > 0 else "-Infinity"
-        return x
+    if isinstance(x, np.floating):
+        return _json_float(x)
     if isinstance(x, np.ndarray):
         return [_jsonable(v) for v in x.tolist()]
+    return x
+
+
+def _json_float(x):
+    x = float(x)
+    if math.isnan(x):
+        return None
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
     return x
 
 

@@ -16,9 +16,9 @@ import numpy as np
 
 from .ar import GRAM_PIVOT_TOL
 from .errors import PanelCauseError, PanelCauseWarning
-from .linreg import (INTERCEPT, FitResult, chi2_sf, jackknife_se, normal_ci,
-                     normal_p, two_way_effects, unit_period_components,
-                     within_fit)
+from .linreg import (INTERCEPT, FitResult, memoized, chi2_sf, jackknife_se,
+                     normal_ci, normal_p, two_way_effects,
+                     unit_period_components, within_fit)
 from .panel import NEVER, PanelDataset, complete_rows, derive_adoption
 
 NEVER_TREATED = "NEVER_TREATED"
@@ -305,8 +305,7 @@ def fit_group_time_att(panel: PanelDataset, schedule=None,
     w_all = W_g @ np.array(list(cohort_weights.values()))
     W = np.column_stack([W_g, W_e, w_all])                   # cells × aggregates
 
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    V = rng.choice((-1.0, 1.0), size=(bootstrap_reps, panel.unit_count))
+    V = _multipliers(seed, bootstrap_reps, panel.unit_count)
     se = np.std(V @ np.hstack([Phi, Phi @ W]), axis=0, ddof=1)
     pairs = list(zip(np.concatenate([att, att @ W]).tolist(), se.tolist()))
     cells, aggs = pairs[:len(keys)], pairs[len(keys):]
@@ -314,6 +313,16 @@ def fit_group_time_att(panel: PanelDataset, schedule=None,
     by_event = dict(zip(events.tolist(), aggs[len(groups):-1]))
     return GroupTimeAtts(dict(zip(keys, cells)), comparison, aggs[-1], by_event,
                          by_cohort, cohort_weights, omitted, bootstrap_reps, seed)
+
+
+def _multipliers(seed, draws, units):
+    """Rademacher multipliers (draws × units) from SeedSequence([seed]), read-only."""
+    def draw():
+        rng = np.random.default_rng(np.random.SeedSequence([seed]))
+        V = rng.choice((-1.0, 1.0), size=(draws, units))
+        V.flags.writeable = False
+        return V
+    return memoized(lambda: ("multipliers", seed, draws, units), draw)
 
 
 def _untreated_betas(panel, un, Xc, covariates):

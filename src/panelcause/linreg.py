@@ -5,14 +5,20 @@ Householder QR, the design's only factorisation), OLS and the
 cluster-robust sandwich read off that QR, exact unit or two-way fixed
 effects and the within regression built on them, the unit–period
 connectivity they rest on, the delete-one jackknife, and the normal and
-chi-square tails. All pure functions; estimator modules own the modelling
-choices. numpy and the standard library are the only dependencies.
+chi-square tails. Pure functions, apart from the memo that one Monte Carlo
+evaluate call opens (shared_memo), whose values are functions of their
+keys; estimator modules own the modelling choices. numpy and the standard
+library are the only dependencies.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
+import threading
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
@@ -122,12 +128,17 @@ def ols_fit(X: DesignMatrix, y, clusters, extra_dof: int = 0) -> FitResult:
     W = R⁻¹S_Qᵀ and S_Q the cluster sums of the scores Q_i·e_i: bread·meat·
     bread in the Q basis, a sum of squares, so symmetric and PSD as formed.
     """
-    y = np.asarray(y, dtype=float)
-    Q, R = X.qr
-    n, k = Q.shape
     labels = np.asarray(clusters)
     _, cluster_idx = np.unique(labels, return_inverse=True)
     G = int(cluster_idx.max()) + 1 if len(labels) else 0
+    return _sandwich_fit(X, y, cluster_idx, G, extra_dof)
+
+
+def _sandwich_fit(X, y, cluster_idx, G, extra_dof):
+    """ols_fit on rows already indexed 0..G-1 by cluster."""
+    y = np.asarray(y, dtype=float)
+    Q, R = X.qr
+    n, k = Q.shape
     if G < 2:
         raise PanelCauseError("FEWER_CLUSTERS_THAN_TWO",
                               f"cluster-robust variance needs ≥2 clusters, got {G}")
@@ -162,26 +173,9 @@ def two_way_effects(unit_idx, time_idx, columns):
     """Exact least-squares (alpha, gamma) of x ≈ alpha[unit_idx] + gamma[time_idx].
 
     Any set of rows, balanced or not; each column of ``columns`` is fit on
-    its own. Eliminating alpha leaves the T×T Schur complement of the normal
-    equations, S = diag(m_t) - Nᵀ diag(1/n_u) N, with N the unit×period count
-    matrix. S is singular once per connected component of the unit–period
-    graph; ``lstsq`` still gives the unique fitted values on every observed
-    cell. Indices without rows get zero effects.
+    its own (see FixedEffects). Indices without rows get zero effects.
     """
-    X = np.asarray(columns, dtype=float)
-    ui = np.asarray(unit_idx, dtype=np.intp)
-    ti = np.asarray(time_idx, dtype=np.intp)
-    U, T = ui.max() + 1, ti.max() + 1
-    cell = ui * T + ti
-    N = np.bincount(cell, minlength=U * T).reshape(U, T).astype(float)
-    cell_sums = index_sums(cell, U * T, X).reshape((U, T) + X.shape[1:])
-    inv_u = 1.0 / np.maximum(N.sum(axis=1), 1.0)
-    B = N.T * inv_u
-    sum_u = cell_sums.sum(axis=1)
-    gamma, *_ = np.linalg.lstsq(np.diag(N.sum(axis=0)) - B @ N,
-                                cell_sums.sum(axis=0) - B @ sum_u, rcond=None)
-    alpha = ((sum_u - N @ gamma).T * inv_u).T
-    return alpha, gamma
+    return _fixed_effects(unit_idx, time_idx).effects(columns)
 
 
 def unit_period_components(unit_idx, time_idx, n_units, n_periods):
@@ -213,6 +207,86 @@ def unit_period_components(unit_idx, time_idx, n_units, n_periods):
     return root[:n_units], root[n_units:]
 
 
+class FixedEffects:
+    """Unit or two-way fixed effects of one set of rows, factored once.
+
+    Holds what a fit of any columns on these rows needs and the columns do
+    not change: the level counts and their SINGLE_LEVEL checks, the absorbed
+    parameter count, the unit cluster index, and for two-way effects the
+    unit×period count matrix N with the pseudo-inverse of the T×T Schur
+    complement of the normal equations, S = diag(m_t) − Nᵀ diag(1/n_u) N.
+    S is singular once per connected component of the unit–period graph;
+    its pseudo-inverse (an eigenvalue at most T·eps times the largest one
+    counts as zero, lstsq's cutoff) still gives the unique fitted values on
+    every observed cell. time_idx None means unit effects alone.
+    """
+
+    def __init__(self, unit_idx, time_idx):
+        self.unit_idx = ui = np.asarray(unit_idx, dtype=np.intp)
+        _, self._unit_pos, self._unit_rows = np.unique(
+            ui, return_inverse=True, return_counts=True)
+        units = len(self._unit_rows)
+        # within_fit clusters by unit, or by row when the rows hold one unit
+        self.clusters = ((self._unit_pos, units) if units > 1
+                         else (np.arange(len(ui)), len(ui)))
+        self.single_level = ()
+        if time_idx is None:
+            self.time_idx, self.absorbed = None, units
+            return
+        self.time_idx = ti = np.asarray(time_idx, dtype=np.intp)
+        levels = {"unit": units, "time": len(np.unique(ti))}
+        self.single_level = tuple(d for d, n in levels.items() if n < 2)
+        self.absorbed = (sum(levels.values()) - 1
+                         if len(self.single_level) < 2 else 0)
+        if not len(ui):         # no rows: no levels, nothing to absorb
+            return
+        U, T = ui.max() + 1, ti.max() + 1
+        self._cell = ui * T + ti
+        self._N = N = np.bincount(self._cell, minlength=U * T).reshape(U, T).astype(float)
+        self._inv_u = 1.0 / np.maximum(N.sum(axis=1), 1.0)
+        self._B = N.T * self._inv_u
+        w, V = np.linalg.eigh(np.diag(N.sum(axis=0)) - self._B @ N)
+        on = np.abs(w) > T * np.finfo(float).eps * np.abs(w).max()
+        self._schur_pinv = (V[:, on] / w[on]) @ V[:, on].T
+
+    def warn(self):
+        """One SINGLE_LEVEL warning per single-level dimension, for each fit."""
+        for dim in self.single_level:
+            warnings.warn(PanelCauseWarning(
+                "SINGLE_LEVEL", f"dimension '{dim}' has a single level; absorption is a no-op"))
+
+    def effects(self, columns):
+        """Two-way (alpha, gamma) of the columns, each column fit on its own."""
+        X = np.asarray(columns, dtype=float)
+        U, T = self._N.shape
+        cell_sums = index_sums(self._cell, U * T, X).reshape((U, T) + X.shape[1:])
+        sum_u = cell_sums.sum(axis=1)
+        gamma = self._schur_pinv @ (cell_sums.sum(axis=0) - self._B @ sum_u)
+        alpha = ((sum_u - self._N @ gamma).T * self._inv_u).T
+        return alpha, gamma
+
+    def absorb(self, columns):
+        """The columns minus their fixed-effects fit (unchanged if both
+        dimensions have a single level)."""
+        M = np.array(columns, dtype=float)
+        if self.time_idx is None:
+            sums = index_sums(self._unit_pos, len(self._unit_rows), M)
+            return M - (sums.T / self._unit_rows).T[self._unit_pos]
+        if len(self.single_level) == 2:
+            return M
+        alpha, gamma = self.effects(M)
+        return M - alpha[self.unit_idx] - gamma[self.time_idx]
+
+
+def _fixed_effects(unit_idx, time_idx) -> FixedEffects:
+    """FixedEffects of these rows, taken from the shared memo when one is open."""
+    ui = np.asarray(unit_idx, dtype=np.intp)
+    ti = None if time_idx is None else np.asarray(time_idx, dtype=np.intp)
+    return memoized(lambda: ("fixed effects", ui.tobytes(),
+                              None if ti is None else ti.tobytes()),
+                     lambda: FixedEffects(ui, ti))
+
+
 def absorb_fixed_effects(unit_idx, time_idx, columns):
     """Columns minus their fixed-effects fit, and the absorbed parameter count.
 
@@ -222,23 +296,9 @@ def absorb_fixed_effects(unit_idx, time_idx, columns):
     a dimension with a single level gets a SINGLE_LEVEL warning, and if both
     do, the columns come back unchanged with absorbed_dof 0.
     """
-    M = np.array(columns, dtype=float)
-    unit_idx = np.asarray(unit_idx, dtype=np.intp)
-    if time_idx is None:
-        _, inv, n_u = np.unique(unit_idx, return_inverse=True, return_counts=True)
-        sums = index_sums(inv, len(n_u), M)
-        return M - (sums.T / n_u).T[inv], len(n_u)
-    time_idx = np.asarray(time_idx, dtype=np.intp)
-    levels = []
-    for dim, idx in (("unit", unit_idx), ("time", time_idx)):
-        levels.append(len(np.unique(idx)))
-        if levels[-1] < 2:
-            warnings.warn(PanelCauseWarning(
-                "SINGLE_LEVEL", f"dimension '{dim}' has a single level; absorption is a no-op"))
-    if max(levels) < 2:
-        return M, 0
-    alpha, gamma = two_way_effects(unit_idx, time_idx, M)
-    return M - alpha[unit_idx] - gamma[time_idx], levels[0] + levels[1] - 1
+    fe = _fixed_effects(unit_idx, time_idx)
+    fe.warn()
+    return fe.absorb(columns), fe.absorbed
 
 
 def within_fit(unit_idx, time_idx, y, columns) -> FitResult | None:
@@ -249,19 +309,84 @@ def within_fit(unit_idx, time_idx, y, columns) -> FitResult | None:
     regression. A column the effects absorb (within norm ≤ PIVOT_TOL × raw
     norm) is zeroed, so build_design drops it as a zero column instead of
     fitting its rounding noise. None if every column is.
+
+    The design side (the absorbed columns and their QR) and y are absorbed
+    apart, y always on its own, so a design taken from the shared memo gives
+    the same bits as one built afresh.
     """
+    fe = _fixed_effects(unit_idx, time_idx)
+    fe.warn()
     names, cols = zip(*columns)
     raw = np.column_stack(cols)
-    W, absorbed = absorb_fixed_effects(unit_idx, time_idx,
-                                       np.column_stack([y, raw]))
-    M = W[:, 1:]
+    X = memoized(lambda: ("within design", fe, names, raw.tobytes()),
+                  lambda: _within_design(fe, names, raw))
+    if X is None:
+        return None
+    return _sandwich_fit(X, fe.absorb(y), *fe.clusters, fe.absorbed)
+
+
+def _within_design(fe, names, raw):
+    M = fe.absorb(raw)
     M[:, np.linalg.norm(M, axis=0) <= PIVOT_TOL * np.linalg.norm(raw, axis=0)] = 0.0
     if not M.any():
         return None
     X = build_design(zip(names, M.T), add_intercept=False)
-    one_unit = (np.asarray(unit_idx) == unit_idx[0]).all()
-    return ols_fit(X, W[:, 0], np.arange(len(y)) if one_unit else unit_idx,
-                   extra_dof=absorbed)
+    for a in (X.data, *X.qr):
+        a.flags.writeable = False
+    return X
+
+
+# ---------------------------------------------------------------------------
+# the memo one Monte Carlo evaluate call shares across its reps
+
+
+MEMO_ENTRIES = 16
+_MEMO = contextvars.ContextVar("panelcause_memo", default=None)
+
+
+class _Memo:
+    """Least-recently-used table of at most MEMO_ENTRIES values, shared by threads."""
+
+    def __init__(self):
+        self.items = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key, build):
+        with self._lock:
+            if key in self.items:
+                self.items.move_to_end(key)
+                return self.items[key]
+        value = build()
+        with self._lock:
+            self.items[key] = value
+            if len(self.items) > MEMO_ENTRIES:
+                self.items.popitem(last=False)
+        return value
+
+
+@contextlib.contextmanager
+def shared_memo():
+    """Within the block, fits keep for later fits what their inputs decide.
+
+    Kept: FixedEffects by their rows, within_fit's absorbed design by its
+    FixedEffects, names and column bytes, and did's multiplier draws. Each
+    value is built as it is outside the block, so fits give the same bits.
+    Threads see the memo when run in a copy of the block's context. It is
+    emptied and dropped when the block ends.
+    """
+    memo = _Memo()
+    token = _MEMO.set(memo)
+    try:
+        yield memo
+    finally:
+        _MEMO.reset(token)
+        memo.items.clear()
+
+
+def memoized(make_key, build):
+    """build(), or the open memo's value for make_key(), built on a miss."""
+    memo = _MEMO.get()
+    return build() if memo is None else memo.get(make_key(), build)
 
 
 def jackknife_se(estimate_without, folds) -> float:

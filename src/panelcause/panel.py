@@ -276,10 +276,10 @@ def _parse_column(cells, blank_ok):
 def _read_records(source):
     """Every CSV record of a path (UTF-8, BOM allowed) or an open text stream."""
     if not (isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")):
-        return list(csv.reader(source, skipinitialspace=True))
+        return _csv_records(source)
     try:
         with open(source, newline="", encoding="utf-8-sig") as fh:
-            return list(csv.reader(fh, skipinitialspace=True))
+            return _csv_records(fh)
     except UnicodeDecodeError as exc:
         # the decoder's position is within its chunk: find the file's offset
         with open(source, "rb") as fh:
@@ -294,6 +294,18 @@ def _read_records(source):
             offset=exc.start) from None
 
 
+def _csv_records(lines):
+    """The records csv.reader reads; one it cannot read (a field past the
+    csv module's size limit) is UNPARSEABLE_CELL at its record number."""
+    records = []
+    try:
+        records.extend(csv.reader(lines, skipinitialspace=True))
+    except csv.Error as exc:
+        raise PanelCauseError("UNPARSEABLE_CELL",
+                              f"{exc} at row {len(records) + 1}") from None
+    return records
+
+
 def _columns(rows, width):
     """Transpose records into ``width`` columns, padding short records."""
     columns = list(itertools.zip_longest(*rows, fillvalue=""))
@@ -305,8 +317,9 @@ def load_panel(source, spec: ColumnSpec = ColumnSpec()) -> PanelDataset:
 
     ``source`` may be a path, read as UTF-8 with or without a byte-order
     mark, or an open text stream. A file that is not UTF-8 is
-    ``CONFIG_ERROR``, naming the byte offset that cannot be decoded. Blank
-    records are skipped, whitespace around fields (spaces before an
+    ``CONFIG_ERROR``, naming the byte offset that cannot be decoded; a
+    record the csv module cannot read (a field over its 131072-character
+    limit) is ``UNPARSEABLE_CELL``. Blank records are skipped, whitespace around fields (spaces before an
     opening quote too) is ignored and short records are padded with blank
     fields. Unit, time and policy must be present in every record; a blank
     outcome or covariate field is a missing cell. With

@@ -10,12 +10,22 @@ derive independent RNG substreams from (seed, rep), so results are
 identical under any schedule. PANELCAUSE_THREADS sets worker threads
 (default serial), but the fits hold the GIL: threads give no speed-up and
 inflate each rep's runtime_s with time spent waiting.
+
+One ``evaluate`` call opens ``linreg.shared_memo`` for its reps. They then
+share what the draws do not change: the fixed-effects operator of each set
+of rows, the absorbed design and its QR of each set of columns (with fixed
+adoption, the TWFE and event-study designs of every rep), and the
+group-time multiplier draws, which every rep makes from seed 0. Each value
+is built as a fit outside the call builds it, so every rep still scores
+exactly what ``fit`` reports for its panel. The memo is dropped on return.
 """
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import json
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -25,7 +35,7 @@ import numpy as np
 
 from . import advisor as adv
 from .errors import PanelCauseError
-from .linreg import normal_ci
+from .linreg import normal_ci, shared_memo
 from .panel import PanelDataset
 
 EFFECT_KINDS = ("constant", "dynamic", "cohort")
@@ -208,20 +218,19 @@ class SimMetrics:
     skipped: list               # (config, method, reason code)
 
     def write_metrics_csv(self, path):
-        _write_csv(path, [asdict(r) for r in self.rows],
-                   list(MetricRow.__dataclass_fields__))
+        _write_csv(path, self.rows, list(MetricRow.__dataclass_fields__))
 
     def write_reps_csv(self, path):
-        _write_csv(path, [asdict(r) for r in self.per_rep],
-                   list(RepRecord.__dataclass_fields__))
+        _write_csv(path, self.per_rep, list(RepRecord.__dataclass_fields__))
 
 
 def _write_csv(path, records, fields):
+    """One row per record, its fields read in place: NaN blank, floats by repr."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(fields)
         for rec in records:
-            w.writerow(["" if isinstance(v := rec[f], float) and np.isnan(v)
+            w.writerow(["" if isinstance(v := getattr(rec, f), float) and math.isnan(v)
                         else (repr(v) if isinstance(v, float) else v)
                         for f in fields])
 
@@ -268,40 +277,43 @@ def evaluate(configs, methods, reps: int, ci_level: float = 0.95,
         threads = int(os.environ.get("PANELCAUSE_THREADS", "1"))
 
     per_rep, skipped, rows = [], [], []
-    for ci_idx, config in enumerate(configs):
-        if not config.name:
-            config.name = f"cfg{ci_idx}"
-        config.validate()
-        panel0, _ = simulate_panel(config, 0)
-        try:
-            rec = adv.recommend(adv.derive_features(panel0))
-            reasons = {m: rec.methods[m].reasons for m in methods
-                       if not rec.methods[m].viable}
-        except PanelCauseError as exc:      # e.g. NO_TREATED_UNITS
-            reasons = {m: [(exc.code, exc.message)] for m in methods}
-        active = []
-        for m in methods:
-            if force or m not in reasons:
-                active.append(m)
+    with shared_memo():
+        for ci_idx, config in enumerate(configs):
+            if not config.name:
+                config.name = f"cfg{ci_idx}"
+            config.validate()
+            panel0, _ = simulate_panel(config, 0)
+            try:
+                rec = adv.recommend(adv.derive_features(panel0))
+                reasons = {m: rec.methods[m].reasons for m in methods
+                           if not rec.methods[m].viable}
+            except PanelCauseError as exc:      # e.g. NO_TREATED_UNITS
+                reasons = {m: [(exc.code, exc.message)] for m in methods}
+            active = []
+            for m in methods:
+                if force or m not in reasons:
+                    active.append(m)
+                else:
+                    skipped.append((config.name, m, reasons[m][0][0]))
+            if not active:
+                continue
+
+            if threads > 1:
+                # each task runs in a copy of this context, so it sees the memo
+                with ThreadPoolExecutor(max_workers=threads) as pool:
+                    futures = [pool.submit(contextvars.copy_context().run,
+                                           _one_rep, config, active, r, ci_level)
+                               for r in range(reps)]
+                batches = [f.result() for f in futures]
             else:
-                skipped.append((config.name, m, reasons[m][0][0]))
-        if not active:
-            continue
+                batches = [_one_rep(config, active, r, ci_level)
+                           for r in range(reps)]
+            recs = [r for batch in batches for r in batch]
+            per_rep.extend(recs)
 
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                batches = list(pool.map(
-                    lambda r: _one_rep(config, active, r, ci_level),
-                    range(reps)))
-        else:
-            batches = [_one_rep(config, active, r, ci_level)
-                       for r in range(reps)]
-        recs = [r for batch in batches for r in batch]
-        per_rep.extend(recs)
-
-        for m in active:
-            rows.append(_aggregate(config.name, m,
-                                   [r for r in recs if r.method == m]))
+            for m in active:
+                rows.append(_aggregate(config.name, m,
+                                       [r for r in recs if r.method == m]))
     return SimMetrics(rows, per_rep, skipped)
 
 

@@ -7,6 +7,7 @@ Monte Carlo experiments pin their seeds, so every run sees identical draws.
 
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -347,12 +348,12 @@ def test_fit_and_simulate_rerun_determinism(case_csv_path, tmp_path):
     sim_argv = ["simulate", "--data", str(cfg), "--method", "DID_TWFE",
                 "--reps", "3", "--out", prefix]
     assert cli_main(sim_argv) == 0
-    snap = {s: open(f"{prefix}_{s}", "rb").read()
+    snap = {s: Path(f"{prefix}_{s}").read_bytes()
             for s in ("run.json", "metrics.csv", "reps.csv")}
     assert cli_main(sim_argv) == 0
-    assert open(f"{prefix}_run.json", "rb").read() == snap["run.json"]
+    assert Path(f"{prefix}_run.json").read_bytes() == snap["run.json"]
     for s in ("metrics.csv", "reps.csv"):
-        now = strip_runtime_columns(open(f"{prefix}_{s}", "rb").read())
+        now = strip_runtime_columns(Path(f"{prefix}_{s}").read_bytes())
         assert now == strip_runtime_columns(snap[s]), s
     _ok("determinism: fit rerun byte-identical; simulate rerun "
         "byte-identical once wall-clock runtime columns are dropped")

@@ -410,3 +410,32 @@ def test_runtime_loads_no_scipy(tmp_path):
     assert report["failed"] == []
     assert report["fitted"] == sorted(ALL_METHODS)
     assert report["scipy"] == []
+
+
+def test_jsonable_plain_types():
+    from dataclasses import dataclass
+
+    @dataclass
+    class Inner:
+        x: float
+        arr: np.ndarray
+
+    @dataclass
+    class Outer:
+        inner: Inner
+        cells: dict
+        pair: tuple
+
+    doc = Outer(Inner(float("nan"), np.array([1.5, np.inf, -np.inf, np.nan])),
+                {(1, "a"): np.float64(-np.inf), 2: np.int64(7)},
+                (np.float32(0.5), float("inf"), True, None, "s"))
+    got = cli._jsonable(doc)
+    assert got == {"inner": {"x": None, "arr": [1.5, "Infinity", "-Infinity", None]},
+                   "cells": {"1,a": "-Infinity", "2": 7},
+                   "pair": [0.5, "Infinity", True, None, "s"]}
+    assert type(got["cells"]["2"]) is int and type(got["pair"][0]) is float
+    assert type(cli._jsonable(np.float64(2.5))) is float
+    assert json.dumps(got, sort_keys=True) == (
+        '{"cells": {"1,a": "-Infinity", "2": 7}, "inner": {"arr": [1.5, '
+        '"Infinity", "-Infinity", null], "x": null}, "pair": [0.5, "Infinity", '
+        'true, null, "s"]}')

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from panelcause import PanelCauseError
-from panelcause.linreg import (INTERCEPT, PIVOT_TOL, build_design, ols_fit,
-                               absorb_fixed_effects, chi2_sf, index_sums, normal_p,
-                               normal_ci, unit_period_components)
+from panelcause.linreg import (INTERCEPT, MEMO_ENTRIES, PIVOT_TOL, build_design,
+                               ols_fit, absorb_fixed_effects, chi2_sf, index_sums,
+                               memoized, normal_p, normal_ci, shared_memo,
+                               unit_period_components, within_fit)
 from oracles import (bipartite_components, chi2_upper_tail, cluster_sandwich,
                      fwl_cluster_se, gram_schmidt_design, normal_quantile,
                      normal_two_sided_p, ols_beta, twfe_dummy_fit)
@@ -413,3 +414,44 @@ def test_near_collinear_kept_column_se_matches_fwl(eps):
     np.testing.assert_array_equal(fit.vcov, fit.vcov.T)
     eig = np.linalg.eigvalsh(fit.vcov)
     assert eig.min() >= -1e-12 * eig.max()
+
+
+class TestSharedMemo:
+    def test_single_level_warns_once_per_fit_and_hits_match_misses(self):
+        # time has one level (every row in period 0), so each fit warns once,
+        # whether its operator and design come from the memo or not
+        rng = np.random.default_rng(31)
+        ui = np.repeat(np.arange(4), 3)
+        ti = np.zeros(12, dtype=int)
+        y, x = rng.normal(size=12), rng.normal(size=12)
+
+        def fits():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                out = [within_fit(ui, ti, y + i, [("x", x)]) for i in range(3)]
+            assert [str(w.message) for w in caught] == \
+                ["SINGLE_LEVEL: dimension 'time' has a single level; "
+                 "absorption is a no-op"] * 3
+            return out
+
+        alone = fits()
+        with shared_memo() as memo:
+            shared = fits()
+            assert len(memo.items) == 2      # one operator, one design
+        for a, b in zip(alone, shared):
+            assert a.vcov.tobytes() == b.vcov.tobytes()
+            assert a.coefficients == b.coefficients
+            assert a.residuals.tobytes() == b.residuals.tobytes()
+
+    def test_memo_keeps_the_most_recently_used(self):
+        built = []
+        with shared_memo() as memo:
+            for k in [0, 1] + list(range(2, MEMO_ENTRIES + 2)) + [0, 1]:
+                memoized(lambda: k, lambda: built.append(k) or k)
+                memoized(lambda: 0, lambda: built.append(0) or 0)
+            assert len(memo.items) == MEMO_ENTRIES
+            assert list(memo.items)[-1] == 0
+        # 0 stays in use throughout and is built once; 1 is evicted and rebuilt
+        assert built.count(0) == 1 and built.count(1) == 2
+        assert memo.items == {}
+        assert memoized(lambda: 0, lambda: "fresh") == "fresh"

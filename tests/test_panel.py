@@ -251,6 +251,19 @@ class TestLoad:
             f"CONFIG_ERROR: file is not UTF-8 text: byte 0xe9 at byte offset "
             f"{len(bom) + len(good) + 1} cannot be decoded")
 
+    @pytest.mark.parametrize("as_path", [True, False])
+    def test_field_past_csv_limit_names_its_record(self, tmp_path, as_path):
+        # the csv module refuses fields over 131072 characters; the error is
+        # coded and counts the blank record before it
+        text = CSV + "\nd,2000," + "9" * 200_000 + ",0\n"
+        path = tmp_path / "big.csv"
+        path.write_text(text)
+        row = CSV.count("\n") + 2
+        with pytest.raises(pc.PanelCauseError) as ei:
+            pc.load_panel(path if as_path else io.StringIO(text, newline=""))
+        assert str(ei.value) == (f"UNPARSEABLE_CELL: field larger than field "
+                                 f"limit (131072) at row {row}")
+
     def test_write_csv_is_utf8(self, tmp_path):
         p = pc.PanelDataset(["Zürich", "Genève"], [0], [0, 1], [0, 0], [1.0, 2.0], [0, 0])
         path = tmp_path / "utf8.csv"

@@ -1,12 +1,18 @@
 import csv
+import dataclasses
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
 
 import panelcause as pc
-from panelcause.advisor import ASCM, DID_TWFE, GROUP_TIME_DID, ITS, SCM
+import panelcause.simharness as sh
+from panelcause import advisor as adv
+from panelcause import linreg
+from panelcause.advisor import (ASCM, CITS, DID_TWFE, EVENT_STUDY,
+                                GROUP_TIME_DID, ITS, SCM)
 from panelcause.simharness import (DgpConfig, TruthRecord, evaluate,
                                    simulate_panel)
 
@@ -315,3 +321,83 @@ class TestEvaluate:
         assert len(reps) == 4
         scm_rows = [r for r in reps if r["method"] == SCM]
         assert all(r["se"] == "" for r in scm_rows)  # NaN serialized empty
+        # the bytes of a rendering from dataclasses.asdict: NaN blank, floats by repr
+        for path, recs in ((mpath, out.rows), (rpath, out.per_rep)):
+            lines = [",".join(dataclasses.asdict(recs[0]))]
+            lines += [",".join("" if isinstance(v, float) and np.isnan(v)
+                               else repr(v) if isinstance(v, float) else str(v)
+                               for v in dataclasses.asdict(r).values())
+                      for r in recs]
+            assert path.read_bytes() == ("\r\n".join(lines) + "\r\n").encode()
+
+
+class TestSharedMemo:
+    """evaluate keeps one memo for its reps: the fixed-effects operator, the
+    absorbed design and the multiplier draws. What it reuses must give the
+    bits a fit outside evaluate gives, and nothing may outlive the call."""
+
+    METHODS = (DID_TWFE, EVENT_STUDY, GROUP_TIME_DID, CITS)
+
+    @pytest.mark.parametrize("confounding", ["none", "intercept"])
+    def test_reps_equal_direct_fits(self, confounding):
+        # "none": one design for every rep, so reps 1 and 2 reuse rep 0's;
+        # "intercept": adoption follows the intercepts, a new design per rep
+        # a second, smaller config in the same call must not reuse the first's
+        c = cfg(ar_coef=0.3, confounding=confounding)
+        configs = {"big": c, "small": cfg(ar_coef=0.3, confounding=confounding,
+                                          n_units=10, name="small", seed=8)}
+        c.name = "big"
+        out = evaluate(list(configs.values()), list(self.METHODS), reps=3, force=True)
+        assert len(out.per_rep) == 2 * 3 * len(self.METHODS)
+        for rec in out.per_rep:
+            assert rec.error == "", (rec.method, rec.error)
+            spec = adv.METHODS[rec.method]
+            panel, _ = simulate_panel(configs[rec.config], rec.rep)
+            est, se = spec.point(spec.fit(panel, (), 0.95, 0))
+            assert (rec.estimate, rec.se) == (est, se), (rec.config, rec.method, rec.rep)
+        if confounding == "intercept":
+            adoption = [simulate_panel(c, r)[1].adoption for r in range(3)]
+            assert adoption[0] != adoption[1] != adoption[2]
+
+    def test_nothing_cached_after_return(self, monkeypatch):
+        seen = []
+        one_rep = sh._one_rep
+
+        def spy(*args):
+            out = one_rep(*args)
+            seen.append((linreg._MEMO.get(), len(linreg._MEMO.get().items)))
+            return out
+
+        monkeypatch.setattr(sh, "_one_rep", spy)
+        evaluate([cfg()], [DID_TWFE, GROUP_TIME_DID], reps=2)
+        assert linreg._MEMO.get() is None
+        memo = seen[0][0]
+        assert all(m is memo for m, _ in seen) and seen[-1][1] > 0
+        assert memo.items == {}
+
+        def boom(*args):
+            seen.append(linreg._MEMO.get())
+            raise RuntimeError("stop")
+
+        monkeypatch.setattr(sh, "_one_rep", boom)
+        with pytest.raises(RuntimeError):
+            evaluate([cfg()], [DID_TWFE], reps=2)
+        assert seen[-1] is not None and linreg._MEMO.get() is None
+
+    def test_threads_share_the_memo_under_eviction(self):
+        # a design per rep and per method overflows the memo, so threads
+        # evict each other's entries; every rep must still equal the serial one
+        c = cfg(ar_coef=0.3, confounding="intercept")
+        methods = list(self.METHODS)
+        serial = evaluate([c], methods, reps=12, force=True)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = evaluate([c], methods, reps=12, force=True, threads=4)
+        finally:
+            sys.setswitchinterval(switch)
+        key = lambda r: (r.method, r.rep)
+        assert len(pooled.per_rep) == len(serial.per_rep) == 48
+        for a, b in zip(sorted(serial.per_rep, key=key),
+                        sorted(pooled.per_rep, key=key)):
+            assert (a.estimate, a.se, a.error) == (b.estimate, b.se, b.error)

@@ -10,12 +10,12 @@ a profile least-squares grid refinement takes over, with a
 FIXED_POINT_FALLBACK warning, if the iteration cycles. There are no unit
 fixed effects: unit-specific variability is carried by the lag itself.
 
-Only the lag columns move with γ. The design at γ = 0, built once, decides
-which columns are kept; the kept intercept, covariate and period columns
-are then partialled out once (Frisch–Waugh–Lovell). Every pass, and every
-point of the profile grid, reads the (2L+2)-square Gram matrix of
-[y, policy, lag_y, lag_p] left over: an (L+1)-square solve, whatever the
-number of rows. The reported fit is one full OLS pass."""
+Only the lag columns move with γ. The fixed part (the intercept, covariate
+and period columns that build_design keeps after policy) is chosen without
+the lags and partialled out once (Frisch–Waugh–Lovell). Every pass, and
+every point of the profile grid, is one elimination of the Gram matrix of
+[lags, policy, y] left over, whatever the number of rows. The reported fit
+is one full OLS pass."""
 
 from __future__ import annotations
 
@@ -34,9 +34,6 @@ FP_MAX_ITER = 200
 # forming CᵀGC squares the rounding. A pivot within GRAM_PIVOT_TOL of the raw
 # norm sends the pass to build_design, which decides the drop exactly.
 GRAM_PIVOT_TOL = 1e-5
-# a γ⁰-dropped fixed column whose residual on the kept columns and policy
-# exceeds this share of its norm was dropped because of the lags
-LAG_FREE_TOL = 1e-8
 # a cluster-robust SE below this share of the model-based one means the
 # clusters' scores cancel (two units, say): the sandwich says nothing
 CLUSTER_SE_ROUNDING = 1e-6
@@ -109,8 +106,8 @@ def _fixed_columns(panel, cand, ti, covariates):
     return cols, levels
 
 
-def _design(panel, cand, ti, pol, lag_y, lag_p, gamma, covariates):
-    """[lags debiased at γ, policy, covariates, periods] after build_design."""
+def _ols_pass(panel, cand, ui, ti, y, pol, lag_y, lag_p, gamma, covariates):
+    """Full OLS pass on [lags debiased at γ, policy, covariates, periods]."""
     fixed, levels = _fixed_columns(panel, cand, ti, covariates)
     lags = [(f"lag{ell + 1}", lag_y[ell] - gamma * lag_p[ell])
             for ell in range(len(lag_y))]
@@ -119,104 +116,82 @@ def _design(panel, cand, ti, pol, lag_y, lag_p, gamma, covariates):
         raise PanelCauseError("SATURATED_DESIGN", (
             f"{len(pol)} used rows for a design of rank {X.data.shape[1]}: no "
             f"residual degrees of freedom are left to identify γ"))
-    return X, levels
-
-
-def _ols_pass(panel, cand, ui, ti, y, pol, lag_y, lag_p, gamma, covariates):
-    X, levels = _design(panel, cand, ti, pol, lag_y, lag_p, gamma, covariates)
     return ols_fit(X, y, ui), levels
 
 
 class _LagPolicyGram:
     """Normal equations of the lag/policy block as polynomials in γ.
 
-    z = [y, policy, lag_y_1..L, lag_p_1..L]. The intercept, covariate and
-    period columns that the design at γ = 0 kept are projected out of z once,
-    leaving the Gram matrix G (Frisch–Waugh–Lovell); H is z's raw Gram.
-    At γ the block [lag_1..L, policy] is z·C(γ) with C(γ) = C0 + γ·C1, so
-    its Gram C(γ)ᵀGC(γ), its cross-product with y and its raw squared
-    norms are quadratics in γ whose coefficients are formed here.
+    The fixed part F is chosen without the lags: the intercept, covariate
+    and period columns that build_design keeps after policy. z = [y,
+    policy, lag_y_1..L, lag_p_1..L] is projected off F once (Frisch–Waugh–
+    Lovell). At γ the columns [lag_1..L, policy, y] are z·C(γ) with
+    C(γ) = C0 + γ·C1, so their Gram and their raw squared norms are
+    quadratics in γ, kept as Python floats: the (L+2)-square elimination is
+    cheaper in floats than in numpy calls.
 
-    ``lag_free`` is False when a fixed column that design dropped is not in
-    the span of the kept ones and policy: it was dropped because of the
-    lags, so the drop may not hold at another γ.
+    Should the dense design at some γ drop a column of F because of the
+    lags, [lag_1..L, policy] is rank-deficient given F, so one of that
+    pass's pivots reaches the floor and the pass is refit in full.
     """
 
     def __init__(self, panel, rows, covariates):
         cand, _, ti, y, pol, lag_y, lag_p = rows
-        X0, _ = _design(panel, cand, ti, pol, lag_y, lag_p, 0.0, covariates)
         fixed, _ = _fixed_columns(panel, cand, ti, covariates)
-        gone = {name for name, _ in X0.dropped_columns}
-        dropped = [c for name, c in fixed if name in gone]
+        X = build_design([("policy", pol)] + fixed)
+        F = X.data[:, [j for j, name in enumerate(X.column_names)
+                       if name != "policy"]]
         z = np.column_stack([y, pol, *lag_y, *lag_p])
         k, L = z.shape[1], len(lag_y)
-        block = {f"lag{ell + 1}" for ell in range(L)} | {"policy"}
-        F = X0.data[:, [j for j, name in enumerate(X0.column_names)
-                        if name not in block]]
-        R = np.column_stack([z, *dropped])
-        R = R - F @ np.linalg.lstsq(F, R, rcond=None)[0]
-        D, r_pol = R[:, k:], R[:, 1]
-        if r_pol.any():
-            D = D - np.outer(r_pol, (r_pol @ D) / (r_pol @ r_pol))
-        self.lag_free = all(np.linalg.norm(d) <= LAG_FREE_TOL * np.linalg.norm(c)
-                            for d, c in zip(D.T, dropped))
+        R = z - F @ np.linalg.lstsq(F, z, rcond=None)[0]
 
-        C0, C1 = np.zeros((k, L + 1)), np.zeros((k, L + 1))
+        C0, C1 = np.zeros((k, L + 2)), np.zeros((k, L + 2))
         C0[2:2 + L, :L] = np.eye(L)
-        C0[1, L] = 1.0
+        C0[1, L] = C0[0, L + 1] = 1.0
         C1[2 + L:, :L] = -np.eye(L)
 
         def quadratic(M):       # C(γ)ᵀMC(γ) as coefficients of 1, γ, γ²
             return (C0.T @ M @ C0, C0.T @ M @ C1 + C1.T @ M @ C0,
                     C1.T @ M @ C1)
 
-        self.G = R[:, :k].T @ R[:, :k]
-        self.A = quadratic(self.G)
-        self.b = (C0.T @ self.G[:, 0], C1.T @ self.G[:, 0])
-        self.raw = [np.diag(m) for m in quadratic(z.T @ z)]
-        # policy_coef's coefficients as Python floats: its (L+1)-square
-        # elimination is cheaper in floats than in numpy calls
-        self._floats = [[m.tolist() for m in coefs]
-                        for coefs in (self.A, self.b, self.raw)]
+        self._lags = L
+        self._gram = [m.tolist() for m in quadratic(R.T @ R)]
+        self._raw = [np.diag(m).tolist() for m in quadratic(z.T @ z)]
 
-    def _gram(self, gamma):
-        A0, A1, A2 = self.A
-        return A0 + gamma * (A1 + gamma * A2)
+    def _eliminate(self, gamma, columns):
+        """Eliminate the Gram's first ``columns`` columns at γ, in order.
 
-    def policy_coef(self, gamma):
-        """Policy coefficient at γ; None if the block is near rank-deficient.
-
-        Gaussian elimination in column order: the j-th pivot is column j's
-        squared residual on the fixed columns and the columns before it, as
-        in build_design, and None means a pivot at or below GRAM_PIVOT_TOL²
-        times its raw squared norm. Policy is the last column, so its
-        coefficient is the last right-hand side over the last pivot.
+        Column j's pivot is its squared residual on F and the columns
+        before it; one at or below GRAM_PIVOT_TOL² times the column's raw
+        squared norm is skipped, as build_design drops the column. Returns
+        [policy, y]'s reduced entries (pp, py, yy) and whether a column was
+        skipped.
         """
-        (A0, A1, A2), (b0, b1), (r0, r1, r2) = self._floats
+        (A0, A1, A2), (r0, r1, r2) = self._gram, self._raw
         A = [[x0 + gamma * (x1 + gamma * x2) for x0, x1, x2 in zip(*rows)]
              for rows in zip(A0, A1, A2)]
-        b = [x0 + gamma * x1 for x0, x1 in zip(b0, b1)]
-        floor = [GRAM_PIVOT_TOL ** 2 * (x0 + gamma * (x1 + gamma * x2))
-                 for x0, x1, x2 in zip(r0, r1, r2)]
-        for j in range(len(A)):
-            if A[j][j] <= floor[j]:
-                return None
+        skipped = False
+        for j in range(columns):
+            raw = r0[j] + gamma * (r1[j] + gamma * r2[j])
+            if A[j][j] <= GRAM_PIVOT_TOL ** 2 * raw:
+                skipped = True
+                continue
             for i in range(j + 1, len(A)):
                 f = A[i][j] / A[j][j]
                 for k in range(j + 1, len(A)):
                     A[i][k] -= f * A[j][k]
-                b[i] -= f * b[j]
-        return b[-1] / A[-1][-1]
+        return A[-2][-2], A[-2][-1], A[-1][-1], skipped
+
+    def policy_coef(self, gamma):
+        """Policy coefficient at γ; None if a lag or policy pivot was skipped."""
+        pp, py, _, skipped = self._eliminate(gamma, self._lags + 1)
+        return None if skipped else py / pp
 
     def profile_ssr(self, gamma):
-        """Residual sum of squares with γ fixed: γ·policy moved to the left side."""
-        G, A = self.G, self._gram(gamma)
-        L = len(A) - 1
-        # cross-product of the lags with y − γ·policy
-        b = self.b[0][:L] + gamma * self.b[1][:L] - gamma * A[:L, L]
-        beta = np.linalg.lstsq(A[:L, :L], b, rcond=None)[0]
-        return float(G[0, 0] - 2.0 * gamma * G[0, 1] + gamma ** 2 * G[1, 1]
-                     - b @ beta)
+        """Residual sum of squares with γ fixed: γ·policy moved to the left
+        side. The lags alone are eliminated; a skipped lag leaves it as is."""
+        pp, py, yy, _ = self._eliminate(gamma, self._lags)
+        return yy - 2.0 * gamma * py + gamma ** 2 * pp
 
 
 def _grid_refine(ssr, lo, hi, rounds=4, points=41):
@@ -239,10 +214,10 @@ def fit_debiased_ar(panel: PanelDataset, covariates=(), lag_order: int = 1,
     has a treated lag the loop is skipped: one OLS pass is the exact
     answer (the model is then a plain AR regression with a policy term).
 
-    The design at γ = 0 is built once, and its kept columns fix which
-    columns every pass uses. The intercept, covariates and period dummies
-    are partialled out once, so each pass solves an (L+1)-square system on
-    a (2L+2)-square Gram matrix, whatever the panel size. A pass whose
+    The fixed part (intercept, covariates and period dummies that
+    build_design keeps after policy) is chosen without the lags and
+    partialled out once, so each pass is one elimination of an
+    (L+2)-square Gram matrix, whatever the panel size. A pass whose
     lag/policy block is near rank-deficient is refit in full. After
     FP_MAX_ITER passes without convergence, γ minimises the profile SSR
     on a grid around the path, with a FIXED_POINT_FALLBACK warning.
@@ -274,7 +249,7 @@ def fit_debiased_ar(panel: PanelDataset, covariates=(), lag_order: int = 1,
         gamma_path = [0.0]
         for _ in range(FP_MAX_ITER):
             g = gamma_path[-1]
-            new = gram.policy_coef(g) if gram.lag_free else None
+            new = gram.policy_coef(g)
             if new is None:
                 new = _coef(_ols_pass(panel, *rows, g, covariates)[0], "policy")
             gamma_path.append(new)

@@ -16,9 +16,9 @@ import numpy as np
 
 from .ar import GRAM_PIVOT_TOL
 from .errors import PanelCauseError, PanelCauseWarning
-from .linreg import (INTERCEPT, FitResult, memoized, chi2_sf, jackknife_se,
-                     normal_ci, normal_p, two_way_effects,
-                     unit_period_components, within_fit)
+from .linreg import (INTERCEPT, FitResult, _fixed_effects, memoized, chi2_sf,
+                     jackknife_se, normal_ci, normal_p, unit_period_components,
+                     within_fit)
 from .panel import NEVER, PanelDataset, complete_rows, derive_adoption
 
 NEVER_TREATED = "NEVER_TREATED"
@@ -432,7 +432,7 @@ def _impute_att(panel, covariates, skip_unit):
 
     coefs, beta = (_untreated_betas(panel, un, Xc, covariates) if covariates
                    else ({}, np.zeros(0)))
-    alpha, gamma = two_way_effects(ui, ti, panel.outcome[un] - Xc[un] @ beta)
+    alpha, gamma = _fixed_effects(ui, ti).effects(panel.outcome[un] - Xc[un] @ beta)
     resid = panel.outcome[rows] - (alpha[ru] + gamma[rt] + Xc[rows] @ beta)
     effects = {(panel.units[i], int(t)): float(e) for i, t, e in zip(ru, rt, resid)}
 

@@ -38,13 +38,12 @@ class DesignMatrix:
     dropped_columns: list = field(default_factory=list)  # (name, reason) pairs
 
 
-def build_design(columns, add_intercept: bool = True,
-                 pivot_tol: float = PIVOT_TOL) -> DesignMatrix:
+def build_design(columns, add_intercept: bool = True) -> DesignMatrix:
     """Assemble named columns into a full-rank design matrix.
 
     Collinear columns are dropped deterministically by a Householder QR of
     the listed columns: |R_jj|, column j's residual on the columns before
-    it, must exceed ``pivot_tol`` times its norm. The first failing column
+    it, must exceed PIVOT_TOL times its norm. The first failing column
     is dropped and the rest refactored, so later-listed columns lose ties;
     past the n-th kept column of an n-row design every column fails.
     """
@@ -66,7 +65,7 @@ def build_design(columns, add_intercept: bool = True,
     keep = np.flatnonzero(norms > 0.0)
     while len(keep):
         Q, R = np.linalg.qr(A[:, keep])
-        fail = np.abs(np.diagonal(R)) <= pivot_tol * norms[keep[:len(R)]]
+        fail = np.abs(np.diagonal(R)) <= PIVOT_TOL * norms[keep[:len(R)]]
         if not fail.any():
             break
         j = int(fail.argmax())
@@ -167,15 +166,6 @@ def index_sums(index, size, values):
     k = int(np.prod(values.shape[1:]))
     slot = (np.asarray(index)[:, None] * k + np.arange(k)).ravel()
     return np.bincount(slot, values.ravel(), size * k).reshape((size,) + values.shape[1:])
-
-
-def two_way_effects(unit_idx, time_idx, columns):
-    """Exact least-squares (alpha, gamma) of x ≈ alpha[unit_idx] + gamma[time_idx].
-
-    Any set of rows, balanced or not; each column of ``columns`` is fit on
-    its own (see FixedEffects). Indices without rows get zero effects.
-    """
-    return _fixed_effects(unit_idx, time_idx).effects(columns)
 
 
 def unit_period_components(unit_idx, time_idx, n_units, n_periods):

@@ -204,8 +204,9 @@ def _active_set_polish(AtA, Atb, bb, mask, blocks, tol, max_iter):
     every round, so a pass from the best vertex of each block ends at the
     minimiser after finitely many rounds. Rounding stops a pass short when
     _admit gives NaN; the next pass starts at the vertex of each block's
-    heaviest weight. NO_CONVERGENCE is raised when a restart would repeat
-    its pass's start, or a problem is still short after max_iter rounds.
+    heaviest unmasked weight off the stopped pass's start, so a restart
+    never repeats its start. NO_CONVERGENCE is raised when a problem is
+    still short after max_iter rounds.
     A problem stops once its gap is below tol × _gap_scale on its own
     coordinates; one whose AᵀA is zero there takes the uniform point (any
     feasible w is optimal) with 0 passes. Returns (W, passes, gaps), one
@@ -267,13 +268,10 @@ def _active_set_polish(AtA, Atb, bb, mask, blocks, tol, max_iter):
         new = np.argmin(g_own, axis=1)
         nxt = _admit(K, R, W, new, ki)
         stopped = np.isnan(nxt[:, 0])
-        if stopped.any():
-            v = _vertex(W[stopped], blocks)
-            again = np.flatnonzero((v == start[stopped]).all(axis=1))
-            if len(again):
-                i = np.flatnonzero(stopped)[again[0]]
-                raise _no_convergence(rounds, passes[ids[i]], gap[i], tol_gap[i])
-            nxt[stopped] = start[stopped] = v
+        if stopped.any():       # the start's coordinates rank below the rest
+            scores = np.where(start[stopped] > 0, -1.0, W[stopped])
+            nxt[stopped] = start[stopped] = _vertex(
+                np.where(mask[stopped], scores, -np.inf), blocks)
             passes[ids[stopped]] += 1
         W = nxt
     return W_out, passes, gaps
@@ -341,11 +339,11 @@ def solve_simplex_lsq(A: np.ndarray, b: np.ndarray, blocks=None,
     The forward active set (_active_set_polish, here a batch of one) stops
     once the Frank-Wolfe gap is below tol × _gap_scale. When rounding stops
     a pass short, the next starts at the vertex of each block's heaviest
-    weight; ``max_iter`` bounds the rounds over all passes, and
-    NO_CONVERGENCE is raised when they run out or a restart would repeat
-    its pass's start. Returns (w, objective, passes, gap): passes is 1 when
-    the first pass succeeds and 0 when AᵀA = 0 after centring (any feasible
-    w is optimal: the uniform one).
+    weight off the stopped pass's start; ``max_iter`` bounds the rounds
+    over all passes, and NO_CONVERGENCE is raised when they run out.
+    Returns (w, objective, passes, gap): passes is 1 when the first pass
+    succeeds and 0 when AᵀA = 0 after centring (any feasible w is optimal:
+    the uniform one).
     """
     k = A.shape[1] if gram is None else len(gram[1])
     if blocks is None:

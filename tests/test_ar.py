@@ -334,7 +334,34 @@ def test_vanishing_lag_pass_is_refit_in_full(monkeypatch, slope):
     est = pc.fit_debiased_ar(build_panel(names, 10, adopt, y))
     assert est.iterations == 2 and est.converged
     assert est.gamma == pytest.approx(2.0, abs=1e-12)
-    assert len(calls) == 3      # γ⁰ design, the rank-deficient pass, the report
+    assert len(calls) == 3      # fixed part, the rank-deficient pass, the report
+
+
+def test_lagged_outcome_covariate_is_refit_in_full_at_zero_only(monkeypatch):
+    # z is each unit's previous outcome, so it equals the lag column at γ = 0
+    # and build_design drops it there; at any other γ the debiased lag is not
+    # in the span of z and the period dummies, and the Gram pass is exact
+    adopt = {"u0": 6, "u1": 6, "u2": 8, "u3": 8}
+    names = [f"u{i}" for i in range(6)]
+    Y = ar_panel(units=6, T=12, adopt=adopt, noise=0.3, seed=0).outcome_matrix()
+    Z = np.hstack([np.zeros((6, 1)), Y[:, :-1]])
+    p = build_panel(names, 12, adopt, dict(zip(names, Y.tolist())),
+                    covariates={"z": dict(zip(names, Z.tolist()))})
+    calls = []
+    real = ar_module.build_design
+    monkeypatch.setattr(ar_module, "build_design",
+                        lambda cols: calls.append(1) or real(cols))
+    est = pc.fit_debiased_ar(p, covariates=("z",))
+    assert est.iterations == 3 and est.converged
+    assert len(calls) == 3      # fixed part, the γ = 0 pass, the report
+
+    P = p.policy_matrix().astype(float)
+    u, t = np.repeat(np.arange(6), 11), np.tile(np.arange(1, 12), 6)
+    want = debiased_ar_path(Y[u, t], P[u, t], [Y[u, t - 1]], [P[u, t - 1]],
+                            [Z[u, t]] + [(t == s).astype(float)
+                                         for s in range(2, 12)],
+                            FP_TOL, FP_MAX_ITER)
+    assert est.gamma_path == pytest.approx(want, rel=1e-10, abs=1e-10)
 
 
 def test_fallback_to_grid_warns():

@@ -164,7 +164,8 @@ METHODS = {
 
 ALL_METHODS = tuple(METHODS)
 
-CAUTION_CONFIG = {"min_pre_periods": 2, "single_cluster_at": 1}
+MIN_PRE_PERIODS = 2        # FEW_PRE_PERIODS below this
+SINGLE_CLUSTER_AT = 1      # SINGLE_CLUSTER_INFERENCE at or below this many treated
 
 
 @dataclass(frozen=True)
@@ -262,17 +263,17 @@ def _cautions(method: str, f: DesignFeatures):
         out.append(("MISSING_DATA",
                     "missing outcome cells present; balance the panel or "
                     "expect row drops"))
-    if f.pre_periods_min < CAUTION_CONFIG["min_pre_periods"]:
+    if f.pre_periods_min < MIN_PRE_PERIODS:
         out.append(("FEW_PRE_PERIODS",
                     f"some cohort has fewer than "
-                    f"{CAUTION_CONFIG['min_pre_periods']} pre periods"))
+                    f"{MIN_PRE_PERIODS} pre periods"))
     if (f.singleton_cohorts and
             method in (ITS_MULTI_BASELINE, GROUP_TIME_DID, IMPUTATION_DID,
                        STAGGERED_ASCM)):
         out.append(("SINGLETON_COHORT",
                     f"{f.singleton_cohorts} cohort(s) contain a single unit; "
                     "cohort-level estimates will be noisy"))
-    if (f.n_treated <= CAUTION_CONFIG["single_cluster_at"] and
+    if (f.n_treated <= SINGLE_CLUSTER_AT and
             method in (DID_TWFE, EVENT_STUDY, CITS)):
         out.append(("SINGLE_CLUSTER_INFERENCE",
                     "one treated cluster: cluster-robust standard errors are "

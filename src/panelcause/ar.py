@@ -194,9 +194,9 @@ class _LagPolicyGram:
         return yy - 2.0 * gamma * py + gamma ** 2 * pp
 
 
-def _grid_refine(ssr, lo, hi, rounds=4, points=41):
-    for _ in range(rounds):
-        grid = np.linspace(lo, hi, points)
+def _grid_refine(ssr, lo, hi):
+    for _ in range(4):
+        grid = np.linspace(lo, hi, 41)
         vals = np.array([ssr(g) for g in grid])
         i = int(np.argmin(vals))
         step = grid[1] - grid[0]

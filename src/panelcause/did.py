@@ -227,7 +227,7 @@ def fit_event_study(panel: PanelDataset, covariates=(), leads: int | None = None
 # group-time ATT
 
 
-def fit_group_time_att(panel: PanelDataset, schedule=None,
+def fit_group_time_att(panel: PanelDataset,
                        comparison: str = NEVER_TREATED, covariates=(),
                        bootstrap_reps: int = 999, seed: int = 0) -> GroupTimeAtts:
     """Cohort-by-period ATTs from base period g-1, plus aggregations.
@@ -247,8 +247,7 @@ def fit_group_time_att(panel: PanelDataset, schedule=None,
     """
     if comparison not in (NEVER_TREATED, NOT_YET_TREATED):
         raise PanelCauseError("CONFIG_ERROR", f"unknown comparison '{comparison}'")
-    if schedule is None:
-        schedule = derive_adoption(panel)
+    schedule = derive_adoption(panel)
     if not schedule.cohorts:
         raise PanelCauseError("NO_VARIATION", "no treated cohorts")
     for g, members in schedule.cohort_sizes().items():
@@ -349,7 +348,7 @@ def _covariate_residualizer(panel: PanelDataset, covariates):
 # imputation DID
 
 
-def fit_imputation_did(panel: PanelDataset, schedule=None,
+def fit_imputation_did(panel: PanelDataset,
                        covariates=()) -> ImputationEstimate:
     """Counterfactual imputation from a unit+time model fit on untreated rows.
 
@@ -365,8 +364,7 @@ def fit_imputation_did(panel: PanelDataset, schedule=None,
     refit's warnings. ``untreated_coefficients`` are the dummy regression's:
     references are the first untreated unit and period.
     """
-    if schedule is None:
-        schedule = derive_adoption(panel)
+    schedule = derive_adoption(panel)
     if not schedule.cohorts:
         raise PanelCauseError("NO_VARIATION", "no treated cells to impute")
 

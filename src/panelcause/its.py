@@ -70,12 +70,12 @@ def _single_adoption(panel: PanelDataset, op: str):
     return schedule, next(iter(schedule.cohorts))
 
 
-def _check_periods(panel: PanelDataset, g: int, min_pre: int = 2, min_post: int = 2):
+def _check_periods(panel: PanelDataset, g: int):
     pre, post = g, panel.time_count - g
-    if pre < min_pre or post < min_post:
+    if pre < 2 or post < 2:
         raise PanelCauseError(
             "TOO_FEW_PERIODS",
-            f"need ≥{min_pre} pre and ≥{min_post} post periods around adoption; "
+            "need ≥2 pre and ≥2 post periods around adoption; "
             f"got {pre} pre, {post} post")
 
 
@@ -115,7 +115,7 @@ def fit_its(panel: PanelDataset, covariates=()) -> ItsEstimate:
         adoption_time=g, fit=fit)
 
 
-def fit_its_multiple_baseline(panel: PanelDataset, schedule=None,
+def fit_its_multiple_baseline(panel: PanelDataset,
                               covariates=()) -> MultiBaselineItsEstimate:
     """One ITS per adoption cohort (that cohort's units only), then pool.
 
@@ -123,8 +123,7 @@ def fit_its_multiple_baseline(panel: PanelDataset, schedule=None,
     cohort fits as independent: sqrt(sum of (weight × SE)^2). Weights are
     returned so callers can re-aggregate.
     """
-    if schedule is None:
-        schedule = derive_adoption(panel)
+    schedule = derive_adoption(panel)
     if len(schedule.cohorts) < 2:
         raise PanelCauseError(
             "NOT_STAGGERED",

@@ -12,8 +12,7 @@ treated unit is by in-space placebo permutation.
 The solver takes a batch of problems that share AᵀA and solves them in
 lockstep; a single fit is a batch of one. The leave-one-donor-out refits of
 placebo inference and ridge CV are each one batch off the shared donor Gram
-matrix. Reruns are byte-identical; the last digits may differ from versions
-that solved the refits one at a time.
+matrix. Reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -363,7 +362,7 @@ def solve_simplex_lsq(A: np.ndarray, b: np.ndarray, blocks=None,
 # data preparation
 
 
-def _prep(panel: PanelDataset, treated, donors, covariates):
+def _prep(panel: PanelDataset, treated, donors):
     schedule = derive_adoption(panel)
     if treated not in panel.units:
         raise PanelCauseError("CONFIG_ERROR", f"unknown treated unit '{treated}'")
@@ -400,7 +399,7 @@ def _features(panel, unit_rows, g, covariates):
     return F
 
 
-def _check_missing(panel, treated_row, donor_rows, g):
+def _check_missing(panel, treated_row, donor_rows):
     Y = panel.outcome_matrix()
     rows = [treated_row] + list(donor_rows)
     if np.isnan(Y[rows]).any():
@@ -415,8 +414,8 @@ def _check_missing(panel, treated_row, donor_rows, g):
 # classic SCM
 
 
-def fit_scm(panel: PanelDataset, treated, donors=None, covariates=(),
-            tol: float = SOLVER_TOL, max_iter: int = SOLVER_MAX_ITER) -> ScmEstimate:
+def fit_scm(panel: PanelDataset, treated, donors=None,
+            covariates=()) -> ScmEstimate:
     """Convex synthetic control for one treated unit.
 
     Matches pre-period outcomes (and covariate pre-means, uniformly
@@ -425,13 +424,13 @@ def fit_scm(panel: PanelDataset, treated, donors=None, covariates=(),
     is not unique (a flat objective), the one returned is fixed by the
     active set's deterministic path from the best single donor.
     """
-    g, donors = _prep(panel, treated, donors, covariates)
+    g, donors = _prep(panel, treated, donors)
     trow = panel.units.index(treated)
     drows = [panel.units.index(d) for d in donors]
-    _check_missing(panel, trow, drows, g)
+    _check_missing(panel, trow, drows)
     x1 = _features(panel, [trow], g, covariates)[0]
     X0 = _features(panel, drows, g, covariates)          # donors × features
-    w, obj, iters, gap = solve_simplex_lsq(X0.T, x1, tol=tol, max_iter=max_iter)
+    w, obj, iters, gap = solve_simplex_lsq(X0.T, x1)
 
     Y = panel.outcome_matrix()
     pre, gaps, att = _synth_gaps(Y[trow], Y[drows], w, g)
@@ -491,14 +490,12 @@ def placebo_inference(panel: PanelDataset, treated, donors=None, covariates=(),
 
     Each donor is refit as a pseudo-treated unit (remaining donors as its
     pool, the real treated unit excluded). The refits are solved in
-    lockstep off the shared donor Gram (_leave_outs): a rerun repeats them
-    bit for bit, and their last digits may differ from versions that solved
-    them one at a time. Donors whose pre-period fit is
-    worse than cutoff × the treated unit's pre-RMSPE are excluded. The
+    lockstep off the shared donor Gram (_leave_outs). Donors whose pre-period
+    fit is worse than cutoff × the treated unit's pre-RMSPE are excluded. The
     p-value counts placebos with ratios at least as extreme as the treated
     unit's (ties count), plus one, over retained placebos plus one.
     """
-    g, donors = _prep(panel, treated, donors, covariates)
+    g, donors = _prep(panel, treated, donors)
     if len(donors) < 3:
         raise PanelCauseError("TOO_FEW_DONORS",
                               "placebo inference needs ≥3 donors so each pseudo-"
@@ -565,9 +562,8 @@ def _cv_lambda(X0: np.ndarray, grid=LAMBDA_GRID):
     weights are fit on all but the last pre period and scored on the
     held-out one. The simplex fits are solved in lockstep off the shared
     donor Gram (_leave_outs) and the folds' ridge corrections come from
-    stacked SVDs, in chunks of at most BATCH_CHUNK numbers: a rerun repeats
-    the scores bit for bit, and their last digits may differ from versions
-    that fit the folds one at a time. Ties resolve to the larger penalty.
+    stacked SVDs, in chunks of at most BATCH_CHUNK numbers. Ties resolve to
+    the larger penalty.
     """
     J, F = X0.shape
     if F < 2 or J < 3:
@@ -587,6 +583,24 @@ def _cv_lambda(X0: np.ndarray, grid=LAMBDA_GRID):
     return float(grid[best]), dict(zip(grid.tolist(), scores.tolist()))
 
 
+def _augmented(X0, x1, w, lam, y, Y_donors, g, treated, donors, info):
+    """Ridge-augmented ScmEstimate of the series y from simplex weights w on
+    the donor features X0 (donors × features, target x1) and outcomes
+    Y_donors; lam is a penalty or "cv" (_cv_lambda). info adds entries after
+    the penalty."""
+    cv_scores = None
+    if lam == "cv":
+        lam, cv_scores = _cv_lambda(X0)
+    w_aug = _ridge_augment(X0[None], x1[None], w[None], [lam])[0, 0]
+    pre, gaps, att = _synth_gaps(y, Y_donors, w_aug, g)
+    obj = float(np.sum((x1 - X0.T @ w_aug) ** 2))
+    weights = ScmWeights(dict(zip(donors, w_aug.tolist())), pre, obj, True)
+    info = {"lambda": float(lam), **info}
+    if cv_scores is not None:
+        info["cv_scores"] = cv_scores
+    return ScmEstimate(att, gaps, weights, treated, tuple(donors), g, info=info)
+
+
 def fit_ascm(panel: PanelDataset, treated, donors=None, covariates=(),
              lam="cv") -> ScmEstimate:
     """Ridge-augmented SCM: corrects remaining pre-period imbalance.
@@ -594,113 +608,82 @@ def fit_ascm(panel: PanelDataset, treated, donors=None, covariates=(),
     With zero imbalance the correction vanishes and the estimate equals
     classic SCM exactly; as lam → ∞ it degenerates to classic SCM.
     """
-    g, donors = _prep(panel, treated, donors, covariates)
     base = fit_scm(panel, treated, donors, covariates)
+    g, donors = base.adoption_time, base.donors
     trow = panel.units.index(treated)
     drows = [panel.units.index(d) for d in donors]
     x1 = _features(panel, [trow], g, covariates)[0]
     X0 = _features(panel, drows, g, covariates)
-
-    cv_scores = None
-    if lam == "cv":
-        lam, cv_scores = _cv_lambda(X0)
-    w_aug = _ridge_augment(X0[None], x1[None], base.weights.as_array(donors)[None],
-                           [lam])[0, 0]
-
     Y = panel.outcome_matrix()
-    pre, gaps, att = _synth_gaps(Y[trow], Y[drows], w_aug, g)
-    obj = float(np.sum((x1 - X0.T @ w_aug) ** 2))
-    weights = ScmWeights(dict(zip(donors, w_aug.tolist())), pre, obj, True)
-    info = {"lambda": float(lam), "scm_att": base.att,
-            "scm_objective": base.weights.objective_value}
-    if cv_scores is not None:
-        info["cv_scores"] = cv_scores
-    return ScmEstimate(att, gaps, weights, treated, tuple(donors), g,
-                       info=info)
+    return _augmented(X0, x1, base.weights.as_array(donors), lam, Y[trow],
+                      Y[drows], g, treated, donors,
+                      {"scm_att": base.att,
+                       "scm_objective": base.weights.objective_value})
 
 
 # ---------------------------------------------------------------------------
 # staggered adoption: partially pooled cohort fits
 
 
-def _stagger_system(panel, schedule, donors, nu):
+def _stagger_system(Yd, targets, nu):
     """Assemble the partially pooled least-squares system over cohort weights.
 
-    Rows: per-cohort pre-period residuals scaled by sqrt((1-nu)/T0_g), plus
-    per-event-time pooled residuals scaled by sqrt(nu/E). Returns
-    (M, d, blocks, cohort order, per-cohort (A_g, b_g)).
+    Yd holds the donor outcome rows and targets maps each cohort g, in
+    order, to its mean pre-period outcomes b_g; cohort g is matched on A_g =
+    Yd[:, :g].T. Rows: per-cohort pre-period residuals scaled by
+    sqrt((1-nu)/T0_g), plus per-event-time pooled residuals scaled by
+    sqrt(nu/E). Returns (M, d, blocks), one block of weights per cohort.
     """
-    Y = panel.outcome_matrix()
-    drows = [panel.units.index(d) for d in donors]
-    J = len(drows)
-    cohorts = sorted(schedule.cohorts)
-    per = {}
-    for g in cohorts:
-        crows = [panel.units.index(u) for u in schedule.cohorts[g]]
-        if np.isnan(Y[crows]).any() or np.isnan(Y[drows]).any():
-            raise PanelCauseError("MISSING_CELLS",
-                                  "staggered fit requires complete treated and donor series")
-        if g < 2:
-            raise PanelCauseError(
-                "TOO_FEW_PERIODS",
-                f"cohort g={panel.time_labels[g]} has {g} pre periods; need ≥2")
-        b_g = Y[crows, :g].mean(axis=0)          # cohort-mean pre outcomes
-        A_g = Y[drows][:, :g].T                  # T0_g × J
-        per[g] = (A_g, b_g)
-
-    G = len(cohorts)
+    J, G = len(Yd), len(targets)
     blocks = [slice(i * J, (i + 1) * J) for i in range(G)]
     rows_M, rows_d = [], []
-    for i, g in enumerate(cohorts):
-        A_g, b_g = per[g]
-        s = np.sqrt((1.0 - nu) / len(b_g))
-        block = np.zeros((len(b_g), G * J))
-        block[:, i * J:(i + 1) * J] = A_g
+    for s_g, (g, b_g) in zip(blocks, targets.items()):
+        s = np.sqrt((1.0 - nu) / g)
+        block = np.zeros((g, G * J))
+        block[:, s_g] = Yd[:, :g].T
         rows_M.append(s * block)
         rows_d.append(s * b_g)
-    events = sorted({e for g in cohorts for e in range(-g, 0)})
-    E = len(events)
-    for e in events:
-        present = [(i, g) for i, g in enumerate(cohorts) if -g <= e]
+    E = max(targets)
+    for e in range(-E, 0):
+        present = [(s_g, g, b_g) for s_g, (g, b_g) in zip(blocks, targets.items())
+                   if -g <= e]
         m_e = len(present)
         row = np.zeros(G * J)
         val = 0.0
-        for i, g in present:
-            A_g, b_g = per[g]
-            row[i * J:(i + 1) * J] += A_g[g + e] / m_e
+        for s_g, g, b_g in present:
+            row[s_g] += Yd[:, g + e] / m_e
             val += b_g[g + e] / m_e
         s = np.sqrt(nu / E)
         rows_M.append(s * row[None, :])
         rows_d.append(np.array([s * val]))
-    M = np.vstack(rows_M)
-    d = np.concatenate(rows_d)
-    return M, d, blocks, cohorts, per, events
+    return np.vstack(rows_M), np.concatenate(rows_d), blocks
 
 
-def _pooled_rmspe(W, cohorts, per, events):
+def _pooled_rmspe(Yd, targets, W):
     """RMS of the event-time-aligned mean pre-period residual."""
     vals = []
-    for e in events:
-        rs = [float(per[g][1][g + e] - per[g][0][g + e] @ W[i])
-              for i, g in enumerate(cohorts) if -g <= e]
+    for e in range(-max(targets), 0):
+        rs = [float(b_g[g + e] - Yd[:, g + e] @ w)
+              for w, (g, b_g) in zip(W, targets.items()) if -g <= e]
         vals.append(np.mean(rs))
     return float(np.sqrt(np.mean(np.array(vals) ** 2)))
 
 
-def fit_staggered_ascm(panel: PanelDataset, schedule=None, nu="auto",
+def fit_staggered_ascm(panel: PanelDataset, nu="auto",
                        lam=0.0) -> StaggeredAscmEstimate:
     """Partially pooled synthetic controls, one per adoption cohort.
 
     nu=0 fits each cohort independently; nu=1 minimizes only the pooled
     (event-time-aligned mean) pre-period fit. "auto" picks the smallest nu
     on a 0..1 grid whose pooled pre-fit RMSPE is within 10% of the nu=1
-    fit, and reports the trace. Donors are never-treated units only. Each
-    cohort's simplex weights get the same ridge augmentation as fit_ascm;
-    the overall ATT is the cohort-size-weighted mean with a
-    leave-one-donor-out jackknife SE.
+    fit, reports the trace, and keeps the weights the scan solved at that
+    nu. Donors are never-treated units only. Each cohort's simplex weights
+    get the same ridge augmentation as fit_ascm; the overall ATT is the
+    cohort-size-weighted mean with a leave-one-donor-out jackknife SE.
+    The panel is read and checked once; each candidate nu and each fold
+    (the donor rows less one) builds its system from those arrays.
     """
-    if schedule is None:
-        schedule = derive_adoption(panel)
+    schedule = derive_adoption(panel)
     if not schedule.cohorts:
         raise PanelCauseError("NO_VARIATION", "no treated cohorts")
     donors = list(schedule.never_treated)
@@ -709,73 +692,63 @@ def fit_staggered_ascm(panel: PanelDataset, schedule=None, nu="auto",
                               "staggered fits use never-treated units as donors; none exist")
     if len(donors) < 2:
         raise PanelCauseError("TOO_FEW_DONORS", f"need ≥2 donors, got {len(donors)}")
-
     nu_mode = "auto" if nu == "auto" else "fixed"
-    trace = []
-    if nu == "auto":
-        M1, d1, blocks, cohorts, per, events = _stagger_system(
-            panel, schedule, donors, 1.0)
-        W1 = _solve_blocks(M1, d1, blocks)
-        ref = _pooled_rmspe(W1, cohorts, per, events)
-        chosen = 1.0
-        for cand in np.linspace(0.0, 1.0, 11):
-            M, d, blocks, cohorts, per, events = _stagger_system(
-                panel, schedule, donors, float(cand))
-            W = _solve_blocks(M, d, blocks)
-            r = _pooled_rmspe(W, cohorts, per, events)
-            trace.append((float(cand), r))
-            if r <= 1.10 * ref:
-                chosen = float(cand)
-                break
-        nu = chosen
-    nu = float(nu)
-    if not 0.0 <= nu <= 1.0:
-        raise PanelCauseError("CONFIG_ERROR", f"nu must lie in [0,1], got {nu}")
-
-    est = _staggered_fit_once(panel, schedule, donors, nu, lam)
-    per_cohort, cohort_weights, att, pooled = est
-
-    # jackknife over donors at the resolved nu / lambda
-    se = jackknife_se(
-        lambda d: _staggered_fit_once(
-            panel, schedule, [x for x in donors if x != d], nu, lam)[2],
-        donors if len(donors) >= 3 else ())
-
-    return StaggeredAscmEstimate(nu, nu_mode, per_cohort, cohort_weights,
-                                 att, se, pooled, trace)
-
-
-def _solve_blocks(M, d, blocks):
-    w, *_ = solve_simplex_lsq(M, d, blocks=blocks)
-    return [w[s] for s in blocks]
-
-
-def _staggered_fit_once(panel, schedule, donors, nu, lam):
-    M, d, blocks, cohorts, per, events = _stagger_system(panel, schedule, donors, nu)
-    W = _solve_blocks(M, d, blocks)
-    pooled = _pooled_rmspe(W, cohorts, per, events)
+    if nu_mode == "fixed":
+        nu = float(nu)
+        if not 0.0 <= nu <= 1.0:
+            raise PanelCauseError("CONFIG_ERROR", f"nu must lie in [0,1], got {nu}")
 
     Y = panel.outcome_matrix()
-    drows = [panel.units.index(dn) for dn in donors]
-    per_cohort, atts = {}, {}
-    for i, g in enumerate(cohorts):
-        A_g, b_g = per[g]
-        X0 = A_g.T                                  # donors × features
-        lam_g, cv_scores = (lam, None) if lam != "cv" else _cv_lambda(X0)
-        w_aug = _ridge_augment(X0[None], b_g[None], W[i][None], [lam_g])[0, 0]
+    Yd = Y[[panel.units.index(d) for d in donors]]
+    targets, series = {}, {}
+    for g in sorted(schedule.cohorts):
         crows = [panel.units.index(u) for u in schedule.cohorts[g]]
-        pre, gaps, att_g = _synth_gaps(Y[crows].mean(axis=0), Y[drows], w_aug, g)
-        obj = float(np.sum((b_g - X0.T @ w_aug) ** 2))
-        weights = ScmWeights(dict(zip(donors, w_aug.tolist())), pre, obj, True)
-        info = {"lambda": float(lam_g), "scm_weights": dict(zip(donors, W[i].tolist()))}
-        if cv_scores is not None:
-            info["cv_scores"] = cv_scores
-        per_cohort[g] = ScmEstimate(att_g, gaps, weights, g, tuple(donors), g,
-                                    info=info)
-        atts[g] = per_cohort[g].att
+        if np.isnan(Y[crows]).any() or np.isnan(Yd).any():
+            raise PanelCauseError("MISSING_CELLS",
+                                  "staggered fit requires complete treated and donor series")
+        if g < 2:
+            raise PanelCauseError(
+                "TOO_FEW_PERIODS",
+                f"cohort g={panel.time_labels[g]} has {g} pre periods; need ≥2")
+        targets[g] = Y[crows, :g].mean(axis=0)
+        series[g] = Y[crows].mean(axis=0)
+
+    def weights(Yd, nu):
+        M, d, blocks = _stagger_system(Yd, targets, nu)
+        w, *_ = solve_simplex_lsq(M, d, blocks=blocks)
+        return [w[s] for s in blocks]
+
+    trace = []
+    if nu_mode == "auto":
+        W1 = weights(Yd, 1.0)
+        ref = _pooled_rmspe(Yd, targets, W1)
+        for nu in np.linspace(0.0, 1.0, 11).tolist():
+            W = W1 if nu == 1.0 else weights(Yd, nu)
+            r = _pooled_rmspe(Yd, targets, W)
+            trace.append((nu, r))
+            if r <= 1.10 * ref:
+                break
+    else:
+        W = weights(Yd, nu)
 
     sizes = schedule.cohort_sizes()
-    total = sum(sizes[g] for g in cohorts)
-    cohort_weights = {g: sizes[g] / total for g in cohorts}
-    att = float(sum(cohort_weights[g] * atts[g] for g in cohorts))
-    return per_cohort, cohort_weights, att, pooled
+    total = sum(sizes[g] for g in targets)
+    cohort_weights = {g: sizes[g] / total for g in targets}
+
+    def estimate(Yd, W, donors):
+        per_cohort = {
+            g: _augmented(Yd[:, :g], b_g, w, lam, series[g], Yd, g, g, donors,
+                          {"scm_weights": dict(zip(donors, w.tolist()))})
+            for w, (g, b_g) in zip(W, targets.items())}
+        att = float(sum(cohort_weights[g] * per_cohort[g].att for g in targets))
+        return per_cohort, att
+
+    def fold(j):
+        keep = np.delete(np.arange(len(donors)), j)
+        Yk = Yd[keep]
+        return estimate(Yk, weights(Yk, nu), [donors[i] for i in keep])[1]
+
+    per_cohort, att = estimate(Yd, W, donors)
+    se = jackknife_se(fold, range(len(donors)) if len(donors) >= 3 else ())
+    return StaggeredAscmEstimate(nu, nu_mode, per_cohort, cohort_weights, att,
+                                 se, _pooled_rmspe(Yd, targets, W), trace)

@@ -29,7 +29,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -41,6 +41,31 @@ from .panel import PanelDataset
 EFFECT_KINDS = ("constant", "dynamic", "cohort")
 CONFOUNDING_MODES = ("none", "intercept", "trend")
 TREND_CONFOUND_SD = 0.1   # SD of unit-specific slopes under confounding="trend"
+
+# the JSON value of each DgpConfig field type (true and false are not numbers)
+_JSON_KINDS = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+               "str": (str, "a string"), "dict": (dict, "an object")}
+
+
+def _typed(where, value, kind):
+    types, name = _JSON_KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise PanelCauseError("CONFIG_ERROR", f"{where} must be {name}, got {value!r}")
+    return value
+
+
+def _by_period(where, mapping, kind):
+    """mapping keyed by adoption period, its JSON string keys read as ints and
+    each value checked to be of the JSON kind."""
+    out = {}
+    for k, v in mapping.items():
+        try:
+            g = int(k)
+        except ValueError:
+            raise PanelCauseError("CONFIG_ERROR", f"{where} key must be an "
+                                  f"integer period, got {k!r}") from None
+        out[g] = _typed(f"{where}[{k}]", v, kind)
+    return out
 
 
 @dataclass
@@ -72,6 +97,8 @@ class DgpConfig:
                 raise PanelCauseError("CONFIG_ERROR", f"cohort {g} has size {size}")
         if self.noise_sd < 0 or self.intercept_sd < 0:
             raise PanelCauseError("CONFIG_ERROR", "SDs must be ≥ 0")
+        if self.seed < 0:
+            raise PanelCauseError("CONFIG_ERROR", f"seed must be ≥ 0, got {self.seed}")
         if not -1.0 < self.ar_coef < 1.0:
             raise PanelCauseError("CONFIG_ERROR", "AR coefficient must lie in (−1, 1)")
         if self.confounding not in CONFOUNDING_MODES:
@@ -92,18 +119,35 @@ class DgpConfig:
 
     @classmethod
     def from_json(cls, text):
-        d = json.loads(text) if isinstance(text, str) else dict(text)
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
+        """A config from JSON text or a mapping. n_units and n_periods are
+        required; a missing, unknown or mistyped field raises CONFIG_ERROR."""
+        if isinstance(text, str):
+            try:
+                text = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise PanelCauseError("CONFIG_ERROR", f"invalid JSON ({exc})") from exc
+        d = dict(_typed("a DGP config", text, "dict"))
+        unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise PanelCauseError("CONFIG_ERROR",
                                   f"unknown config fields: {sorted(unknown)}")
+        for f in fields(cls):
+            if f.name in d:
+                _typed(f.name, d[f.name], f.type)
+            elif f.default is f.default_factory is MISSING:
+                raise PanelCauseError("CONFIG_ERROR", f"missing config field '{f.name}'")
         if "cohorts" in d:
-            d["cohorts"] = {int(k): int(v) for k, v in d["cohorts"].items()}
-        if "effect" in d and "deltas" in d.get("effect", {}):
-            d["effect"] = dict(d["effect"])
-            d["effect"]["deltas"] = {int(k): float(v)
-                                     for k, v in d["effect"]["deltas"].items()}
+            d["cohorts"] = _by_period("cohorts", d["cohorts"], "int")
+        effect = d.get("effect", {})
+        for key in ("delta", "base", "slope"):
+            if key in effect:
+                _typed(f"effect.{key}", effect[key], "float")
+        if effect.get("kind") == "constant" and "delta" not in effect:
+            raise PanelCauseError("CONFIG_ERROR", "a constant effect needs 'delta'")
+        if "deltas" in effect:
+            deltas = _typed("effect.deltas", effect["deltas"], "dict")
+            d["effect"] = dict(effect, deltas={
+                g: float(v) for g, v in _by_period("effect.deltas", deltas, "float").items()})
         cfg = cls(**d)
         cfg.validate()
         return cfg
@@ -273,6 +317,8 @@ def evaluate(configs, methods, reps: int, ci_level: float = 0.95,
         if m not in adv.METHODS:
             raise PanelCauseError("CONFIG_ERROR", f"unknown method '{m}'")
     normal_ci(0.0, 1.0, ci_level)   # a level outside (0, 1) fails here, not per rep
+    if reps < 1:
+        raise PanelCauseError("CONFIG_ERROR", f"need reps ≥ 1, got {reps}")
     if threads is None:
         threads = int(os.environ.get("PANELCAUSE_THREADS", "1"))
 

@@ -358,6 +358,36 @@ class TestSimulate:
         rc, _, err = run(capsys, "simulate", "--data", str(p2), "--reps", "1")
         assert rc == 1 and "zap" in err
 
+    @pytest.mark.parametrize("change,args,fragment", [
+        ({"n_units": 10.5}, (), "n_units must be an integer"),
+        ({"ar_coef": "0.5"}, (), "ar_coef must be a number"),
+        ({"effect": {"kind": "constant"}}, (), "needs 'delta'"),
+        ({"cohorts": {"x": 3}}, (), "cohorts key must be an integer period, got 'x'"),
+        ({"seed": -1}, (), "seed must be ≥ 0"),
+        ({}, ("--seed", "-1"), "seed must be ≥ 0"),
+        ({"n_units": None}, (), "missing config field 'n_units'"),
+        ([1, 2], (), "a DGP config must be an object, got 1"),
+        ({}, ("--reps", "0"), "need reps ≥ 1, got 0"),
+        ({}, ("--reps", "-3"), "need reps ≥ 1, got -3"),
+    ])
+    def test_malformed_config_is_one_error_line(self, capsys, tmp_path, change,
+                                                args, fragment):
+        cfg = {"n_units": 12, "n_periods": 8, "cohorts": {"4": 4},
+               "effect": {"kind": "constant", "delta": 1.0}}
+        if isinstance(change, dict):       # a None value removes the field
+            cfg.update(change)
+            cfg = {k: v for k, v in cfg.items() if v is not None}
+        else:
+            cfg = change
+        p = tmp_path / "dgp.json"
+        p.write_text(json.dumps(cfg))
+        rc, out, err = run(capsys, "simulate", "--data", str(p), "--method",
+                           "DID_TWFE", "--out", str(tmp_path / "sim"),
+                           "--reps", "2", *args)
+        assert rc == 1 and out == ""
+        assert err.startswith("error CONFIG_ERROR: ") and err.count("\n") == 1
+        assert fragment in err
+
 
 # Runs in a fresh interpreter: imports the package and the CLI, runs recommend
 # and, on four small designs, every method the advisor finds viable there, then

@@ -743,6 +743,14 @@ class TestStaggeredAscm:
             "TOO_FEW_PERIODS"
         p = staggered_panel()
         assert err(pc.fit_staggered_ascm, p, nu=1.5).code == "CONFIG_ERROR"
+        # a fixed nu is checked before the data: a missing cell raises only
+        # when nu is valid
+        y = p.outcome.copy()
+        y[5] = np.nan
+        gap = pc.PanelDataset(p.units, p.time_labels, p.unit_idx, p.time_idx,
+                              y, p.policy)
+        assert err(pc.fit_staggered_ascm, gap, nu=1.5).code == "CONFIG_ERROR"
+        assert err(pc.fit_staggered_ascm, gap).code == "MISSING_CELLS"
 
     def test_missing_cells(self):
         p = staggered_panel()
@@ -752,6 +760,44 @@ class TestStaggeredAscm:
         p2 = pp.PanelDataset(p.units, p.time_labels, p.unit_idx, p.time_idx,
                              y, p.policy, p.covariates)
         assert err(pc.fit_staggered_ascm, p2, nu=0.0).code == "MISSING_CELLS"
+
+    def test_dropped_folds_warn_and_give_nan(self):
+        # 3 donors: each fold keeps 2, too few for ridge CV
+        p = simulate_panel(DgpConfig(9, 10, cohorts={4: 3, 6: 3}, seed=3), 0)[0]
+        with pytest.warns(pc.PanelCauseWarning) as ws:
+            est = pc.fit_staggered_ascm(p, nu=0.5, lam="cv")
+        assert [str(w.message) for w in ws] == [
+            "JACKKNIFE_FOLDS_DROPPED: 3 of 3 jackknife folds raised and were "
+            "left out (first: TOO_FEW_PERIODS)"]
+        assert np.isnan(est.se)
+
+
+# fit_staggered_ascm on STAGGERED_PIN_CONFIG: (nu, lam) -> (chosen nu, trace,
+# ATT, SE). At nu = 1, 2 × 20 donor weights nearly match the 8 pooled rows,
+# so no smaller nu comes within 10% and the auto scan ends on the nu = 1 fit.
+STAGGERED_PIN_CONFIG = DgpConfig(40, 12, cohorts={4: 10, 8: 10}, ar_coef=0.5,
+                                 seed=17, effect={"kind": "constant", "delta": 1.0})
+STAGGERED_AUTO_TRACE = [
+    (0.0, 0.2137343398292215), (0.1, 0.2087988587204413),
+    (0.2, 0.20338378746198346), (0.30000000000000004, 0.19735662681666988),
+    (0.4, 0.1905090746630591), (0.5, 0.1824896149644265),
+    (0.6000000000000001, 0.17265124127147433),
+    (0.7000000000000001, 0.15966178004685572), (0.8, 0.14031008011941046),
+    (0.9, 0.10617099309204722), (1.0, 0.003388942027881233)]
+
+
+@pytest.mark.parametrize("nu,lam,chosen,trace,att,se", [
+    ("auto", 0.0, 1.0, STAGGERED_AUTO_TRACE, -0.42680039900395184, 2.1971223938017617),
+    ("auto", 1.0, 1.0, STAGGERED_AUTO_TRACE, -0.24987287307927086, 2.0988978523514907),
+    (0.5, 0.0, 0.5, [], -0.36587335180659186, 0.6326311669936068),
+    (0.5, 1.0, 0.5, [], -0.1477069497484353, 0.5454577090198717),
+    (1.0, 0.0, 1.0, [], -0.42680039900395184, 2.1971223938017617),
+    (1.0, 1.0, 1.0, [], -0.24987287307927086, 2.0988978523514907),
+])
+def test_staggered_ascm_pinned(nu, lam, chosen, trace, att, se):
+    est = pc.fit_staggered_ascm(simulate_panel(STAGGERED_PIN_CONFIG, 0)[0],
+                                nu=nu, lam=lam)
+    assert (est.nu, est.nu_trace, est.att, est.se) == (chosen, trace, att, se)
 
 
 class TestPinnedOutputs:

@@ -10,12 +10,12 @@ a profile least-squares grid refinement takes over, with a
 FIXED_POINT_FALLBACK warning, if the iteration cycles. There are no unit
 fixed effects: unit-specific variability is carried by the lag itself.
 
-Only the lag columns move with γ. The fixed part (the intercept, covariate
-and period columns that build_design keeps after policy) is chosen without
-the lags and partialled out once (Frisch–Waugh–Lovell). Every pass, and
-every point of the profile grid, is one elimination of the Gram matrix of
-[lags, policy, y] left over, whatever the number of rows. The reported fit
-is one full OLS pass."""
+Only the lag columns move with γ. The period effects are absorbed once and
+the covariates partialled out (Frisch–Waugh–Lovell); every pass, and every
+point of the profile grid, is one elimination of the Gram matrix of [lags,
+policy, y] left over, and the reported fit is read from the same columns.
+Where a column is (nearly) lost, the dense design with period dummies
+decides what it keeps (see fit_debiased_ar)."""
 
 from __future__ import annotations
 
@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PanelCauseError, PanelCauseWarning
-from .linreg import build_design, jackknife_se, normal_ci, normal_p, ols_fit
+from .linreg import (INTERCEPT, DesignMatrix, _sandwich_fit, build_design,
+                     index_sums, jackknife_se, normal_ci, normal_p, ols_fit)
 from .panel import PanelDataset
 
 FP_TOL = 1e-8
@@ -112,38 +113,59 @@ def _ols_pass(panel, cand, ui, ti, y, pol, lag_y, lag_p, gamma, covariates):
     lags = [(f"lag{ell + 1}", lag_y[ell] - gamma * lag_p[ell])
             for ell in range(len(lag_y))]
     X = build_design(lags + [("policy", pol)] + fixed)
-    if len(pol) <= X.data.shape[1]:
-        raise PanelCauseError("SATURATED_DESIGN", (
-            f"{len(pol)} used rows for a design of rank {X.data.shape[1]}: no "
-            f"residual degrees of freedom are left to identify γ"))
+    _check_saturated(len(pol), X.data.shape[1])
     return ols_fit(X, y, ui), levels
+
+
+def _check_saturated(n, rank):
+    if n <= rank:
+        raise PanelCauseError("SATURATED_DESIGN", (
+            f"{n} used rows for a design of rank {rank}: no residual degrees "
+            f"of freedom are left to identify γ"))
 
 
 class _LagPolicyGram:
     """Normal equations of the lag/policy block as polynomials in γ.
 
-    The fixed part F is chosen without the lags: the intercept, covariate
-    and period columns that build_design keeps after policy. z = [y,
-    policy, lag_y_1..L, lag_p_1..L] is projected off F once (Frisch–Waugh–
-    Lovell). At γ the columns [lag_1..L, policy, y] are z·C(γ) with
-    C(γ) = C0 + γ·C1, so their Gram and their raw squared norms are
-    quadratics in γ, kept as Python floats: the (L+2)-square elimination is
-    cheaper in floats than in numpy calls.
+    z = [y, policy, lag_y_1..L, lag_p_1..L] and the covariates are demeaned
+    within period, absorbing the intercept and period effects, and z is
+    projected off the demeaned covariates (Frisch–Waugh–Lovell). If the
+    demeaned [covariates, policy] have a QR pivot at or below GRAM_PIVOT_TOL
+    of its raw norm, build_design may drop a period dummy instead (common
+    adoption, a covariate that is a function of the period): ``absorbed`` is
+    False and z is projected by least squares off the intercept, covariate
+    and period columns that build_design keeps after policy.
 
-    Should the dense design at some γ drop a column of F because of the
-    lags, [lag_1..L, policy] is rank-deficient given F, so one of that
-    pass's pivots reaches the floor and the pass is refit in full.
+    At γ the columns [lag_1..L, policy, y] are z·C(γ) with C(γ) = C0 +
+    γ·C1, so their Gram and their raw squared norms are quadratics in γ,
+    kept as Python floats: the (L+2)-square elimination is cheaper in floats
+    than in numpy calls. A pass whose dense design would drop a column
+    because of the lags has a pivot at the floor and is refit in full.
     """
 
     def __init__(self, panel, rows, covariates):
-        cand, _, ti, y, pol, lag_y, lag_p = rows
-        fixed, _ = _fixed_columns(panel, cand, ti, covariates)
-        X = build_design([("policy", pol)] + fixed)
-        F = X.data[:, [j for j, name in enumerate(X.column_names)
-                       if name != "policy"]]
+        cand, ui, ti, y, pol, lag_y, lag_p = rows
         z = np.column_stack([y, pol, *lag_y, *lag_p])
-        k, L = z.shape[1], len(lag_y)
-        R = z - F @ np.linalg.lstsq(F, z, rcond=None)[0]
+        cov = panel.covariate_matrix(covariates)[cand]
+        k, L, nc = z.shape[1], len(lag_y), cov.shape[1]
+        levels, tpos, counts = np.unique(ti, return_inverse=True, return_counts=True)
+        zc = np.column_stack([z, cov])
+        means = index_sums(tpos, len(levels), zc) / counts[:, None]
+        zc -= means[tpos]
+        Q, Rc = np.linalg.qr(zc[:, [*range(k, k + nc), 1]])
+        raw = np.linalg.norm(np.column_stack([cov, pol]), axis=0)
+        self.absorbed = bool((np.abs(np.diagonal(Rc)) > GRAM_PIVOT_TOL * raw).all())
+        if self.absorbed:
+            R = zc[:, :k] - Q[:, :nc] @ (Q[:, :nc].T @ zc[:, :k])
+            self._report = (zc, means, levels, y, np.unique(ui, return_inverse=True)[1],
+                            [f"lag{ell + 1}" for ell in range(L)] + ["policy", *covariates],
+                            [f"t_{panel.label_of(int(t))}" for t in levels])
+        else:
+            fixed, _ = _fixed_columns(panel, cand, ti, covariates)
+            X = build_design([("policy", pol)] + fixed)
+            F = X.data[:, [j for j, name in enumerate(X.column_names)
+                           if name != "policy"]]
+            R = z - F @ np.linalg.lstsq(F, z, rcond=None)[0]
 
         C0, C1 = np.zeros((k, L + 2)), np.zeros((k, L + 2))
         C0[2:2 + L, :L] = np.eye(L)
@@ -157,6 +179,29 @@ class _LagPolicyGram:
         self._lags = L
         self._gram = [m.tolist() for m in quadratic(R.T @ R)]
         self._raw = [np.diag(m).tolist() for m in quadratic(z.T @ z)]
+
+    def report(self, gamma):
+        """_ols_pass's (fit, levels) at γ, read from the demeaned [lag_ℓ −
+        γ·lagp_ℓ, policy, covariates]: unit-clustered with the period levels
+        counted in the small-sample factor and the rank, and the intercept
+        and t_<label> read back from the period means of y − Xβ."""
+        zc, means, levels, y, clusters, names, periods = self._report
+        L = self._lags
+
+        def design(M):
+            return np.column_stack([M[:, 2:2 + L] - gamma * M[:, 2 + L:2 + 2 * L],
+                                    M[:, 1], M[:, 2 + 2 * L:]])
+
+        X = design(zc)
+        rank = X.shape[1] + len(levels)
+        _check_saturated(len(y), rank)
+        fit = _sandwich_fit(DesignMatrix(X, names, np.linalg.qr(X)), zc[:, 0],
+                            clusters, int(clusters.max()) + 1, len(levels))
+        alpha = (means[:, 0] - design(means) @ list(fit.coefficients.values())).tolist()
+        fit.coefficients = {INTERCEPT: alpha[0], **fit.coefficients, **{
+            t: a - alpha[0] for t, a in zip(periods[1:], alpha[1:])}}
+        fit.rank, fit.fitted = rank, y - fit.residuals
+        return fit, levels
 
     def _eliminate(self, gamma, columns):
         """Eliminate the Gram's first ``columns`` columns at γ, in order.
@@ -211,20 +256,22 @@ def fit_debiased_ar(panel: PanelDataset, covariates=(), lag_order: int = 1,
 
     γ⁰ = 0; each step rebuilds the debiased lag with the current γ and
     refits OLS; stops when successive γ differ by ≤1e-8. When no used row
-    has a treated lag the loop is skipped: one OLS pass is the exact
+    has a treated lag the loop is skipped: one dense OLS pass is the exact
     answer (the model is then a plain AR regression with a policy term).
 
-    The fixed part (intercept, covariates and period dummies that
-    build_design keeps after policy) is chosen without the lags and
-    partialled out once, so each pass is one elimination of an
-    (L+2)-square Gram matrix, whatever the panel size. A pass whose
-    lag/policy block is near rank-deficient is refit in full. After
-    FP_MAX_ITER passes without convergence, γ minimises the profile SSR
-    on a grid around the path, with a FIXED_POINT_FALLBACK warning.
-    Raises SATURATED_DESIGN when the used rows do not exceed the rank of
-    the design (always so for a single unit).
+    The period effects are absorbed and the covariates partialled out once
+    (_LagPolicyGram): each pass is one elimination of an (L+2)-square Gram
+    matrix, and the report is read from the same demeaned columns. The
+    dense design with period dummies is fit instead where the absorption
+    could drop a column differently: throughout when policy or a covariate
+    lies (nearly) in the period span, else for a pass whose lag/policy
+    block is near rank-deficient and the report at its γ. After FP_MAX_ITER
+    passes without convergence, γ minimises the profile SSR on a grid
+    around the path, with a FIXED_POINT_FALLBACK warning. Raises
+    SATURATED_DESIGN when the used rows do not exceed the rank of the
+    design (always so for a single unit).
 
-    SE is cluster-robust from a full OLS fit at the last pass's input γ and
+    SE is cluster-robust from the fit at the last pass's input γ and
     ignores the uncertainty in the debiasing step; set jackknife=True for a
     unit-level jackknife SE that includes it, over the units with used rows.
     When the unit clusters cannot support the sandwich (SE below
@@ -234,9 +281,7 @@ def fit_debiased_ar(panel: PanelDataset, covariates=(), lag_order: int = 1,
     if lag_order < 1:
         raise PanelCauseError("CONFIG_ERROR", f"lag_order must be ≥1, got {lag_order}")
     covariates = tuple(covariates)
-    for name in covariates:
-        if name not in panel.covariates:
-            raise PanelCauseError("CONFIG_ERROR", f"unknown covariate '{name}'")
+    panel.covariate_matrix(covariates)      # CONFIG_ERROR for an unknown name
 
     rows = _used_rows(panel, lag_order)
     lag_p = rows[-1]
@@ -267,9 +312,12 @@ def fit_debiased_ar(panel: PanelDataset, covariates=(), lag_order: int = 1,
                 f"γ = {gamma_path[-1]:.10g} from a profile least-squares grid "
                 f"search over [{min(searched):.6g}, {max(searched):.6g}]")))
         # the reported fit is the pass that produced γ (or, after the grid
-        # search, the fit at γ itself)
-        fit, levels = _ols_pass(panel, *rows,
-                                gamma_path[-2 if converged else -1], covariates)
+        # search, the fit at γ itself), dense where that pass was refit dense
+        g = gamma_path[-2 if converged else -1]
+        if gram.absorbed and gram.policy_coef(g) is not None:
+            fit, levels = gram.report(g)
+        else:
+            fit, levels = _ols_pass(panel, *rows, g, covariates)
     gamma = gamma_path[-1]
 
     se = float("nan")
@@ -283,10 +331,9 @@ def fit_debiased_ar(panel: PanelDataset, covariates=(), lag_order: int = 1,
                 f"CI and the p-value are NaN")))
             se = float("nan")
 
-    time_effects = {panel.label_of(int(levels[0])): 0.0}
-    for t in levels[1:]:
-        name = f"t_{panel.label_of(int(t))}"
-        time_effects[panel.label_of(int(t))] = fit.coefficients.get(name, 0.0)
+    labels = [panel.label_of(int(t)) for t in levels]
+    time_effects = {labels[0]: 0.0, **{
+        t: fit.coefficients.get(f"t_{t}", 0.0) for t in labels[1:]}}
 
     se_jack = None
     if jackknife:       # a unit without used rows leaves γ as it is: no fold

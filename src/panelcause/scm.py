@@ -392,9 +392,9 @@ def _features(panel, unit_rows, g, covariates):
     """Feature matrix rows=units: pre-period outcomes then covariate pre-means."""
     Y = panel.outcome_matrix()
     F = Y[unit_rows][:, :g]
-    for name in covariates:
+    for x in panel.covariate_matrix(covariates).T:     # CONFIG_ERROR if unknown
         C = np.full((panel.unit_count, panel.time_count), np.nan)
-        C[panel.unit_idx, panel.time_idx] = panel.covariates[name]
+        C[panel.unit_idx, panel.time_idx] = x
         F = np.column_stack([F, C[unit_rows][:, :g].mean(axis=1)])
     return F
 

@@ -316,8 +316,74 @@ class TestAgainstDenseOracle:
         assert est.iterations == 32 and est.converged
 
 
+class TestAbsorbedReport:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+           st.integers(min_value=3, max_value=7),
+           st.integers(min_value=6, max_value=10),
+           st.sampled_from([1, 2]), st.booleans(),
+           st.floats(min_value=-3.0, max_value=3.0))
+    def test_matches_the_dense_pass(self, seed, U, T, lag_order, covariate,
+                                    gamma):
+        # unbalanced: units enter late and leave early, adopt at random
+        rng = np.random.default_rng(seed)
+        entry = rng.integers(0, 3, U)
+        leave = rng.integers(T - 2, T + 1, U)
+        adopt = rng.integers(1, T + 2, U)
+        cells = [(i, t) for i in range(U) for t in range(entry[i], leave[i])]
+        ui, ti = (np.array(v) for v in zip(*cells))
+        y = rng.normal(size=len(ui)) + 0.3 * ti
+        cov = {"z": rng.normal(size=len(ui)) + 0.1 * ti} if covariate else None
+        p = PanelDataset([f"u{i}" for i in range(U)], list(range(T)), ui, ti,
+                         y, (ti >= adopt[ui]).astype(int), cov)
+        covariates = ("z",) if covariate else ()
+        rows = ar_module._used_rows(p, lag_order)
+        gram = ar_module._LagPolicyGram(p, rows, covariates)
+        assume(gram.absorbed and gram.policy_coef(gamma) is not None)
+        try:
+            want, want_levels = ar_module._ols_pass(p, *rows, gamma, covariates)
+        except pc.PanelCauseError as e:
+            assert err(gram.report, gamma).code == e.code
+            return
+        fit, levels = gram.report(gamma)
+        assert want.dropped_columns == fit.dropped_columns == []
+        assert list(fit.coefficients) == list(want.coefficients)
+        assert list(fit.coefficients.values()) == pytest.approx(
+            list(want.coefficients.values()), rel=1e-10, abs=1e-12)
+        assert fit.se("policy") == pytest.approx(want.se("policy"), rel=1e-10)
+        assert fit.model_se("policy") == pytest.approx(want.model_se("policy"),
+                                                       rel=1e-10)
+        assert (fit.rank, fit.n, fit.cluster_count) == (
+            want.rank, want.n, want.cluster_count)
+        assert np.array_equal(levels, want_levels)
+
+    def test_period_covariate_sends_the_fit_dense(self, monkeypatch):
+        # z is a function of the period alone: build_design keeps it and
+        # drops the last period dummy, so no pass or report is absorbed
+        p = ar_panel(noise=0.3, seed=13)
+        z = (p.time_idx - 4.0) ** 2
+        p = PanelDataset(p.units, p.time_labels, p.unit_idx, p.time_idx,
+                         p.outcome, p.policy, {"z": z})
+        assert not ar_module._LagPolicyGram(
+            p, ar_module._used_rows(p, 1), ("z",)).absorbed
+        calls = dense_refits(monkeypatch)
+        est = pc.fit_debiased_ar(p, covariates=("z",))
+        assert calls == [est.gamma_path[-2]]        # the report alone
+        assert est.fit.dropped_columns == [("t_11", "collinear with earlier columns")]
+        assert "z" in est.covariate_betas
+
+
+def dense_refits(monkeypatch):
+    """The input γ of every pass fit_debiased_ar refits with period dummies."""
+    calls = []
+    real = ar_module._ols_pass
+    monkeypatch.setattr(ar_module, "_ols_pass", lambda *a: calls.append(a[8])
+                        or real(*a))
+    return calls
+
+
 # the second pass's Gram pivot for the lag rounds to -7e-15 at slope 0.3
-# and to +3.6e-15 at slope 0.2; both must send the pass to build_design
+# and to +3.6e-15 at slope 0.2; both must send the pass to the dense refit
 @pytest.mark.parametrize("slope", [0.3, 0.2])
 def test_vanishing_lag_pass_is_refit_in_full(monkeypatch, slope):
     # y = slope·t + 2·policy: at γ = 2 the debiased lag is the period trend,
@@ -327,14 +393,12 @@ def test_vanishing_lag_pass_is_refit_in_full(monkeypatch, slope):
     adopt = {u: 5 for u in names[:3]}
     y = {u: [slope * t + (2.0 if u in adopt and t >= 5 else 0.0)
              for t in range(10)] for u in names}
-    calls = []
-    real = ar_module.build_design
-    monkeypatch.setattr(ar_module, "build_design",
-                        lambda cols: calls.append(1) or real(cols))
+    calls = dense_refits(monkeypatch)
     est = pc.fit_debiased_ar(build_panel(names, 10, adopt, y))
     assert est.iterations == 2 and est.converged
     assert est.gamma == pytest.approx(2.0, abs=1e-12)
-    assert len(calls) == 3      # fixed part, the rank-deficient pass, the report
+    # the rank-deficient pass, and the report at the same input γ
+    assert calls == [est.gamma_path[1]] * 2
 
 
 def test_lagged_outcome_covariate_is_refit_in_full_at_zero_only(monkeypatch):
@@ -347,13 +411,10 @@ def test_lagged_outcome_covariate_is_refit_in_full_at_zero_only(monkeypatch):
     Z = np.hstack([np.zeros((6, 1)), Y[:, :-1]])
     p = build_panel(names, 12, adopt, dict(zip(names, Y.tolist())),
                     covariates={"z": dict(zip(names, Z.tolist()))})
-    calls = []
-    real = ar_module.build_design
-    monkeypatch.setattr(ar_module, "build_design",
-                        lambda cols: calls.append(1) or real(cols))
+    calls = dense_refits(monkeypatch)
     est = pc.fit_debiased_ar(p, covariates=("z",))
     assert est.iterations == 3 and est.converged
-    assert len(calls) == 3      # fixed part, the γ = 0 pass, the report
+    assert calls == [0.0]       # the γ = 0 pass alone
 
     P = p.policy_matrix().astype(float)
     u, t = np.repeat(np.arange(6), 11), np.tile(np.arange(1, 12), 6)

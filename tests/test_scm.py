@@ -531,6 +531,17 @@ class TestFitScm:
         assert est.att == pytest.approx(2.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("fit", [pc.fit_scm, pc.fit_ascm, pc.placebo_inference])
+def test_unknown_covariate_is_a_config_error(fit, monkeypatch):
+    # PanelDataset.covariate_matrix names it, before the solver is reached
+    import panelcause.scm as scm_module
+    monkeypatch.setattr(scm_module, "solve_simplex_lsq", None)
+    monkeypatch.setattr(scm_module, "_active_set_polish", None)
+    p = simulate_panel(DgpConfig(12, 10, cohorts={5: 1}, seed=2), 0)[0]
+    e = err(fit, p, "u000", covariates=("ghost",))
+    assert e.code == "CONFIG_ERROR" and "unknown covariate 'ghost'" in str(e)
+
+
 class TestPlacebo:
     def make(self, n_donors=6, effect=8.0, seed=112):
         return donor_panel(effect=effect, T=12, g=6, treated_noise=0.15,

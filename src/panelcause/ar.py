@@ -25,16 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PanelCauseError, PanelCauseWarning
-from .linreg import (INTERCEPT, DesignMatrix, _sandwich_fit, build_design,
-                     index_sums, jackknife_se, normal_ci, normal_p, ols_fit)
+from .linreg import (GRAM_PIVOT_TOL, INTERCEPT, DesignMatrix, _sandwich_fit,
+                     build_design, index_sums, jackknife_se, normal_ci, normal_p, ols_fit)
 from .panel import PanelDataset
 
 FP_TOL = 1e-8
 FP_MAX_ITER = 200
-# A Gram pass cannot resolve build_design's pivot rule (1e-10 of the norm):
-# forming CᵀGC squares the rounding. A pivot within GRAM_PIVOT_TOL of the raw
-# norm sends the pass to build_design, which decides the drop exactly.
-GRAM_PIVOT_TOL = 1e-5
 # a cluster-robust SE below this share of the model-based one means the
 # clusters' scores cancel (two units, say): the sandwich says nothing
 CLUSTER_SE_ROUNDING = 1e-6
@@ -200,7 +196,7 @@ class _LagPolicyGram:
         alpha = (means[:, 0] - design(means) @ list(fit.coefficients.values())).tolist()
         fit.coefficients = {INTERCEPT: alpha[0], **fit.coefficients, **{
             t: a - alpha[0] for t, a in zip(periods[1:], alpha[1:])}}
-        fit.rank, fit.fitted = rank, y - fit.residuals
+        fit.rank = rank
         return fit, levels
 
     def _eliminate(self, gamma, columns):
@@ -249,6 +245,45 @@ def _grid_refine(ssr, lo, hi):
     return float(grid[i])
 
 
+def _solve(panel, rows, covariates):
+    """γ path, pass count, convergence and reported (fit, levels) on ``rows``."""
+    lag_p = rows[-1]
+    if not lag_p.any():
+        fit, levels = _ols_pass(panel, *rows, 0.0, covariates)
+        gamma_path = [0.0, _coef(fit, "policy")]
+        iterations, converged = 1, True
+    else:
+        gram = _LagPolicyGram(panel, rows, covariates)
+        gamma_path = [0.0]
+        for _ in range(FP_MAX_ITER):
+            g = gamma_path[-1]
+            new = gram.policy_coef(g)
+            if new is None:
+                new = _coef(_ols_pass(panel, *rows, g, covariates)[0], "policy")
+            gamma_path.append(new)
+            if abs(new - g) <= FP_TOL:
+                break
+        iterations = len(gamma_path) - 1
+        converged = abs(gamma_path[-1] - gamma_path[-2]) <= FP_TOL
+        if not converged:
+            searched = []       # the grids re-centre: report what they covered
+            gamma_path.append(_grid_refine(
+                lambda g: searched.append(g) or gram.profile_ssr(g),
+                min(gamma_path) - 1.0, max(gamma_path) + 1.0))
+            warnings.warn(PanelCauseWarning("FIXED_POINT_FALLBACK", (
+                f"no fixed point within {FP_TOL:g} after {iterations} passes; "
+                f"γ = {gamma_path[-1]:.10g} from a profile least-squares grid "
+                f"search over [{min(searched):.6g}, {max(searched):.6g}]")))
+        # the reported fit is the pass that produced γ (or, after the grid
+        # search, the fit at γ itself), dense where that pass was refit dense
+        g = gamma_path[-2 if converged else -1]
+        if gram.absorbed and gram.policy_coef(g) is not None:
+            fit, levels = gram.report(g)
+        else:
+            fit, levels = _ols_pass(panel, *rows, g, covariates)
+    return gamma_path, iterations, converged, (fit, levels)
+
+
 def fit_debiased_ar(panel: PanelDataset, covariates=(), lag_order: int = 1,
                     ci_level: float = 0.95,
                     jackknife: bool = False) -> DebiasedArEstimate:
@@ -284,40 +319,7 @@ def fit_debiased_ar(panel: PanelDataset, covariates=(), lag_order: int = 1,
     panel.covariate_matrix(covariates)      # CONFIG_ERROR for an unknown name
 
     rows = _used_rows(panel, lag_order)
-    lag_p = rows[-1]
-    if not lag_p.any():
-        fit, levels = _ols_pass(panel, *rows, 0.0, covariates)
-        gamma_path = [0.0, _coef(fit, "policy")]
-        iterations, converged = 1, True
-    else:
-        gram = _LagPolicyGram(panel, rows, covariates)
-        gamma_path = [0.0]
-        for _ in range(FP_MAX_ITER):
-            g = gamma_path[-1]
-            new = gram.policy_coef(g)
-            if new is None:
-                new = _coef(_ols_pass(panel, *rows, g, covariates)[0], "policy")
-            gamma_path.append(new)
-            if abs(new - g) <= FP_TOL:
-                break
-        iterations = len(gamma_path) - 1
-        converged = abs(gamma_path[-1] - gamma_path[-2]) <= FP_TOL
-        if not converged:
-            searched = []       # the grids re-centre: report what they covered
-            gamma_path.append(_grid_refine(
-                lambda g: searched.append(g) or gram.profile_ssr(g),
-                min(gamma_path) - 1.0, max(gamma_path) + 1.0))
-            warnings.warn(PanelCauseWarning("FIXED_POINT_FALLBACK", (
-                f"no fixed point within {FP_TOL:g} after {iterations} passes; "
-                f"γ = {gamma_path[-1]:.10g} from a profile least-squares grid "
-                f"search over [{min(searched):.6g}, {max(searched):.6g}]")))
-        # the reported fit is the pass that produced γ (or, after the grid
-        # search, the fit at γ itself), dense where that pass was refit dense
-        g = gamma_path[-2 if converged else -1]
-        if gram.absorbed and gram.policy_coef(g) is not None:
-            fit, levels = gram.report(g)
-        else:
-            fit, levels = _ols_pass(panel, *rows, g, covariates)
+    gamma_path, iterations, converged, (fit, levels) = _solve(panel, rows, covariates)
     gamma = gamma_path[-1]
 
     se = float("nan")
@@ -337,11 +339,11 @@ def fit_debiased_ar(panel: PanelDataset, covariates=(), lag_order: int = 1,
 
     se_jack = None
     if jackknife:       # a unit without used rows leaves γ as it is: no fold
-        se_jack = jackknife_se(
-            lambda u: fit_debiased_ar(
-                panel.subset(units=[x for x in panel.units if x != u]),
-                covariates, lag_order).gamma,
-            [panel.units[i] for i in np.unique(rows[1])])
+        def without(v):     # the used rows of every unit but v, in their order
+            keep = rows[1] != v
+            fold = (rows[0] & (panel.unit_idx != v), *(a[..., keep] for a in rows[1:]))
+            return _solve(panel, fold, covariates)[0][-1]
+        se_jack = jackknife_se(without, np.unique(rows[1]))
 
     return DebiasedArEstimate(
         gamma=gamma, gamma_se=se,

@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ar import GRAM_PIVOT_TOL
 from .errors import PanelCauseError, PanelCauseWarning
-from .linreg import (INTERCEPT, FitResult, _fixed_effects, memoized, chi2_sf,
-                     jackknife_se, normal_ci, normal_p, unit_period_components,
-                     within_fit)
+from .linreg import (GRAM_PIVOT_TOL, INTERCEPT, FitResult, _fixed_effects, memoized,
+                     chi2_sf, jackknife_se, normal_ci, normal_p,
+                     unit_period_components, within_fit)
 from .panel import NEVER, PanelDataset, complete_rows, derive_adoption
 
 NEVER_TREATED = "NEVER_TREATED"

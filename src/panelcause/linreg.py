@@ -28,6 +28,10 @@ from .errors import PanelCauseError, PanelCauseWarning
 
 INTERCEPT = "_intercept"
 PIVOT_TOL = 1e-10
+# A Gram pass cannot resolve build_design's pivot rule (1e-10 of the norm):
+# forming CᵀGC squares the rounding. A pivot within GRAM_PIVOT_TOL of the raw
+# norm sends the pass to build_design, which decides the drop exactly.
+GRAM_PIVOT_TOL = 1e-5
 
 
 @dataclass
@@ -85,7 +89,6 @@ class FitResult:
     vcov: np.ndarray
     vcov_names: list
     residuals: np.ndarray
-    fitted: np.ndarray
     n: int
     rank: int
     cluster_count: int
@@ -145,15 +148,14 @@ def _sandwich_fit(X, y, cluster_idx, G, extra_dof):
     qty = Q.T @ y
     r_inv = np.linalg.inv(R)
     beta = r_inv @ qty
-    fitted = Q @ qty
-    resid = y - fitted
+    resid = y - Q @ qty
     S = index_sums(cluster_idx, G, Q * resid[:, None])
     W = r_inv @ S.T
     c = (G / (G - 1)) * ((n - 1) / max(n - k - extra_dof, 1))
 
     coefs = dict(zip(X.column_names, beta.tolist()))
-    return FitResult(coefs, c * (W @ W.T), list(X.column_names), resid, fitted,
-                     n, k, G, list(X.dropped_columns), r_inv @ r_inv.T)
+    return FitResult(coefs, c * (W @ W.T), list(X.column_names), resid, n, k, G,
+                     list(X.dropped_columns), r_inv @ r_inv.T)
 
 
 def index_sums(index, size, values):

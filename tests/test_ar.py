@@ -177,6 +177,34 @@ class TestRowSelection:
         assert err(pc.fit_debiased_ar, p).code == "SATURATED_DESIGN"
 
 
+def simulated(U, T, cohorts, seed):
+    config = pc.DgpConfig(U, T, cohorts=cohorts, ar_coef=0.5, seed=seed,
+                          effect={"kind": "constant", "delta": 1.0})
+    return pc.simulate_panel(config, 0)[0]
+
+
+def with_covariate(p, seed):
+    """p plus a covariate x that trends with the period."""
+    x = np.random.default_rng(seed).normal(size=p.n_rows) + 0.2 * p.time_idx
+    return PanelDataset(p.units, p.time_labels, p.unit_idx, p.time_idx,
+                        p.outcome, p.policy, {"x": x})
+
+
+# (panel, covariates, lag_order); common adoption runs on the dense design
+# throughout, and two of the 3×3 panel's three folds are saturated
+JACKKNIFE_CASES = {
+    "ar_panel": lambda: (ar_panel(units=5, T=10, noise=0.3, seed=11), (), 1),
+    "lag_order_2": lambda: (simulated(12, 10, {4: 3, 7: 3}, seed=2), (), 2),
+    "covariate": lambda: (with_covariate(simulated(12, 10, {4: 3, 7: 3}, seed=3), 3),
+                          ("x",), 1),
+    "common_adoption": lambda: (simulated(10, 10, {5: 10}, seed=1), (), 1),
+    "blank_unit": lambda: (with_blank_unit(simulated(12, 8, {3: 3, 5: 3}, seed=4)),
+                           (), 1),
+    "saturated_folds": lambda: (
+        pc.simulate_panel(pc.DgpConfig(3, 3, cohorts={2: 1}, seed=1), 0)[0], (), 1),
+}
+
+
 class TestOptions:
     def test_covariates(self):
         base = ar_panel(noise=0.0)
@@ -215,18 +243,49 @@ class TestOptions:
         assert est.beta_lag == pytest.approx(b1, abs=1e-5)
         assert est.fit.coefficients["lag2"] == pytest.approx(b2, abs=1e-5)
 
-    def test_jackknife_flag(self):
-        p = ar_panel(units=5, T=10, noise=0.3, seed=11)
-        est = pc.fit_debiased_ar(p, jackknife=True)
-        assert est.gamma_se_jackknife is not None
-        thetas = []
-        for u in p.units:
-            rest = [x for x in p.units if x != u]
-            thetas.append(pc.fit_debiased_ar(p.subset(units=rest)).gamma)
+    @pytest.mark.parametrize("case", list(JACKKNIFE_CASES))
+    def test_jackknife_flag(self, case):
+        # each fold's γ is the fit on the panel without that unit, bit for
+        # bit, and a fold that raises there is dropped with the same warning
+        p, covariates, lag_order = JACKKNIFE_CASES[case]()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            est = pc.fit_debiased_ar(p, covariates, lag_order, jackknife=True)
+        folds = [p.units[i] for i in np.unique(ar_module._used_rows(p, lag_order)[1])]
+        thetas, failed = [], []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for u in folds:
+                rest = p.subset(units=[x for x in p.units if x != u])
+                try:
+                    thetas.append(pc.fit_debiased_ar(rest, covariates, lag_order).gamma)
+                except pc.PanelCauseError as e:
+                    failed.append(e.code)
         th = np.array(thetas)
         m = len(th)
-        want = np.sqrt((m - 1) / m * ((th - th.mean()) ** 2).sum())
-        assert est.gamma_se_jackknife == pytest.approx(want, rel=1e-10)
+        if m < 2:
+            assert np.isnan(est.gamma_se_jackknife)
+        else:
+            want = np.sqrt((m - 1) / m * ((th - th.mean()) ** 2).sum())
+            assert est.gamma_se_jackknife == want
+        dropped = [str(w.message) for w in caught
+                   if getattr(w.message, "code", None) == "JACKKNIFE_FOLDS_DROPPED"]
+        assert dropped == ([
+            f"JACKKNIFE_FOLDS_DROPPED: {len(failed)} of {len(folds)} jackknife "
+            f"folds raised and were left out (first: {failed[0]})"] if failed else [])
+        assert failed == (["SATURATED_DESIGN"] * 2 if case == "saturated_folds" else [])
+
+    def test_jackknife_folds_do_not_warn_about_their_se(self):
+        # two of the three folds keep two units, whose clusters cannot
+        # support a sandwich; a fold gives only γ, so that SE is never reported
+        config = pc.DgpConfig(3, 10, cohorts={4: 1}, ar_coef=0.3, seed=0,
+                              effect={"kind": "constant", "delta": 1.0})
+        p, _ = pc.simulate_panel(config, 0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            est = pc.fit_debiased_ar(p, jackknife=True)
+        assert np.isfinite(est.gamma_se) and np.isfinite(est.gamma_se_jackknife)
+        assert not [w for w in caught if "CLUSTER_SE_DEGENERATE" in str(w.message)]
 
     def test_jackknife_skips_units_without_used_rows(self):
         # an all-blank unit moved the jackknife SE from 0.616609 to 0.618772

@@ -54,7 +54,7 @@ class DebiasedArEstimate:
 
     @property
     def used_fallback(self) -> bool:
-        return not self.converged and len(self.gamma_path) > FP_MAX_ITER + 1
+        return not self.converged
 
 
 def _used_rows(panel: PanelDataset, lag_order: int):

@@ -134,12 +134,17 @@ def fit_event_study(panel: PanelDataset, covariates=(), leads: int | None = None
 
     By default every event time observed for a treated unit gets its own
     indicator. With `leads`/`lags` given, event times past the window ends
-    are binned into terminal "<=k" / ">=k" indicators. Control units carry
+    are binned into terminal "<=k" / ">=k" indicators; leads < 2 or lags < 0
+    would bin the reference period and raise CONFIG_ERROR. Control units carry
     zeros everywhere. Note that time-varying covariates can soak up dynamic
     effects; they are applied as supplied. The leads' joint Wald test is
     skipped, with a PRETREND_AT_ROUNDING warning, when every lead variance
     is at most PRETREND_ROUNDING times the outcome variance (a noiseless fit).
     """
+    if (leads is not None and leads < 2) or (lags is not None and lags < 0):
+        raise PanelCauseError("CONFIG_ERROR", (
+            f"need leads ≥ 2 and lags ≥ 0, got leads={leads}, lags={lags}: a shorter "
+            f"window's terminal bin holds the reference period k = -1"))
     keep, Xc = complete_rows(panel, covariates)
     schedule = derive_adoption(panel)
     if not schedule.cohorts:
@@ -458,27 +463,27 @@ def _summed_folds(panel, covariates, coefs):
     W_u sums the columns over u's m_u kept treated cells, S_u over its n_u
     untreated rows. The fold without v solves (G − G_v)θ with the first
     untreated period pinned, the period block eliminated first, and reads
-    ATT₋ᵥ = (Σh_y − h_v,y − (Σh − h_v)ᵀθ) / (m − m_v). Only the units
-    fit_imputation_did may read so are returned; it refits the others.
+    ATT₋ᵥ = (Σh_y − h_v,y − (Σh − h_v)ᵀθ) / (m − m_v). Every sum reduces the
+    unit × period grid Z of [covariates | y], so none depends on row order.
+    Only the units fit_imputation_did may read so are returned; it refits the others.
     """
     if not all(c in coefs for c in covariates):
         return {}
     keep, Xc = complete_rows(panel, covariates)
     U, T, K = panel.unit_count, panel.time_count, len(covariates)
-    un = keep & (panel.policy == 0)
-    tr = keep & (panel.policy == 1)
-    ui, ti = panel.unit_idx[un], panel.time_idx[un]
+    ui, ti = panel.unit_idx[keep], panel.time_idx[keep]
+    Z = np.zeros((U, T, K + 1))
+    Z[ui, ti] = np.column_stack([Xc, panel.outcome])[keep]
     N = np.zeros((U, T))
-    N[ui, ti] = 1.0
+    N[ui, ti] = panel.policy[keep] == 0
+    treated = np.zeros((U, T), dtype=bool)
+    treated[ui, ti] = panel.policy[keep] == 1
     n = N.sum(axis=1)
     inv_n = 1.0 / np.maximum(n, 1.0)
     periods = np.flatnonzero(N.any(axis=0))
-    treated = np.zeros((U, T), dtype=bool)
-    treated[panel.unit_idx[tr], panel.time_idx[tr]] = True
     dropped = np.flatnonzero(treated.any(axis=0) & ~N.any(axis=0))
-    cells = tr & N.any(axis=0)[panel.time_idx]
-    ru, rt = panel.unit_idx[cells], panel.time_idx[cells]
-    m = np.bincount(ru, minlength=U).astype(float)
+    cells = treated & N.any(axis=0)
+    m = cells.sum(axis=1).astype(float)
 
     # a fold stays connected and drops no new period when another unit
     # covers every untreated period. A treated cell left at t then has its
@@ -490,25 +495,18 @@ def _summed_folds(panel, covariates, coefs):
     if not len(folds):
         return {}
 
-    z = np.column_stack([Xc, panel.outcome])
-    V = K + 1
-    zbar = np.zeros((U, V))
-    np.add.at(zbar, ui, z[un])
-    zbar *= inv_n[:, None]
-    dev = z[un] - zbar[ui]      # within-unit deviations of the untreated rows
-    H_d = -(m * inv_n)[:, None] * N
-    H_d[ru, rt] += 1.0
-    H_z = -m[:, None] * zbar
-    np.add.at(H_z, ru, z[cells])
+    zbar = np.einsum("ut,utj->uj", N, Z) * inv_n[:, None]
+    D = (Z - zbar[:, None]) * N[:, :, None]     # within-unit deviations
+    H_d = cells - (m * inv_n)[:, None] * N
+    H_z = np.einsum("ut,utj->uj", cells, Z) - m[:, None] * zbar
     G_dd = np.diag(N.sum(axis=0)) - (N.T * inv_n) @ N
-    G_dz = np.column_stack([np.bincount(ti, dev[:, j], T) for j in range(V)])
-    G_zz_u = np.stack([np.column_stack([np.bincount(ui, dev[:, i] * dev[:, j], U)
-                                        for j in range(V)]) for i in range(V)], axis=1)
+    G_dz = D.sum(axis=0)
+    G_zz_u = np.einsum("utj,utk->ujk", D, D)
     # the normal equations square the covariates' conditioning, so a fold's
     # error grows as eps over its pivot ratio: a ratio at or below
     # GRAM_PIVOT_TOL sends the fold to the refit (at GRAM_PIVOT_TOL², the
     # AR's rule, folds drifted up to 1.5e-6 from their refits)
-    floor = GRAM_PIVOT_TOL * (z[un][:, :K] ** 2).sum(axis=0)
+    floor = GRAM_PIVOT_TOL * np.einsum("ut,utk->k", N, Z[:, :, :K] ** 2)
 
     P = periods[1:]
     diag = np.arange(len(P))
@@ -516,16 +514,10 @@ def _summed_folds(panel, covariates, coefs):
     step = max(1, FOLD_CHUNK // max(len(P) ** 2, 1))
     for lo in range(0, len(folds), step):
         vs = folds[lo:lo + step]
-        pos = np.full(U, -1)
-        pos[vs] = np.arange(len(vs))
-        own = pos[ui] >= 0
-        slot = pos[ui[own]] * T + ti[own]
-        G_dz_v = np.stack([np.bincount(slot, dev[own, j], len(vs) * T).reshape(-1, T)
-                           for j in range(V)], axis=-1)
         N_v = N[vs][:, P]
         A = G_dd[np.ix_(P, P)] + N_v[:, :, None] * N_v[:, None, :] * inv_n[vs, None, None]
         A[:, diag, diag] -= N_v
-        B = G_dz[P] - G_dz_v[:, P]
+        B = G_dz[P] - D[vs][:, P]
         good = np.linalg.slogdet(A)[0] != 0     # a singular fold is refit
         Y = np.zeros(B.shape)
         Y[good] = np.linalg.solve(A[good], B[good])

@@ -7,9 +7,9 @@ per-event-time, per-cohort) is known exactly and stored beside the panel.
 Each method is fitted, summarized and scored through its entry in
 ``advisor.METHODS``, the same entry the CLI's ``fit`` uses. Replications
 derive independent RNG substreams from (seed, rep), so results are
-identical under any schedule. PANELCAUSE_THREADS sets worker threads
-(default serial), but the fits hold the GIL: threads give no speed-up and
-inflate each rep's runtime_s with time spent waiting.
+identical under any schedule. ``evaluate(threads=N)`` runs them on N
+threads (default serial), but the fits hold the GIL: threads give no
+speed-up and inflate each rep's runtime_s with time spent waiting.
 
 One ``evaluate`` call opens ``linreg.shared_memo`` for its reps. They then
 share what the draws do not change: the fixed-effects operator of each set
@@ -26,7 +26,6 @@ import contextvars
 import csv
 import json
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -303,7 +302,7 @@ def _one_rep(config, methods, rep, ci_level):
 
 
 def evaluate(configs, methods, reps: int, ci_level: float = 0.95,
-             force: bool = False, threads: int | None = None) -> SimMetrics:
+             force: bool = False, threads: int = 1) -> SimMetrics:
     """Run each method over `reps` replications of each config.
 
     Methods the advisor rules out for a config are skipped and reported
@@ -319,8 +318,6 @@ def evaluate(configs, methods, reps: int, ci_level: float = 0.95,
     normal_ci(0.0, 1.0, ci_level)   # a level outside (0, 1) fails here, not per rep
     if reps < 1:
         raise PanelCauseError("CONFIG_ERROR", f"need reps ≥ 1, got {reps}")
-    if threads is None:
-        threads = int(os.environ.get("PANELCAUSE_THREADS", "1"))
 
     per_rep, skipped, rows = [], [], []
     with shared_memo():

@@ -144,6 +144,26 @@ class TestEventStudy:
         assert est.coefficients["<=-3"][0] == pytest.approx(0.0, abs=1e-8)
         assert est.omitted == []
 
+    @staticmethod
+    def one_cohort_panel():
+        config = DgpConfig(30, 10, cohorts={4: 10},
+                           effect={"kind": "constant", "delta": 1.0}, seed=2)
+        return simulate_panel(config, 0)[0]
+
+    @pytest.mark.parametrize("window", [dict(leads=1), dict(leads=0), dict(leads=-1),
+                                        dict(lags=-1)])
+    def test_window_reaching_reference_period_refused(self, window):
+        # each of these terminal bins would hold k = -1: leads=1 pools it
+        # with the leads, leads ≤ 0 pools post periods with them too, and
+        # lags=-1 makes a >=-1 bin that is dropped as collinear
+        e = err(pc.fit_event_study, self.one_cohort_panel(), **window)
+        assert e.code == "CONFIG_ERROR"
+
+    def test_shortest_window_fits(self):
+        est = pc.fit_event_study(self.one_cohort_panel(), leads=2, lags=0)
+        assert set(est.coefficients) == {"<=-2", ">=0"}
+        assert est.collinear == [] and est.omitted == []
+
     def test_omitted_reports_unsupported_ks(self):
         est = pc.fit_event_study(dynamic_panel(T=8), lags=5)
         # adoption at 4 of 8 periods: only k = 0..3 observed
@@ -695,6 +715,39 @@ def test_summed_folds_match_refits(seed, kind, log_scale):
     except pc.PanelCauseError:
         assume(False)
     assert_folds_match_refits(p, covariates)
+
+
+def row_order_panel(with_covariate):
+    config = DgpConfig(40, 14, cohorts={5: 8, 9: 8}, ar_coef=0.5, seed=3)
+    p, _ = simulate_panel(config, 0)
+    rng = np.random.default_rng(3)
+    cov = {"x": rng.normal(size=len(p.unit_idx)) + 0.2 * p.time_idx} \
+        if with_covariate else None
+    return keep_rows(p, np.ones(len(p.unit_idx), dtype=bool), cov)
+
+
+def summed(p, covariates):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return _summed_folds(p, covariates, _impute_att(p, covariates, None)[2])
+
+
+@pytest.mark.parametrize("covariates", [(), ("x",)])
+def test_summed_folds_ignore_row_order(covariates):
+    p = row_order_panel(bool(covariates))
+    perm = np.random.default_rng(0).permutation(len(p.unit_idx))
+    shuffled = keep_rows(p, perm, p.covariates)     # an index array reorders the rows
+    want = summed(p, covariates)
+    assert len(want) == p.unit_count
+    assert summed(shuffled, covariates) == want
+
+
+@pytest.mark.parametrize("covariates", [(), ("x",)])
+def test_summed_folds_chunked_match_one_chunk(covariates, monkeypatch):
+    p = row_order_panel(bool(covariates))
+    want = summed(p, covariates)
+    monkeypatch.setattr("panelcause.did.FOLD_CHUNK", 1)
+    assert summed(p, covariates) == want
 
 
 def test_only_covering_unit_is_refit():

@@ -11,11 +11,12 @@ FIXED_POINT_FALLBACK warning, if the iteration cycles. There are no unit
 fixed effects: unit-specific variability is carried by the lag itself.
 
 Only the lag columns move with γ. The period effects are absorbed once and
-the covariates partialled out (Frisch–Waugh–Lovell); every pass, and every
-point of the profile grid, is one elimination of the Gram matrix of [lags,
-policy, y] left over, and the reported fit is read from the same columns.
-Where a column is (nearly) lost, the dense design with period dummies
-decides what it keeps (see fit_debiased_ar)."""
+the covariates partialled out (Frisch–Waugh–Lovell), which leaves the Gram
+matrix of [lags, policy, y] with entries quadratic in γ. Its minors are
+expanded once into polynomials in γ, so every pass is a few polynomial
+evaluations, and the reported fit is read from the same columns. Where a
+column is (nearly) lost, the dense design with period dummies decides what
+it keeps (see fit_debiased_ar)."""
 
 from __future__ import annotations
 
@@ -120,6 +121,32 @@ def _check_saturated(n, rank):
             f"of freedom are left to identify γ"))
 
 
+def _at(c, x):
+    """The polynomial with coefficients c (highest power first) at x, by Horner."""
+    v = 0.0
+    for a in c:
+        v = v * x + a
+    return v
+
+
+def _minor(P, cols, memo):
+    """Determinant of rows 0..len(cols)-1 of the matrix P of quadratics
+    against the columns ``cols``, by cofactors along its last row: 2r + 3
+    coefficients for r + 1 rows, highest power first. ``memo`` keeps every
+    minor by its columns and holds the empty one, (1.0,)."""
+    if cols not in memo:
+        r = len(cols) - 1
+        total = [0.0] * (2 * r + 3)
+        for i, c in enumerate(cols):
+            sign = -1.0 if (r + i) % 2 else 1.0
+            rest = _minor(P, cols[:i] + cols[i + 1:], memo)
+            for a, x in enumerate(P[r][c]):
+                for b, y in enumerate(rest):
+                    total[a + b] += sign * x * y
+        memo[cols] = tuple(total)
+    return memo[cols]
+
+
 class _LagPolicyGram:
     """Normal equations of the lag/policy block as polynomials in γ.
 
@@ -133,10 +160,15 @@ class _LagPolicyGram:
     and period columns that build_design keeps after policy.
 
     At γ the columns [lag_1..L, policy, y] are z·C(γ) with C(γ) = C0 +
-    γ·C1, so their Gram and their raw squared norms are quadratics in γ,
-    kept as Python floats: the (L+2)-square elimination is cheaper in floats
-    than in numpy calls. A pass whose dense design would drop a column
-    because of the lags has a pivot at the floor and is refit in full.
+    γ·C1, so their Gram and their raw squared norms are quadratics in γ.
+    The leading principal minors Δ_1..Δ_{L+1} of the [lags, policy] block
+    and the minor M of the [lags, policy] rows against the [lags, y] columns
+    are expanded from them once, by cofactors, into polynomials of degree
+    ≤ 2L. All are kept as tuples of Python floats, highest power first:
+    polynomials this small evaluate faster in floats than through numpy
+    calls. A pass's policy coefficient is M/Δ_{L+1}, and column j's pivot
+    is Δ_{j+1}/Δ_j (Δ_0 = 1). A pass with a pivot at the floor, one whose
+    dense design would drop a column because of the lags, is refit in full.
     """
 
     def __init__(self, panel, rows, covariates):
@@ -153,7 +185,7 @@ class _LagPolicyGram:
         self.absorbed = bool((np.abs(np.diagonal(Rc)) > GRAM_PIVOT_TOL * raw).all())
         if self.absorbed:
             R = zc[:, :k] - Q[:, :nc] @ (Q[:, :nc].T @ zc[:, :k])
-            self._report = (zc, means, levels, y, np.unique(ui, return_inverse=True)[1],
+            self._report = (zc, means, levels, y, ui,
                             [f"lag{ell + 1}" for ell in range(L)] + ["policy", *covariates],
                             [f"t_{panel.label_of(int(t))}" for t in levels])
         else:
@@ -168,20 +200,26 @@ class _LagPolicyGram:
         C0[1, L] = C0[0, L + 1] = 1.0
         C1[2 + L:, :L] = -np.eye(L)
 
-        def quadratic(M):       # C(γ)ᵀMC(γ) as coefficients of 1, γ, γ²
-            return (C0.T @ M @ C0, C0.T @ M @ C1 + C1.T @ M @ C0,
-                    C1.T @ M @ C1)
+        def quadratic(M):       # C(γ)ᵀMC(γ) as coefficients of γ², γ, 1
+            return (C1.T @ M @ C1, C0.T @ M @ C1 + C1.T @ M @ C0,
+                    C0.T @ M @ C0)
 
         self._lags = L
-        self._gram = [m.tolist() for m in quadratic(R.T @ R)]
-        self._raw = [np.diag(m).tolist() for m in quadratic(z.T @ z)]
+        self._gram = [list(zip(*rows))
+                      for rows in zip(*(m.tolist() for m in quadratic(R.T @ R)))]
+        self._raw = list(zip(*(np.diag(m).tolist() for m in quadratic(z.T @ z))))
+        memo = {(): (1.0,)}
+        self._pivots = [(_minor(self._gram, tuple(range(j + 1)), memo), self._raw[j])
+                        for j in range(L + 1)]
+        self._cross = _minor(self._gram, (*range(L), L + 1), memo)
 
     def report(self, gamma):
         """_ols_pass's (fit, levels) at γ, read from the demeaned [lag_ℓ −
         γ·lagp_ℓ, policy, covariates]: unit-clustered with the period levels
         counted in the small-sample factor and the rank, and the intercept
         and t_<label> read back from the period means of y − Xβ."""
-        zc, means, levels, y, clusters, names, periods = self._report
+        zc, means, levels, y, ui, names, periods = self._report
+        clusters = np.unique(ui, return_inverse=True)[1]
         L = self._lags
 
         def design(M):
@@ -199,39 +237,32 @@ class _LagPolicyGram:
         fit.rank = rank
         return fit, levels
 
-    def _eliminate(self, gamma, columns):
-        """Eliminate the Gram's first ``columns`` columns at γ, in order.
+    def policy_coef(self, gamma):
+        """Policy coefficient M(γ)/Δ_{L+1}(γ); None if a lag or policy pivot
+        Δ_{j+1}/Δ_j is at or below GRAM_PIVOT_TOL² times the column's raw
+        squared norm, as build_design would drop the column."""
+        prev = 1.0
+        for minor, raw in self._pivots:
+            d = _at(minor, gamma)
+            if d <= GRAM_PIVOT_TOL ** 2 * _at(raw, gamma) * prev:
+                return None
+            prev = d
+        return _at(self._cross, gamma) / prev
 
-        Column j's pivot is its squared residual on F and the columns
-        before it; one at or below GRAM_PIVOT_TOL² times the column's raw
-        squared norm is skipped, as build_design drops the column. Returns
-        [policy, y]'s reduced entries (pp, py, yy) and whether a column was
-        skipped.
-        """
-        (A0, A1, A2), (r0, r1, r2) = self._gram, self._raw
-        A = [[x0 + gamma * (x1 + gamma * x2) for x0, x1, x2 in zip(*rows)]
-             for rows in zip(A0, A1, A2)]
-        skipped = False
-        for j in range(columns):
-            raw = r0[j] + gamma * (r1[j] + gamma * r2[j])
-            if A[j][j] <= GRAM_PIVOT_TOL ** 2 * raw:
-                skipped = True
+    def profile_ssr(self, gamma):
+        """Residual sum of squares with γ fixed: γ·policy moved to the left
+        side. The Gram's lag columns are eliminated at γ, in order; a lag
+        whose pivot is at the floor is skipped, as policy_coef would refuse
+        it, and left as it is."""
+        A = [[_at(c, gamma) for c in row] for row in self._gram]
+        for j in range(self._lags):
+            if A[j][j] <= GRAM_PIVOT_TOL ** 2 * _at(self._raw[j], gamma):
                 continue
             for i in range(j + 1, len(A)):
                 f = A[i][j] / A[j][j]
                 for k in range(j + 1, len(A)):
                     A[i][k] -= f * A[j][k]
-        return A[-2][-2], A[-2][-1], A[-1][-1], skipped
-
-    def policy_coef(self, gamma):
-        """Policy coefficient at γ; None if a lag or policy pivot was skipped."""
-        pp, py, _, skipped = self._eliminate(gamma, self._lags + 1)
-        return None if skipped else py / pp
-
-    def profile_ssr(self, gamma):
-        """Residual sum of squares with γ fixed: γ·policy moved to the left
-        side. The lags alone are eliminated; a skipped lag leaves it as is."""
-        pp, py, yy, _ = self._eliminate(gamma, self._lags)
+        pp, py, yy = A[-2][-2], A[-2][-1], A[-1][-1]
         return yy - 2.0 * gamma * py + gamma ** 2 * pp
 
 
@@ -246,42 +277,42 @@ def _grid_refine(ssr, lo, hi):
 
 
 def _solve(panel, rows, covariates):
-    """γ path, pass count, convergence and reported (fit, levels) on ``rows``."""
+    """γ path, pass count and convergence on ``rows``, and a function giving
+    the reported (fit, levels), which a jackknife fold need not call."""
     lag_p = rows[-1]
     if not lag_p.any():
         fit, levels = _ols_pass(panel, *rows, 0.0, covariates)
-        gamma_path = [0.0, _coef(fit, "policy")]
-        iterations, converged = 1, True
-    else:
-        gram = _LagPolicyGram(panel, rows, covariates)
-        gamma_path = [0.0]
-        for _ in range(FP_MAX_ITER):
-            g = gamma_path[-1]
-            new = gram.policy_coef(g)
-            if new is None:
-                new = _coef(_ols_pass(panel, *rows, g, covariates)[0], "policy")
-            gamma_path.append(new)
-            if abs(new - g) <= FP_TOL:
-                break
-        iterations = len(gamma_path) - 1
-        converged = abs(gamma_path[-1] - gamma_path[-2]) <= FP_TOL
-        if not converged:
-            searched = []       # the grids re-centre: report what they covered
-            gamma_path.append(_grid_refine(
-                lambda g: searched.append(g) or gram.profile_ssr(g),
-                min(gamma_path) - 1.0, max(gamma_path) + 1.0))
-            warnings.warn(PanelCauseWarning("FIXED_POINT_FALLBACK", (
-                f"no fixed point within {FP_TOL:g} after {iterations} passes; "
-                f"γ = {gamma_path[-1]:.10g} from a profile least-squares grid "
-                f"search over [{min(searched):.6g}, {max(searched):.6g}]")))
-        # the reported fit is the pass that produced γ (or, after the grid
-        # search, the fit at γ itself), dense where that pass was refit dense
-        g = gamma_path[-2 if converged else -1]
+        return [0.0, _coef(fit, "policy")], 1, True, lambda: (fit, levels)
+    gram = _LagPolicyGram(panel, rows, covariates)
+    gamma_path = [0.0]
+    for _ in range(FP_MAX_ITER):
+        g = gamma_path[-1]
+        new = gram.policy_coef(g)
+        if new is None:
+            new = _coef(_ols_pass(panel, *rows, g, covariates)[0], "policy")
+        gamma_path.append(new)
+        if abs(new - g) <= FP_TOL:
+            break
+    iterations = len(gamma_path) - 1
+    converged = abs(gamma_path[-1] - gamma_path[-2]) <= FP_TOL
+    if not converged:
+        searched = []       # the grids re-centre: report what they covered
+        gamma_path.append(_grid_refine(
+            lambda g: searched.append(g) or gram.profile_ssr(g),
+            min(gamma_path) - 1.0, max(gamma_path) + 1.0))
+        warnings.warn(PanelCauseWarning("FIXED_POINT_FALLBACK", (
+            f"no fixed point within {FP_TOL:g} after {iterations} passes; "
+            f"γ = {gamma_path[-1]:.10g} from a profile least-squares grid "
+            f"search over [{min(searched):.6g}, {max(searched):.6g}]")))
+    # the reported fit is the pass that produced γ (or, after the grid
+    # search, the fit at γ itself), dense where that pass was refit dense
+    g = gamma_path[-2 if converged else -1]
+
+    def report():
         if gram.absorbed and gram.policy_coef(g) is not None:
-            fit, levels = gram.report(g)
-        else:
-            fit, levels = _ols_pass(panel, *rows, g, covariates)
-    return gamma_path, iterations, converged, (fit, levels)
+            return gram.report(g)
+        return _ols_pass(panel, *rows, g, covariates)
+    return gamma_path, iterations, converged, report
 
 
 def fit_debiased_ar(panel: PanelDataset, covariates=(), lag_order: int = 1,
@@ -295,12 +326,13 @@ def fit_debiased_ar(panel: PanelDataset, covariates=(), lag_order: int = 1,
     answer (the model is then a plain AR regression with a policy term).
 
     The period effects are absorbed and the covariates partialled out once
-    (_LagPolicyGram): each pass is one elimination of an (L+2)-square Gram
-    matrix, and the report is read from the same demeaned columns. The
-    dense design with period dummies is fit instead where the absorption
-    could drop a column differently: throughout when policy or a covariate
-    lies (nearly) in the period span, else for a pass whose lag/policy
-    block is near rank-deficient and the report at its γ. After FP_MAX_ITER
+    (_LagPolicyGram), and the Gram's minors are expanded once into
+    polynomials in γ: each pass evaluates a few of them, and the report is
+    read from the same demeaned columns. The dense design with period
+    dummies is fit instead where the absorption could drop a column
+    differently: throughout when policy or a covariate lies (nearly) in the
+    period span, else for a pass whose lag/policy block is near
+    rank-deficient and the report at its γ. After FP_MAX_ITER
     passes without convergence, γ minimises the profile SSR on a grid
     around the path, with a FIXED_POINT_FALLBACK warning. Raises
     SATURATED_DESIGN when the used rows do not exceed the rank of the
@@ -309,6 +341,8 @@ def fit_debiased_ar(panel: PanelDataset, covariates=(), lag_order: int = 1,
     SE is cluster-robust from the fit at the last pass's input γ and
     ignores the uncertainty in the debiasing step; set jackknife=True for a
     unit-level jackknife SE that includes it, over the units with used rows.
+    A fold solves for γ alone; it builds no report unless it has too few
+    rows to be sure the report cannot raise.
     When the unit clusters cannot support the sandwich (SE below
     CLUSTER_SE_ROUNDING times the model-based SE), the SE, CI and p-value
     are NaN, with a CLUSTER_SE_DEGENERATE warning.
@@ -319,7 +353,8 @@ def fit_debiased_ar(panel: PanelDataset, covariates=(), lag_order: int = 1,
     panel.covariate_matrix(covariates)      # CONFIG_ERROR for an unknown name
 
     rows = _used_rows(panel, lag_order)
-    gamma_path, iterations, converged, (fit, levels) = _solve(panel, rows, covariates)
+    gamma_path, iterations, converged, report = _solve(panel, rows, covariates)
+    fit, levels = report()
     gamma = gamma_path[-1]
 
     se = float("nan")
@@ -339,10 +374,18 @@ def fit_debiased_ar(panel: PanelDataset, covariates=(), lag_order: int = 1,
 
     se_jack = None
     if jackknife:       # a unit without used rows leaves γ as it is: no fold
+        # a fold needs only γ. Its report runs only where it could raise as
+        # the fit without the unit would: no more rows than the dense
+        # design's columns (intercept, lags, policy, covariates, periods)
+        width = lag_order + 1 + len(covariates) + panel.time_count
+
         def without(v):     # the used rows of every unit but v, in their order
             keep = rows[1] != v
             fold = (rows[0] & (panel.unit_idx != v), *(a[..., keep] for a in rows[1:]))
-            return _solve(panel, fold, covariates)[0][-1]
+            gamma_path, _, _, fold_report = _solve(panel, fold, covariates)
+            if keep.sum() <= width:
+                fold_report()
+            return gamma_path[-1]
         se_jack = jackknife_se(without, np.unique(rows[1]))
 
     return DebiasedArEstimate(

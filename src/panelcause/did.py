@@ -244,13 +244,19 @@ def fit_group_time_att(panel: PanelDataset,
     empty is omitted. SEs come from a Rademacher multiplier bootstrap over
     units: the cells' influence vectors form Phi (units × cells), W holds
     every aggregate's cell weights (by cohort, by event time, overall), and
-    each SE is a column SD of V·[Phi | Phi·W] for the same draws V, so the
-    aggregates' SEs are internally consistent. With covariates, outcomes
-    are first residualized against them (coefficients fit on untreated rows
-    with unit+time effects).
+    each SE is the SD of v·a over the same draws v for a column a of A =
+    [Phi | Phi·W], so the aggregates' SEs are internally consistent. That
+    sample variance is the quadratic form aᵀSa in the draws' sample
+    covariance S (units × units), read for every column at once; a Monte
+    Carlo evaluate builds S once for all its reps. bootstrap_reps below 2
+    raises CONFIG_ERROR. With covariates, outcomes are first residualized
+    against them (coefficients fit on untreated rows with unit+time effects).
     """
     if comparison not in (NEVER_TREATED, NOT_YET_TREATED):
         raise PanelCauseError("CONFIG_ERROR", f"unknown comparison '{comparison}'")
+    if bootstrap_reps < 2:
+        raise PanelCauseError("CONFIG_ERROR", (
+            f"bootstrap_reps must be ≥2 for a bootstrap SD, got {bootstrap_reps}"))
     schedule = derive_adoption(panel)
     if not schedule.cohorts:
         raise PanelCauseError("NO_VARIATION", "no treated cohorts")
@@ -308,8 +314,10 @@ def fit_group_time_att(panel: PanelDataset,
     w_all = W_g @ np.array(list(cohort_weights.values()))
     W = np.column_stack([W_g, W_e, w_all])                   # cells × aggregates
 
-    V = _multipliers(seed, bootstrap_reps, panel.unit_count)
-    se = np.std(V @ np.hstack([Phi, Phi @ W]), axis=0, ddof=1)
+    A = np.hstack([Phi, Phi @ W])
+    S = _multiplier_covariance(seed, bootstrap_reps, panel.unit_count)
+    # aᵀSa ≥ 0 but for rounding, which may leave it a hair below zero
+    se = np.sqrt(np.maximum(np.einsum("ij,ij->j", A, S @ A), 0.0))
     pairs = list(zip(np.concatenate([att, att @ W]).tolist(), se.tolist()))
     cells, aggs = pairs[:len(keys)], pairs[len(keys):]
     by_cohort = dict(zip(groups.tolist(), aggs[:len(groups)]))
@@ -318,14 +326,19 @@ def fit_group_time_att(panel: PanelDataset,
                          by_cohort, cohort_weights, omitted, bootstrap_reps, seed)
 
 
-def _multipliers(seed, draws, units):
-    """Rademacher multipliers (draws × units) from SeedSequence([seed]), read-only."""
-    def draw():
+def _multiplier_covariance(seed, draws, units):
+    """Sample covariance (ddof 1, units × units) of the Rademacher multipliers
+    (draws × units) from SeedSequence([seed]), read-only. VᵀV and the column
+    sums s of the draws are integers, so S = (VᵀV − ssᵀ/draws)/(draws − 1)
+    rounds only in its last three operations."""
+    def build():
         rng = np.random.default_rng(np.random.SeedSequence([seed]))
         V = rng.choice((-1.0, 1.0), size=(draws, units))
-        V.flags.writeable = False
-        return V
-    return memoized(lambda: ("multipliers", seed, draws, units), draw)
+        s = V.sum(axis=0)
+        S = (V.T @ V - np.outer(s, s) / draws) / (draws - 1)
+        S.flags.writeable = False
+        return S
+    return memoized(lambda: ("multiplier covariance", seed, draws, units), build)
 
 
 def _untreated_betas(panel, un, Xc, covariates):

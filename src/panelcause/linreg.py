@@ -361,10 +361,10 @@ def shared_memo():
     """Within the block, fits keep for later fits what their inputs decide.
 
     Kept: FixedEffects by their rows, within_fit's absorbed design by its
-    FixedEffects, names and column bytes, and did's multiplier draws. Each
-    value is built as it is outside the block, so fits give the same bits.
-    Threads see the memo when run in a copy of the block's context. It is
-    emptied and dropped when the block ends.
+    FixedEffects, names and column bytes, and the sample covariance of did's
+    multiplier draws. Each value is built as it is outside the block, so
+    fits give the same bits. Threads see the memo when run in a copy of the
+    block's context. It is emptied and dropped when the block ends.
     """
     memo = _Memo()
     token = _MEMO.set(memo)

@@ -14,10 +14,11 @@ speed-up and inflate each rep's runtime_s with time spent waiting.
 One ``evaluate`` call opens ``linreg.shared_memo`` for its reps. They then
 share what the draws do not change: the fixed-effects operator of each set
 of rows, the absorbed design and its QR of each set of columns (with fixed
-adoption, the TWFE and event-study designs of every rep), and the
-group-time multiplier draws, which every rep makes from seed 0. Each value
-is built as a fit outside the call builds it, so every rep still scores
-exactly what ``fit`` reports for its panel. The memo is dropped on return.
+adoption, the TWFE and event-study designs of every rep), and the sample
+covariance of the group-time multiplier draws, which every rep makes from
+seed 0. Each value is built as a fit outside the call builds it, so every
+rep still scores exactly what ``fit`` reports for its panel. The memo is
+dropped on return.
 """
 
 from __future__ import annotations

@@ -310,7 +310,7 @@ class TestAgainstDenseOracle:
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
            st.integers(min_value=4, max_value=6),
            st.integers(min_value=8, max_value=10),
-           st.sampled_from([1, 2]),
+           st.sampled_from([1, 2, 3]),
            st.sampled_from([None, "random", "period", "lagged_y"]),
            st.booleans(), st.booleans())
     def test_gamma_path_matches(self, seed, U, T, lag_order, covariate,

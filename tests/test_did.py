@@ -372,6 +372,16 @@ class TestGroupTime:
         assert err(pc.fit_group_time_att, cohort_effect_panel(),
                    comparison="nope").code == "CONFIG_ERROR"
 
+    @pytest.mark.parametrize("reps", [1, 0, -3])
+    def test_too_few_bootstrap_reps(self, reps):
+        # a sample SD needs two draws: fewer is a coded error, not a NaN SE
+        # with numpy's warnings or numpy's own error for a negative count
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e = err(pc.fit_group_time_att, cohort_effect_panel(), bootstrap_reps=reps)
+        assert e.code == "CONFIG_ERROR"
+        assert str(e).endswith(f"got {reps}")
+
 
 def random_group_time_panel(rng):
     """Up to 12 units × 9 periods, adoption at any period (0 too) or never,

@@ -333,8 +333,8 @@ class TestEvaluate:
 
 class TestSharedMemo:
     """evaluate keeps one memo for its reps: the fixed-effects operator, the
-    absorbed design and the multiplier draws. What it reuses must give the
-    bits a fit outside evaluate gives, and nothing may outlive the call."""
+    absorbed design and the multipliers' covariance. What it reuses must give
+    the bits a fit outside evaluate gives, and nothing may outlive the call."""
 
     METHODS = (DID_TWFE, EVENT_STUDY, GROUP_TIME_DID, CITS)
 

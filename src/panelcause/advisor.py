@@ -201,9 +201,8 @@ class MethodRecommendation:
         return tuple(m for m in ALL_METHODS if self.methods[m].viable)
 
 
-def derive_features(panel: PanelDataset, schedule=None) -> DesignFeatures:
-    if schedule is None:
-        schedule = derive_adoption(panel)
+def derive_features(panel: PanelDataset) -> DesignFeatures:
+    schedule = derive_adoption(panel)
     sizes = {panel.label_of(g): len(members)
              for g, members in sorted(schedule.cohorts.items())}
     gs = sorted(schedule.cohorts)

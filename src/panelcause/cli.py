@@ -133,7 +133,7 @@ def cmd_describe(args):
     panel = _load(args)
     _, report = balance_panel(panel, mode="UNBALANCED")
     schedule = derive_adoption(panel)
-    features = adv.derive_features(panel, schedule)
+    features = adv.derive_features(panel)
     doc = {
         "tool": "panelcause", "version": __version__, "command": "describe",
         "config": _resolved_config(args, ("data", "unit_col", "time_col",

@@ -360,7 +360,8 @@ class _Memo:
 def shared_memo():
     """Within the block, fits keep for later fits what their inputs decide.
 
-    Kept: FixedEffects by their rows, within_fit's absorbed design by its
+    Kept: simharness's DGP skeleton by shape, effect and adoption,
+    FixedEffects by their rows, within_fit's absorbed design by its
     FixedEffects, names and column bytes, and the sample covariance of did's
     multiplier draws. Each value is built as it is outside the block, so
     fits give the same bits. Threads see the memo when run in a copy of the

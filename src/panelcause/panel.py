@@ -9,6 +9,7 @@ the boundary instead of corrupting estimands downstream.
 
 from __future__ import annotations
 
+import copy
 import csv
 import itertools
 import math
@@ -53,6 +54,8 @@ class PanelDataset:
     outcome : float array (NaN = missing cell)
     policy : int8 array of 0/1
     covariates : dict name -> float array (NaN = missing)
+
+    Panels from ``with_outcome`` share this panel's other arrays, read-only.
     """
 
     def __init__(self, units, time_labels, unit_idx, time_idx, outcome, policy,
@@ -68,18 +71,15 @@ class PanelDataset:
         self._validate()
         self._outcome_mat = None
         self._policy_mat = None
+        self._schedule = None
 
     def _validate(self):
         n = len(self.unit_idx)
         for name, arr in [("time_idx", self.time_idx),
                           ("outcome", self.outcome), ("policy", self.policy)]:
-            if len(arr) != n:
-                raise PanelCauseError("CONFIG_ERROR",
-                                      f"column '{name}' has {len(arr)} rows, expected {n}")
+            _check_rows(f"column '{name}'", arr, n)
         for name, arr in self.covariates.items():
-            if len(arr) != n:
-                raise PanelCauseError("CONFIG_ERROR",
-                                      f"covariate '{name}' has {len(arr)} rows, expected {n}")
+            _check_rows(f"covariate '{name}'", arr, n)
         bad = ~np.isin(self.policy, (0, 1))
         if bad.any():
             i = int(np.argmax(bad))
@@ -120,6 +120,18 @@ class PanelDataset:
 
     def label_of(self, t: int):
         return self.time_labels[t]
+
+    def with_outcome(self, outcome) -> "PanelDataset":
+        """This panel with another outcome column. The copy shares the other
+        arrays (made read-only), the policy grid and the adoption schedule."""
+        outcome = np.asarray(outcome, dtype=float)
+        _check_rows("column 'outcome'", outcome, self.n_rows)
+        for a in (self.unit_idx, self.time_idx, self.policy, self.policy_matrix(),
+                  *self.covariates.values()):
+            a.flags.writeable = False
+        new = copy.copy(self)
+        new.outcome, new._outcome_mat = outcome, None
+        return new
 
     # -- dense views ---------------------------------------------------------
 
@@ -208,6 +220,13 @@ class PanelDataset:
         finally:
             if own:
                 fh.close()
+
+
+def _check_rows(what, arr, n):
+    """CONFIG_ERROR unless ``arr`` is a column of ``n`` rows."""
+    if arr.shape != (n,):
+        got = f"{len(arr)} rows" if arr.ndim == 1 else f"shape {arr.shape}"
+        raise PanelCauseError("CONFIG_ERROR", f"{what} has {got}, expected {n}")
 
 
 @dataclass(frozen=True)
@@ -430,7 +449,10 @@ def complete_rows(panel: PanelDataset, covariates):
 
 
 def derive_adoption(panel: PanelDataset) -> AdoptionSchedule:
-    """Group units into treatment cohorts by earliest period with policy=1."""
+    """Group units into treatment cohorts by earliest period with policy=1.
+    The schedule is kept on the panel, so later calls return it."""
+    if panel._schedule is not None:
+        return panel._schedule
     on = panel.policy_matrix() == 1
     first = np.where(on.any(axis=1), on.argmax(axis=1), -1).tolist()
     adoption = {u: NEVER if g < 0 else g for u, g in zip(panel.units, first)}
@@ -449,7 +471,8 @@ def derive_adoption(panel: PanelDataset) -> AdoptionSchedule:
         timing = SIMULTANEOUS
     else:
         timing = STAGGERED
-    return AdoptionSchedule(adoption, cohorts, never, timing)
+    panel._schedule = AdoptionSchedule(adoption, cohorts, never, timing)
+    return panel._schedule
 
 
 def cumulative_adoption_counts(schedule: AdoptionSchedule, times) -> list:

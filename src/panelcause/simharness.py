@@ -12,13 +12,14 @@ threads (default serial), but the fits hold the GIL: threads give no
 speed-up and inflate each rep's runtime_s with time spent waiting.
 
 One ``evaluate`` call opens ``linreg.shared_memo`` for its reps. They then
-share what the draws do not change: the fixed-effects operator of each set
-of rows, the absorbed design and its QR of each set of columns (with fixed
+share what the draws do not change: each adoption's DGP skeleton (panel
+arrays, effect grid and truth), the fixed-effects operator of each set of
+rows, the absorbed design and its QR of each set of columns (with fixed
 adoption, the TWFE and event-study designs of every rep), and the sample
 covariance of the group-time multiplier draws, which every rep makes from
-seed 0. Each value is built as a fit outside the call builds it, so every
-rep still scores exactly what ``fit`` reports for its panel. The memo is
-dropped on return.
+seed 0. Each value is built as it is outside the call, so a rep's panel is
+the one ``simulate_panel`` draws alone, and its score is exactly what
+``fit`` reports for that panel. The memo is dropped on return.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ import numpy as np
 
 from . import advisor as adv
 from .errors import PanelCauseError
-from .linreg import normal_ci, shared_memo
-from .panel import PanelDataset
+from .linreg import memoized, normal_ci, shared_memo
+from .panel import PanelDataset, derive_adoption
 
 EFFECT_KINDS = ("constant", "dynamic", "cohort")
 CONFOUNDING_MODES = ("none", "intercept", "trend")
@@ -162,7 +163,9 @@ class TruthRecord:
 
 
 def simulate_panel(config: DgpConfig, rep: int):
-    """One synthetic panel plus its truth record; bit-identical per (seed, rep)."""
+    """One synthetic panel plus its truth record; bit-identical per (seed, rep).
+    Within a shared memo the reps of one adoption share its skeleton: the
+    panel's arrays other than the outcome (read-only), schedule and truth."""
     config.validate()
     rng = np.random.default_rng([config.seed, rep])
     U, T = config.n_units, config.n_periods
@@ -192,6 +195,17 @@ def simulate_panel(config: DgpConfig, rep: int):
         adopt[order[pos:pos + size]] = g
         pos += size
 
+    template, shift, truth = memoized(
+        lambda: ("dgp skeleton", U, T, repr(config.effect), adopt.tobytes()),
+        lambda: _skeleton(config, adopt))
+    return template.with_outcome((y0 + shift).ravel()), truth
+
+
+def _skeleton(config, adopt):
+    """(panel with a zero outcome, policy × effect grid, truth) of one
+    adoption; the panel's schedule is computed before it is shared."""
+    U, T = config.n_units, config.n_periods
+    tgrid = np.arange(T)
     # policy and effect on the U×T grid; untreated cells carry effect 0.0
     policy = ((adopt[:, None] >= 0) & (tgrid >= adopt[:, None])).astype(np.int8)
     effect, kind = config.effect, config.effect["kind"]
@@ -204,13 +218,11 @@ def simulate_panel(config: DgpConfig, rep: int):
         value = np.array([float(effect["deltas"][g]) if g >= 0 else 0.0
                           for g in adopt.tolist()])[:, None]
     delta = np.where(policy == 1, value, 0.0)
-    y = y0 + policy * delta
 
     units = [f"u{i:03d}" for i in range(U)]
-    unit_idx = np.repeat(np.arange(U), T)
-    time_idx = np.tile(np.arange(T), U)
-    panel = PanelDataset(units, list(range(T)), unit_idx, time_idx, y.ravel(),
-                         policy.ravel())
+    template = PanelDataset(units, list(range(T)), np.repeat(np.arange(U), T),
+                            np.tile(np.arange(T), U), np.zeros(U * T), policy.ravel())
+    derive_adoption(template)
 
     treated = policy == 1
     if treated.any():
@@ -224,7 +236,7 @@ def simulate_panel(config: DgpConfig, rep: int):
         att, by_event, by_cohort = 0.0, {}, {}
     adoption = {units[i]: (int(adopt[i]) if adopt[i] >= 0 else None)
                 for i in range(U)}
-    return panel, TruthRecord(att, by_event, by_cohort, adoption)
+    return template, policy * delta, TruthRecord(att, by_event, by_cohort, adoption)
 
 
 @dataclass

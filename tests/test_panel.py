@@ -369,6 +369,18 @@ class TestAdoption:
         assert s.cohorts == {g: tuple(u for u, h in want.items() if h == g)
                              for g in sorted({g for g in want.values() if g is not None})}
 
+    def test_schedule_kept_per_panel(self, tmp_path):
+        flat = {u: [0.0] * 6 for u in "abc"}
+        p = build_panel(list("abc"), 6, {"a": 3, "b": 2}, flat)
+        s = pc.derive_adoption(p)
+        assert pc.derive_adoption(p) is s
+        assert pc.derive_adoption(p.with_outcome(np.ones(p.n_rows))) is s
+        sub = pc.derive_adoption(p.subset(units=["a", "c"]))
+        assert sub is not s and sub.cohorts == {3: ("a",)}
+        p.write_csv(tmp_path / "p.csv")
+        again = pc.derive_adoption(pc.load_panel(tmp_path / "p.csv"))
+        assert again is not s and again == s
+
     def test_cumulative_counts(self):
         flat = {u: [0.0] * 5 for u in "abcde"}
         p = build_panel(list("abcde"), 5, {"a": 1, "b": 1, "c": 3}, flat)
@@ -429,6 +441,34 @@ class TestBalance:
                 "a,1,1.0,0\na,2,1.0,0\n"
                 "b,5,1.0,0\nb,6,1.0,0\n")
         assert err_code(pc.balance_panel, load(text)) == "EMPTY_INTERSECTION"
+
+
+class TestWithOutcome:
+    def test_shares_all_but_the_outcome(self):
+        p = load(CSV)
+        q = p.with_outcome([4.0, 3.0, 2.0, 1.0])
+        assert q.outcome.tolist() == [4.0, 3.0, 2.0, 1.0]
+        assert p.outcome.tolist() == [1.0, 2.0, 1.5, 1.8]
+        assert q.outcome_matrix().tolist() == [[4.0, 3.0], [2.0, 1.0]]
+        for name in ("unit_idx", "time_idx", "policy"):
+            shared = getattr(q, name)
+            assert shared is getattr(p, name) and not shared.flags.writeable
+            with pytest.raises(ValueError):
+                shared[0] = 0
+
+    @pytest.mark.parametrize("make", ["with_outcome", "constructor"])
+    @pytest.mark.parametrize("shape,got", [((3,), "3 rows"), ((5,), "5 rows"),
+                                           ((4, 1), "shape (4, 1)")],
+                             ids=["shorter", "longer", "2-D"])
+    def test_wrong_shape_refused(self, make, shape, got):
+        p = load(CSV)
+        with pytest.raises(pc.PanelCauseError) as ei:
+            if make == "with_outcome":
+                p.with_outcome(np.zeros(shape))
+            else:
+                pc.PanelDataset(p.units, p.time_labels, p.unit_idx, p.time_idx,
+                                np.zeros(shape), p.policy)
+        assert str(ei.value) == f"CONFIG_ERROR: column 'outcome' has {got}, expected 4"
 
 
 class TestSubset:

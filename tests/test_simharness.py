@@ -332,9 +332,10 @@ class TestEvaluate:
 
 
 class TestSharedMemo:
-    """evaluate keeps one memo for its reps: the fixed-effects operator, the
-    absorbed design and the multipliers' covariance. What it reuses must give
-    the bits a fit outside evaluate gives, and nothing may outlive the call."""
+    """evaluate keeps one memo for its reps: the DGP skeleton of each
+    adoption, the fixed-effects operator, the absorbed design and the
+    multipliers' covariance. What it reuses must give the bits a draw or fit
+    outside evaluate gives, and nothing may outlive the call."""
 
     METHODS = (DID_TWFE, EVENT_STUDY, GROUP_TIME_DID, CITS)
 
@@ -358,6 +359,52 @@ class TestSharedMemo:
         if confounding == "intercept":
             adoption = [simulate_panel(c, r)[1].adoption for r in range(3)]
             assert adoption[0] != adoption[1] != adoption[2]
+
+    def test_reps_share_the_skeleton(self):
+        c, other = cfg(), cfg(effect={"kind": "constant", "delta": 2.0})
+        with linreg.shared_memo():
+            (p0, t0), (p1, t1), (q, tq) = (simulate_panel(c, 0), simulate_panel(c, 1),
+                                           simulate_panel(other, 0))
+        for name in ("unit_idx", "time_idx", "policy"):
+            shared = getattr(p0, name)
+            assert shared is getattr(p1, name) and not shared.flags.writeable
+            assert getattr(q, name) is not shared
+            with pytest.raises(ValueError):
+                shared[0] = 1
+        assert pc.derive_adoption(p0) is pc.derive_adoption(p1)
+        assert t0 is t1
+        assert p0.outcome.tobytes() != p1.outcome.tobytes()
+        # same adoption, another effect: the draw outside any memo
+        alone, truth = simulate_panel(other, 0)
+        assert (q.outcome.tobytes(), tq) == (alone.outcome.tobytes(), truth)
+        assert tq.att_overall == 2.0
+
+    @pytest.mark.parametrize("kind,confounding", sorted(PINNED_DGP))
+    def test_pinned_rep_through_a_shared_skeleton(self, kind, confounding):
+        # reps 0 and 1 of every effect kind first: with fixed adoption rep 2
+        # then reads its own kind's skeleton, never another kind's
+        with linreg.shared_memo() as memo:
+            for effect in PINNED_EFFECTS.values():
+                c = DgpConfig(n_units=14, n_periods=9, cohorts={3: 4, 6: 3},
+                              effect=effect, trend=0.05, ar_coef=0.4,
+                              confounding=confounding, seed=11)
+                simulate_panel(c, 0)
+                simulate_panel(c, 1)
+            test_generator_pinned_bit_for_bit(kind, confounding)
+            if confounding == "none":
+                assert len(memo.items) == len(PINNED_EFFECTS)
+
+    def test_confounded_reps_take_their_own_schedule(self):
+        c = cfg(confounding="intercept")
+        with linreg.shared_memo():
+            panels = [simulate_panel(c, r)[0] for r in range(3)]
+        schedules = [pc.derive_adoption(p) for p in panels]
+        times = [s.adoption_time for s in schedules]
+        assert times[0] != times[1] != times[2] != times[0]
+        for p, s in zip(panels, schedules):
+            fresh = pc.PanelDataset(p.units, p.time_labels, p.unit_idx, p.time_idx,
+                                    p.outcome, p.policy)
+            assert s == pc.derive_adoption(fresh)
 
     def test_nothing_cached_after_return(self, monkeypatch):
         seen = []

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -85,18 +86,18 @@ class PanelDataset:
             i = int(np.argmax(bad))
             raise PanelCauseError("NON_BINARY_POLICY",
                                   f"policy value {self.policy[i]} at row {i} is not 0/1")
-        # duplicate (unit, time) keys
+        # rows in key order run by unit, then time: the first duplicate key
+        # named is the lowest, and the first reversal the lowest-index unit's
         keys = self.unit_idx * len(self.time_labels) + self.time_idx
-        uniq, counts = np.unique(keys, return_counts=True)
-        if (counts > 1).any():
-            k = int(uniq[np.argmax(counts > 1)])
-            u, t = divmod(k, len(self.time_labels))
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        dup = keys[1:] == keys[:-1]
+        if dup.any():
+            u, t = divmod(int(keys[1:][dup.argmax()]), len(self.time_labels))
             raise PanelCauseError(
                 "DUPLICATE_KEY",
                 f"duplicate observation for unit '{self.units[u]}' at time {self.time_labels[t]}")
-        # absorbing policy within unit: rows by unit, then time; the first
-        # reversal in that order is the lowest-index unit's
-        order = np.lexsort((self.time_idx, self.unit_idx))
+        # absorbing policy within unit
         u = self.unit_idx[order]
         back = (u[1:] == u[:-1]) & (np.diff(self.policy[order].astype(int)) < 0)
         if back.any():
@@ -293,42 +294,75 @@ def _parse_column(cells, blank_ok):
 
 
 def _read_records(source):
-    """Every CSV record of a path (UTF-8, BOM allowed) or an open text stream."""
+    """``(first, header, columns)`` of a path (UTF-8, BOM allowed) or an open
+    text stream: ``first`` counts the blank records before the header, and
+    short records are padded with blank fields. A plain text (no quote, NUL
+    or lone carriage return, a non-blank first record and every record as
+    wide as it) is split at its commas and line ends; any other is read by
+    ``csv.reader`` from the stream's own lines. Both read the same panel:
+    every consumer strips or float-parses the spaces csv.reader skips.
+    """
+    lines = None
     if not (isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")):
-        return _csv_records(source)
-    try:
-        with open(source, newline="", encoding="utf-8-sig") as fh:
-            return _csv_records(fh)
-    except UnicodeDecodeError as exc:
-        # the decoder's position is within its chunk: find the file's offset
-        with open(source, "rb") as fh:
-            data = fh.read()
+        lines = source.readlines()
+        text = "".join(lines)
+    else:
         try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as whole:
-            exc = whole
-        raise PanelCauseError(
-            "CONFIG_ERROR", f"file is not UTF-8 text: byte {exc.object[exc.start]:#04x} "
-                            f"at byte offset {exc.start} cannot be decoded",
-            offset=exc.start) from None
+            with open(source, newline="", encoding="utf-8-sig") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            # the decoder's position may not be the file's: find the offset
+            with open(source, "rb") as fh:
+                data = fh.read()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as whole:
+                exc = whole
+            raise PanelCauseError(
+                "CONFIG_ERROR", f"file is not UTF-8 text: byte {exc.object[exc.start]:#04x} "
+                                f"at byte offset {exc.start} cannot be decoded",
+                offset=exc.start) from None
+    return _plain_table(text) or _csv_table(lines or io.StringIO(text, newline=""))
 
 
-def _csv_records(lines):
-    """The records csv.reader reads; one it cannot read (a field past the
-    csv module's size limit) is UNPARSEABLE_CELL at its record number."""
+def _plain_table(text):
+    """``(0, header, columns)`` of a plain text, else None: each line end is
+    a token of its own, every (w+1)-th for a first record w fields wide."""
+    if '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
+        return None
+    text = text.replace("\r", "")
+    if not text.endswith("\n"):
+        text += "\n"
+    n = text.count("\n")
+    tokens = text.replace("\n", ",\n,").split(",")
+    tokens.pop()
+    w = tokens.index("\n")
+    if (len(tokens) != n * (w + 1) or tokens[w::w + 1].count("\n") != n
+            or not any(map(str.strip, tokens[:w]))):
+        return None
+    # csv.reader refuses a field past its limit, naming the record
+    limit = csv.field_size_limit()
+    if len(text) >= limit and max(map(len, tokens)) >= limit:
+        return None
+    return 0, tokens[:w], [tokens[j::w + 1] for j in range(w + 1, 2 * w + 1)]
+
+
+def _csv_table(lines):
+    """``(first, header, columns)`` as csv.reader reads the lines; a record
+    it cannot read (a field past the csv module's size limit) is
+    UNPARSEABLE_CELL at its record number."""
     records = []
     try:
         records.extend(csv.reader(lines, skipinitialspace=True))
     except csv.Error as exc:
         raise PanelCauseError("UNPARSEABLE_CELL",
                               f"{exc} at row {len(records) + 1}") from None
-    return records
-
-
-def _columns(rows, width):
-    """Transpose records into ``width`` columns, padding short records."""
+    first = next((n for n, r in enumerate(records) if any(map(str.strip, r))), None)
+    if first is None:
+        raise PanelCauseError("NO_ROWS", "input file is empty")
+    header, rows = records[first], records[first + 1:]
     columns = list(itertools.zip_longest(*rows, fillvalue=""))
-    return columns + [("",) * len(rows)] * (width - len(columns))
+    return first, header, columns + [("",) * len(rows)] * (len(header) - len(columns))
 
 
 def load_panel(source, spec: ColumnSpec = ColumnSpec()) -> PanelDataset:
@@ -347,16 +381,15 @@ def load_panel(source, spec: ColumnSpec = ColumnSpec()) -> PanelDataset:
     the file, blank records included: the header is row 1 unless blank
     records precede it.
 
-    The records are read in one pass and transposed once. Only the unit
-    column is stripped: a blank record has a blank unit field, so only
-    those records are tested for being blank. Each numeric column is one
-    ``float`` conversion over its raw cells.
+    A quote-free file whose records all have the header's width is split
+    at its commas; any other is read by the csv module, and both read the
+    same panel (see ``_read_records``). Only the unit column is stripped: a
+    blank record has a blank unit field, so only those records are tested
+    for being blank. Each numeric column is one ``float`` conversion over
+    its raw cells.
     """
-    records = _read_records(source)
-    first = next((n for n, r in enumerate(records) if any(map(str.strip, r))), None)
-    if first is None:
-        raise PanelCauseError("NO_ROWS", "input file is empty")
-    header = [h.strip() for h in records[first]]
+    first, header, columns = _read_records(source)
+    header = [h.strip() for h in header]
     col = {name: i for i, name in enumerate(header)}
     for role in ("unit", "time", "outcome", "policy"):
         name = getattr(spec, role)
@@ -370,20 +403,17 @@ def load_panel(source, spec: ColumnSpec = ColumnSpec()) -> PanelDataset:
     cov_names = dict.fromkeys(c for c in (header if spec.covariates is None
                                           else spec.covariates) if c not in reserved)
 
-    # the header is record first + 1 (numbering from 1), so rows[i] is
+    # the header is record first + 1 (numbering from 1), so data row i is
     # record first + 2 + i
-    rows = records[first + 1:]
-    row_no = range(first + 2, first + 2 + len(rows))
-    columns = _columns(rows, len(header))
     units = [c.strip() for c in columns[col[spec.unit]]]
+    row_no = range(first + 2, first + 2 + len(units))
     if "" in units:
-        blank = {i for i, u in enumerate(units) if not u and not any(map(str.strip, rows[i]))}
+        blank = {i for i, u in enumerate(units) if not u and not any(c[i].strip() for c in columns)}
         if blank:
-            kept = [i for i in range(len(rows)) if i not in blank]
-            rows, row_no = [rows[i] for i in kept], [row_no[i] for i in kept]
-            units = [units[i] for i in kept]
-            columns = _columns(rows, len(header))
-    if not rows:
+            kept = [i for i in range(len(units)) if i not in blank]
+            columns = [[c[i] for i in kept] for c in columns]
+            units, row_no = [units[i] for i in kept], [row_no[i] for i in kept]
+    if not units:
         raise PanelCauseError("NO_ROWS", "no data rows in input")
 
     # (data row, role rank, code, message before and after " at row N"):

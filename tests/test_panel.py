@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 import re
@@ -16,6 +17,14 @@ a,2000,1.0,0
 a,2001,2.0,1
 b,2000,1.5,0
 b,2001,1.8,0
+"""
+
+
+COV_CSV = """unit,time,outcome,policy,x
+a,2000,1.0,0,3
+a,2001,2.0,1,4
+b,2000,1.5,0,5
+b,2001,1.8,0,6
 """
 
 
@@ -47,6 +56,15 @@ def assert_same_panel(a, b):
     for name, x in a.covariates.items():
         np.testing.assert_array_equal(x, b.covariates[name])
         assert x.tobytes() == b.covariates[name].tobytes()
+
+
+def assert_same_result(new, old):
+    """The same panel, or the same error string."""
+    assert type(new) is type(old)
+    if isinstance(old, str):
+        assert new == old
+    else:
+        assert_same_panel(new, old)
 
 
 # whitespace-only cells are blank; "1_000" and "+.5" are numbers to float()
@@ -87,8 +105,9 @@ BLANK_RECORDS = st.sampled_from(["", ",,,", " , \t ,"])
 @st.composite
 def csv_texts(draw):
     """(CSV text, ColumnSpec): quoted and padded fields, short and overlong
-    records, gapped negative time labels, auto or named covariates and up to
-    three bad cells, but no blank records and no empty unit fields."""
+    records, gapped negative time labels, auto or named covariates, up to
+    three bad cells, LF or CRLF line ends and a last record with or without
+    one, but no blank records and no empty unit fields."""
     def field(text):
         left, right = draw(PAD), draw(PAD)
         if "," in text or '"' in text:
@@ -124,7 +143,16 @@ def csv_texts(draw):
         lines.append(",".join(fields))
     covariates = draw(st.one_of(st.none(), st.just(tuple(extras)), st.lists(
         st.sampled_from(extras + ["outcome"]), unique=True).map(tuple)))
-    return "\n".join(lines) + "\n", pc.ColumnSpec(covariates=covariates)
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from([eol, ""])), \
+        pc.ColumnSpec(covariates=covariates)
+
+
+def quoted_head(text):
+    """The text with its first field quoted, which csv.reader reads the same
+    but the plain split refuses."""
+    i = text.index(",")
+    return '"' + text[:i] + '"' + text[i:]
 
 
 class TestLoad:
@@ -187,6 +215,16 @@ class TestLoad:
             pc.PanelDataset(units, range(4), ui, ti, np.zeros(16), policy)
         assert str(ei.value) == ("POLICY_REVERSAL: unit 'b' switches policy "
                                  "from 1 back to 0")
+
+    def test_lowest_duplicate_key_named(self):
+        # d at 2000 (three times), c at 2001 and b at 2002 repeat, rows
+        # shuffled; message recorded from the np.unique check this replaced
+        rows = [(i, t) for i in range(4) for t in range(4)] + [(3, 0), (2, 1), (1, 2), (3, 0)]
+        ui, ti = np.array(rows)[np.random.default_rng(7).permutation(len(rows))].T
+        with pytest.raises(pc.PanelCauseError) as ei:
+            pc.PanelDataset(list("abcd"), range(2000, 2004), ui, ti, np.zeros(20), np.zeros(20))
+        assert str(ei.value) == ("DUPLICATE_KEY: duplicate observation for unit 'b' "
+                                 "at time 2002")
 
     def test_fractional_time_rejected(self):
         assert err_code(load, CSV.replace("a,2000", "a,2000.5", 1)) == \
@@ -254,15 +292,50 @@ class TestLoad:
     @pytest.mark.parametrize("as_path", [True, False])
     def test_field_past_csv_limit_names_its_record(self, tmp_path, as_path):
         # the csv module refuses fields over 131072 characters; the error is
-        # coded and counts the blank record before it
-        text = CSV + "\nd,2000," + "9" * 200_000 + ",0\n"
-        path = tmp_path / "big.csv"
-        path.write_text(text)
-        row = CSV.count("\n") + 2
+        # coded and counts the blank record before it; without that record
+        # the file is quote-free and equal-width, and is refused alike
+        for blank in ["\n", ""]:
+            text = CSV + blank + "d,2000," + "9" * 200_000 + ",0\n"
+            path = tmp_path / "big.csv"
+            path.write_text(text)
+            row = CSV.count("\n") + 1 + len(blank)
+            with pytest.raises(pc.PanelCauseError) as ei:
+                pc.load_panel(path if as_path else io.StringIO(text, newline=""))
+            assert str(ei.value) == (f"UNPARSEABLE_CELL: field larger than field "
+                                     f"limit (131072) at row {row}")
+
+    @pytest.mark.parametrize("text", [
+        COV_CSV.replace("b,", "b\0,"),
+        COV_CSV.replace("2.0", "2\r.0"),
+        ",,,,\n" + COV_CSV,
+        COV_CSV.replace(",6\n", "\n"),
+        COV_CSV.replace(",6\n", ",6" + ",7" * 6 + "\n"),
+    ], ids=["NUL", "lone CR", "blank first record", "short record", "long record"])
+    def test_irregular_text_read_by_csv(self, tmp_path, text):
+        """Text the plain split refuses reads as its quoted-header spelling
+        does, which only csv.reader reads. On Python 3.10 the csv module
+        refuses a NUL, on 3.11 it reads one. The long record has one field
+        more than two records, so its last field sits where the next line
+        end would."""
+        def read(text):
+            path = tmp_path / "irregular.csv"
+            path.write_bytes(text.encode())
+            try:
+                return pc.load_panel(path)
+            except pc.PanelCauseError as e:
+                return str(e)
+
+        assert_same_result(read(text), read(quoted_head(text)))
+
+    def test_lone_cr_in_lf_stream_refused(self):
+        # a stream that splits lines at LF only hands csv.reader a record
+        # with a carriage return inside, which it refuses
+        text = "unit,time,outcome,policy\na,1,1.0,0\rb,1,2.0,0\n"
+        with pytest.raises(csv.Error) as ce:
+            list(csv.reader(io.StringIO(text)))
         with pytest.raises(pc.PanelCauseError) as ei:
-            pc.load_panel(path if as_path else io.StringIO(text, newline=""))
-        assert str(ei.value) == (f"UNPARSEABLE_CELL: field larger than field "
-                                 f"limit (131072) at row {row}")
+            pc.load_panel(io.StringIO(text))
+        assert str(ei.value) == f"UNPARSEABLE_CELL: {ce.value} at row 2"
 
     def test_write_csv_is_utf8(self, tmp_path):
         p = pc.PanelDataset(["Zürich", "Genève"], [0], [0, 1], [0, 0], [1.0, 2.0], [0, 0])
@@ -292,6 +365,15 @@ class TestLoad:
             assert new == old
         else:
             assert_same_panel(new, old)
+
+    @settings(max_examples=300, deadline=None)
+    @given(csv_texts())
+    def test_plain_split_matches_csv_reader(self, case):
+        """Same panel, or the same error, as the text with its first field
+        quoted, which only csv.reader reads."""
+        text, spec = case
+        assert_same_result(attempt(pc.load_panel, text, spec),
+                           attempt(pc.load_panel, quoted_head(text), spec))
 
     @settings(max_examples=200, deadline=None)
     @given(csv_texts(), st.data())

@@ -26,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PanelCauseError, PanelCauseWarning
-from .linreg import (GRAM_PIVOT_TOL, INTERCEPT, DesignMatrix, _sandwich_fit,
-                     build_design, index_sums, jackknife_se, normal_ci, normal_p, ols_fit)
+from .linreg import (GRAM_PIVOT_TOL, INTERCEPT, DesignMatrix, _sandwich_fit, build_design,
+                     index_sums, jackknife_se, memoized, normal_ci, normal_p, ols_fit,
+                     read_only)
 from .panel import PanelDataset
 
 FP_TOL = 1e-8
@@ -114,6 +115,37 @@ def _ols_pass(panel, cand, ui, ti, y, pol, lag_y, lag_p, gamma, covariates):
     return ols_fit(X, y, ui), levels
 
 
+class _Plan:
+    """What a debiased AR fit on _used_rows' ``rows`` computes without y: the
+    rows (cand, ui, ti, pol, lag_p), the covariates on them, the period
+    levels, ``absorbed`` (see _LagPolicyGram) with ``basis`` the Q of the
+    period-demeaned covariates or else the dense fixed part F, and the unit
+    clusters, all read-only."""
+
+    def __init__(self, panel, rows, covariates):
+        cand, ui, ti, _, pol, _, lag_p = rows
+        self.rows = cand, ui, ti, pol, lag_p
+        self.cov = cov = panel.covariate_matrix(covariates)[cand]
+        # np.unique(ti, return_inverse=True, return_counts=True), by counting
+        counts = np.bincount(ti)
+        self.levels = np.flatnonzero(counts)
+        self.tpos, self.counts = (np.cumsum(counts > 0) - 1)[ti], counts[self.levels]
+        fixed = np.column_stack([cov, pol])
+        raw = np.linalg.norm(fixed, axis=0)
+        fixed -= (index_sums(self.tpos, len(self.levels), fixed) / self.counts[:, None])[self.tpos]
+        Q, Rc = np.linalg.qr(fixed)
+        self.absorbed = bool((np.abs(np.diagonal(Rc)) > GRAM_PIVOT_TOL * raw).all())
+        if self.absorbed:
+            self.basis = Q[:, :cov.shape[1]]
+        else:
+            X = build_design([("policy", pol)] + _fixed_columns(panel, cand, ti, covariates)[0])
+            self.basis = X.data[:, [j for j, name in enumerate(X.column_names)
+                                    if name != "policy"]]
+        self.clusters = (np.cumsum(np.bincount(ui) > 0) - 1)[ui]  # np.unique's inverse
+        read_only(*self.rows, self.cov, self.levels, self.tpos, self.counts, self.basis,
+                  self.clusters)
+
+
 def _check_saturated(n, rank):
     if n <= rank:
         raise PanelCauseError("SATURATED_DESIGN", (
@@ -171,29 +203,23 @@ class _LagPolicyGram:
     dense design would drop a column because of the lags, is refit in full.
     """
 
-    def __init__(self, panel, rows, covariates):
-        cand, ui, ti, y, pol, lag_y, lag_p = rows
+    def __init__(self, panel, rows, covariates, plan=None):
+        if plan is None:
+            plan = _Plan(panel, rows, covariates)
+        _, _, _, y, pol, lag_y, lag_p = rows
         z = np.column_stack([y, pol, *lag_y, *lag_p])
-        cov = panel.covariate_matrix(covariates)[cand]
-        k, L, nc = z.shape[1], len(lag_y), cov.shape[1]
-        levels, tpos, counts = np.unique(ti, return_inverse=True, return_counts=True)
-        zc = np.column_stack([z, cov])
-        means = index_sums(tpos, len(levels), zc) / counts[:, None]
-        zc -= means[tpos]
-        Q, Rc = np.linalg.qr(zc[:, [*range(k, k + nc), 1]])
-        raw = np.linalg.norm(np.column_stack([cov, pol]), axis=0)
-        self.absorbed = bool((np.abs(np.diagonal(Rc)) > GRAM_PIVOT_TOL * raw).all())
+        k, L = z.shape[1], len(lag_y)
+        self.absorbed = plan.absorbed
         if self.absorbed:
-            R = zc[:, :k] - Q[:, :nc] @ (Q[:, :nc].T @ zc[:, :k])
-            self._report = (zc, means, levels, y, ui,
+            zc = np.column_stack([z, plan.cov])
+            means = index_sums(plan.tpos, len(plan.levels), zc) / plan.counts[:, None]
+            zc -= means[plan.tpos]
+            R = zc[:, :k] - plan.basis @ (plan.basis.T @ zc[:, :k])
+            self._report = (zc, means, plan.levels, y, plan.clusters,
                             [f"lag{ell + 1}" for ell in range(L)] + ["policy", *covariates],
-                            [f"t_{panel.label_of(int(t))}" for t in levels])
+                            [f"t_{panel.label_of(int(t))}" for t in plan.levels])
         else:
-            fixed, _ = _fixed_columns(panel, cand, ti, covariates)
-            X = build_design([("policy", pol)] + fixed)
-            F = X.data[:, [j for j, name in enumerate(X.column_names)
-                           if name != "policy"]]
-            R = z - F @ np.linalg.lstsq(F, z, rcond=None)[0]
+            R = z - plan.basis @ np.linalg.lstsq(plan.basis, z, rcond=None)[0]
 
         C0, C1 = np.zeros((k, L + 2)), np.zeros((k, L + 2))
         C0[2:2 + L, :L] = np.eye(L)
@@ -218,8 +244,7 @@ class _LagPolicyGram:
         γ·lagp_ℓ, policy, covariates]: unit-clustered with the period levels
         counted in the small-sample factor and the rank, and the intercept
         and t_<label> read back from the period means of y − Xβ."""
-        zc, means, levels, y, ui, names, periods = self._report
-        clusters = np.unique(ui, return_inverse=True)[1]
+        zc, means, levels, y, clusters, names, periods = self._report
         L = self._lags
 
         def design(M):
@@ -276,14 +301,15 @@ def _grid_refine(ssr, lo, hi):
     return float(grid[i])
 
 
-def _solve(panel, rows, covariates):
-    """γ path, pass count and convergence on ``rows``, and a function giving
-    the reported (fit, levels), which a jackknife fold need not call."""
+def _solve(panel, rows, covariates, plan=None):
+    """γ path, pass count and convergence on ``rows`` (with their _Plan, or
+    None), and a function giving the reported (fit, levels), which a
+    jackknife fold need not call."""
     lag_p = rows[-1]
     if not lag_p.any():
         fit, levels = _ols_pass(panel, *rows, 0.0, covariates)
         return [0.0, _coef(fit, "policy")], 1, True, lambda: (fit, levels)
-    gram = _LagPolicyGram(panel, rows, covariates)
+    gram = _LagPolicyGram(panel, rows, covariates, plan)
     gamma_path = [0.0]
     for _ in range(FP_MAX_ITER):
         g = gamma_path[-1]
@@ -343,6 +369,9 @@ def fit_debiased_ar(panel: PanelDataset, covariates=(), lag_order: int = 1,
     unit-level jackknife SE that includes it, over the units with used rows.
     A fold solves for γ alone; it builds no report unless it has too few
     rows to be sure the report cannot raise.
+    The used rows, lag check, period levels, absorption QR and clusters
+    (_Plan) are outcome-free: a Monte Carlo evaluate builds them once per
+    adoption. A jackknife fold builds its own, outside the shared memo.
     When the unit clusters cannot support the sandwich (SE below
     CLUSTER_SE_ROUNDING times the model-based SE), the SE, CI and p-value
     are NaN, with a CLUSTER_SE_DEGENERATE warning.
@@ -350,10 +379,18 @@ def fit_debiased_ar(panel: PanelDataset, covariates=(), lag_order: int = 1,
     if lag_order < 1:
         raise PanelCauseError("CONFIG_ERROR", f"lag_order must be ≥1, got {lag_order}")
     covariates = tuple(covariates)
-    panel.covariate_matrix(covariates)      # CONFIG_ERROR for an unknown name
 
-    rows = _used_rows(panel, lag_order)
-    gamma_path, iterations, converged, report = _solve(panel, rows, covariates)
+    cov = panel.covariate_matrix(covariates)        # CONFIG_ERROR for an unknown name
+    plan = memoized(
+        lambda: ("debiased ar plan", panel.unit_count, panel.time_count, lag_order,
+                 covariates, panel.unit_idx.tobytes(), panel.time_idx.tobytes(),
+                 panel.policy.tobytes(), np.isfinite(panel.outcome).tobytes(), cov.tobytes()),
+        lambda: _Plan(panel, _used_rows(panel, lag_order), covariates))
+    cand, ui, ti, pol, lag_p = plan.rows
+    Y = panel.outcome_matrix()
+    lag_y = np.stack([Y[ui, ti - ell] for ell in range(1, lag_order + 1)])
+    rows = (cand, ui, ti, Y[ui, ti], pol, lag_y, lag_p)
+    gamma_path, iterations, converged, report = _solve(panel, rows, covariates, plan)
     fit, levels = report()
     gamma = gamma_path[-1]
 
@@ -379,14 +416,15 @@ def fit_debiased_ar(panel: PanelDataset, covariates=(), lag_order: int = 1,
         # design's columns (intercept, lags, policy, covariates, periods)
         width = lag_order + 1 + len(covariates) + panel.time_count
 
-        def without(v):     # the used rows of every unit but v, in their order
-            keep = rows[1] != v
+        def without(v):     # the used rows of every unit but v, in their order;
+            # its plan is built for the fold alone, outside the shared memo
+            keep = ui != v
             fold = (rows[0] & (panel.unit_idx != v), *(a[..., keep] for a in rows[1:]))
             gamma_path, _, _, fold_report = _solve(panel, fold, covariates)
             if keep.sum() <= width:
                 fold_report()
             return gamma_path[-1]
-        se_jack = jackknife_se(without, np.unique(rows[1]))
+        se_jack = jackknife_se(without, np.unique(ui))
 
     return DebiasedArEstimate(
         gamma=gamma, gamma_se=se,

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PanelCauseError, PanelCauseWarning
-from .linreg import (GRAM_PIVOT_TOL, INTERCEPT, FitResult, _fixed_effects, memoized,
-                     chi2_sf, jackknife_se, normal_ci, normal_p,
+from .linreg import (GRAM_PIVOT_TOL, INTERCEPT, FitResult, _fixed_effects, _within_design,
+                     chi2_sf, jackknife_se, memoized, normal_ci, normal_p, read_only,
                      unit_period_components, within_fit)
 from .panel import NEVER, PanelDataset, complete_rows, derive_adoption
 
@@ -140,12 +140,62 @@ def fit_event_study(panel: PanelDataset, covariates=(), leads: int | None = None
     effects; they are applied as supplied. The leads' joint Wald test is
     skipped, with a PRETREND_AT_ROUNDING warning, when every lead variance
     is at most PRETREND_ROUNDING times the outcome variance (a noiseless fit).
+    The event-time keys, omitted bins and absorbed design (_event_study_plan)
+    are outcome-free: a Monte Carlo evaluate builds them once per adoption.
     """
     if (leads is not None and leads < 2) or (lags is not None and lags < 0):
         raise PanelCauseError("CONFIG_ERROR", (
             f"need leads ≥ 2 and lags ≥ 0, got leads={leads}, lags={lags}: a shorter "
             f"window's terminal bin holds the reference period k = -1"))
+    covariates = tuple(covariates)
     keep, Xc = complete_rows(panel, covariates)
+    keys, fe, X, omitted = memoized(
+        lambda: ("event study plan", panel.unit_count, panel.time_count, leads, lags,
+                 covariates, panel.unit_idx.tobytes(), panel.time_idx.tobytes(),
+                 panel.policy.tobytes(), keep.tobytes(), Xc.tobytes()),
+        lambda: _event_study_plan(panel, keep, Xc, covariates, leads, lags))
+    fe.warn()
+    fit = fe.fit(X, panel.outcome[keep])
+    if fit is None or not any(n.startswith("k[") for n in fit.coefficients):
+        raise PanelCauseError("COLLINEAR_EVENT_TIME",
+                              "every event-time indicator was dropped as collinear")
+
+    collinear = [n for n, _ in fit.dropped_columns if n.startswith("k[")]
+    coeffs = {}
+    for kk in keys:
+        name = f"k[{kk}]"
+        if name in fit.coefficients:
+            coeffs[kk] = (fit.coef(name), fit.se(name))
+
+    # joint Wald test that all lead coefficients (k <= -2 side) are zero;
+    # leads whose variances are at rounding level against the outcome's give
+    # a statistic of rounding noise over rounding noise, so no test
+    lead_names = [f"k[{kk}]" for kk in coeffs
+                  if (isinstance(kk, int) and kk <= -2) or str(kk).startswith("<=")]
+    pre = (None, 0, None)
+    if lead_names:
+        b = np.array([fit.coef(n) for n in lead_names])
+        V = fit.subvcov(lead_names)
+        v_max, scale = float(np.diag(V).max()), float(np.var(panel.outcome[keep]))
+        if v_max <= PRETREND_ROUNDING * scale:
+            warnings.warn(PanelCauseWarning("PRETREND_AT_ROUNDING", (
+                f"lead variances are at most {v_max:.3g}, at rounding level "
+                f"against the outcome variance {scale:.3g}; no pre-trend test")))
+        else:
+            # one eigh: stat and df count the eigenvalues above len(V)·eps·max
+            w, U = np.linalg.eigh(V)
+            on = w > len(w) * np.finfo(float).eps * w.max()
+            stat = float(((U[:, on].T @ b) ** 2 / w[on]).sum())
+            df = int(on.sum())
+            pre = (stat, df, chi2_sf(stat, df))
+
+    return EventStudyEstimate(coeffs, -1, pre[0], pre[1], pre[2],
+                              list(omitted), collinear, fit)
+
+
+def _event_study_plan(panel, keep, Xc, covariates, leads, lags):
+    """(event-time keys, FixedEffects, absorbed design, omitted window keys)
+    of an event study on the rows ``keep``: all it computes without y."""
     schedule = derive_adoption(panel)
     if not schedule.cohorts:
         raise PanelCauseError("NO_VARIATION", "no unit ever adopts the policy")
@@ -181,50 +231,15 @@ def fit_event_study(panel: PanelDataset, covariates=(), leads: int | None = None
             requested += list(range(0, hi_bin)) + [f">={hi_bin}"]
         omitted = [kk for kk in requested if kk not in keys]
 
-    def indicator(kk):
-        if isinstance(kk, str):
-            if kk.startswith("<="):
-                return (is_treated & (k_row <= int(kk[2:]))).astype(float)
-            return (is_treated & (k_row >= int(kk[2:]))).astype(float)
-        return (is_treated & (k_row == kk)).astype(float)
-
-    cols = [(f"k[{kk}]", indicator(kk)) for kk in keys]
-    fit = within_fit(ui, ti, panel.outcome[keep], cols + list(zip(covariates, Xc[keep].T)))
-    if fit is None or not any(n.startswith("k[") for n in fit.coefficients):
-        raise PanelCauseError("COLLINEAR_EVENT_TIME",
-                              "every event-time indicator was dropped as collinear")
-
-    collinear = [n for n, _ in fit.dropped_columns if n.startswith("k[")]
-    coeffs = {}
-    for kk in keys:
-        name = f"k[{kk}]"
-        if name in fit.coefficients:
-            coeffs[kk] = (fit.coef(name), fit.se(name))
-
-    # joint Wald test that all lead coefficients (k <= -2 side) are zero;
-    # leads whose variances are at rounding level against the outcome's give
-    # a statistic of rounding noise over rounding noise, so no test
-    lead_names = [f"k[{kk}]" for kk in coeffs
-                  if (isinstance(kk, int) and kk <= -2) or str(kk).startswith("<=")]
-    pre = (None, 0, None)
-    if lead_names:
-        b = np.array([fit.coef(n) for n in lead_names])
-        V = fit.subvcov(lead_names)
-        v_max, scale = float(np.diag(V).max()), float(np.var(panel.outcome[keep]))
-        if v_max <= PRETREND_ROUNDING * scale:
-            warnings.warn(PanelCauseWarning("PRETREND_AT_ROUNDING", (
-                f"lead variances are at most {v_max:.3g}, at rounding level "
-                f"against the outcome variance {scale:.3g}; no pre-trend test")))
-        else:
-            # one eigh: stat and df count the eigenvalues above len(V)·eps·max
-            w, U = np.linalg.eigh(V)
-            on = w > len(w) * np.finfo(float).eps * w.max()
-            stat = float(((U[:, on].T @ b) ** 2 / w[on]).sum())
-            df = int(on.sum())
-            pre = (stat, df, chi2_sf(stat, df))
-
-    return EventStudyEstimate(coeffs, -1, pre[0], pre[1], pre[2],
-                              omitted, collinear, fit)
+    # each treated row but the reference sets the indicator of its key
+    column = {k: keys.index(key_for(k)) for k in observed if k != -1}
+    on = np.flatnonzero(is_treated & (k_row != -1))
+    raw = np.zeros((len(ui), len(keys) + len(covariates)))
+    raw[on, [column[k] for k in k_row[on].tolist()]] = 1.0
+    raw[:, len(keys):] = Xc[keep]
+    names = [f"k[{kk}]" for kk in keys] + list(covariates)
+    fe = _fixed_effects(ui, ti)
+    return keys, fe, _within_design(fe, names, raw), omitted
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +266,8 @@ def fit_group_time_att(panel: PanelDataset,
     Carlo evaluate builds S once for all its reps. bootstrap_reps below 2
     raises CONFIG_ERROR. With covariates, outcomes are first residualized
     against them (coefficients fit on untreated rows with unit+time effects).
+    The cells' masks, keys and W (_group_time_plan) are outcome-free: a
+    Monte Carlo evaluate builds them once per adoption.
     """
     if comparison not in (NEVER_TREATED, NOT_YET_TREATED):
         raise PanelCauseError("CONFIG_ERROR", f"unknown comparison '{comparison}'")
@@ -270,16 +287,49 @@ def fit_group_time_att(panel: PanelDataset,
     if covariates:
         Y = Y - _covariate_residualizer(panel, covariates)
     adopt = _adoption_array(panel, schedule)
-    periods = np.arange(panel.time_count)
+    # the cells' masks read which cells are NaN or infinite, not the values
+    blanks = np.where(np.isfinite(Y), 0.0, Y)
+    cohorts, keys, W, cohort_weights, omitted = memoized(
+        lambda: ("group-time plan", *Y.shape, comparison, adopt.tobytes(), blanks.tobytes()),
+        lambda: _group_time_plan(schedule, adopt, blanks, comparison))
 
-    keys, omitted, atts, phis = [], [], [], []
+    atts, phis = [], []
+    for g, live, treated, comp, n_t, n_c in cohorts:
+        D = (Y[:, g:] - Y[:, g - 1:g])[:, live]
+        mean_t = np.where(treated, D, 0.0).sum(axis=0) / n_t
+        mean_c = np.where(comp, D, 0.0).sum(axis=0) / n_c
+        atts.append(mean_t - mean_c)
+        phis.append(np.where(treated, (D - mean_t) / n_t, 0.0)
+                    - np.where(comp, (D - mean_c) / n_c, 0.0))
+
+    att = np.concatenate(atts)
+    Phi = np.hstack(phis)                                    # units × cells
+    A = np.hstack([Phi, Phi @ W])
+    S = _multiplier_covariance(seed, bootstrap_reps, panel.unit_count)
+    # aᵀSa ≥ 0 but for rounding, which may leave it a hair below zero
+    se = np.sqrt(np.maximum(np.einsum("ij,ij->j", A, S @ A), 0.0))
+    pairs = list(zip(np.concatenate([att, att @ W]).tolist(), se.tolist()))
+    cells, aggs = pairs[:len(keys)], pairs[len(keys):]
+    by_cohort = dict(zip(cohort_weights, aggs))
+    by_event = dict(zip(sorted({t - g for g, t in keys}), aggs[len(cohort_weights):-1]))
+    return GroupTimeAtts(dict(zip(keys, cells)), comparison, aggs[-1], by_event,
+                         by_cohort, dict(cohort_weights), list(omitted),
+                         bootstrap_reps, seed)
+
+
+def _group_time_plan(schedule, adopt, blanks, comparison):
+    """(cohorts, cell keys, W, cohort weights, omitted cells) of the
+    group-time ATTs, from adoption and the blank cells of the outcome grid
+    Y (``blanks``, Y with its finite cells 0.0). A cohort is (g, its live
+    periods, treated and comparison masks over them, their counts)."""
+    periods = np.arange(blanks.shape[1])
+    cohorts, keys, omitted = [], [], []
     for g in sorted(schedule.cohorts):
         if g == 0:
             omitted.append((g, None, "no pre-period for base g-1"))
             continue
         ts = periods[g:]
-        D = Y[:, g:] - Y[:, [g - 1]]
-        ok = ~np.isnan(D)
+        ok = ~np.isnan(blanks[:, g:] - blanks[:, g - 1:g])
         treated = ok & (adopt == g)[:, None]
         comp = ok & (adopt[:, None] > ts if comparison == NOT_YET_TREATED
                      else (adopt == NEVER_ADOPTS)[:, None])
@@ -287,20 +337,12 @@ def fit_group_time_att(panel: PanelDataset,
         live = (n_t > 0) & (n_c > 0)
         omitted += [(g, t, "empty comparison or treated set") for t in ts[~live].tolist()]
         keys += [(g, t) for t in ts[live].tolist()]
-        D, treated, comp = D[:, live], treated[:, live], comp[:, live]
-        n_t, n_c = n_t[live], n_c[live]
-        mean_t = np.where(treated, D, 0.0).sum(axis=0) / n_t
-        mean_c = np.where(comp, D, 0.0).sum(axis=0) / n_c
-        atts.append(mean_t - mean_c)
-        phis.append(np.where(treated, (D - mean_t) / n_t, 0.0)
-                    - np.where(comp, (D - mean_c) / n_c, 0.0))
+        cohorts.append((g, live, treated[:, live], comp[:, live], n_t[live], n_c[live]))
     if not keys:
         raise PanelCauseError("EMPTY_COMPARISON",
                               "no (cohort, time) cell has a nonempty comparison group",
                               omitted=omitted)
 
-    att = np.concatenate(atts)
-    Phi = np.hstack(phis)                                    # units × cells
     cell_g = np.array([g for g, _ in keys])
     cell_e = np.array([t - g for g, t in keys])
     groups, events = np.unique(cell_g), np.unique(cell_e)
@@ -313,17 +355,8 @@ def fit_group_time_att(panel: PanelDataset,
     cohort_weights = {g: sizes[g] / total for g in groups.tolist()}
     w_all = W_g @ np.array(list(cohort_weights.values()))
     W = np.column_stack([W_g, W_e, w_all])                   # cells × aggregates
-
-    A = np.hstack([Phi, Phi @ W])
-    S = _multiplier_covariance(seed, bootstrap_reps, panel.unit_count)
-    # aᵀSa ≥ 0 but for rounding, which may leave it a hair below zero
-    se = np.sqrt(np.maximum(np.einsum("ij,ij->j", A, S @ A), 0.0))
-    pairs = list(zip(np.concatenate([att, att @ W]).tolist(), se.tolist()))
-    cells, aggs = pairs[:len(keys)], pairs[len(keys):]
-    by_cohort = dict(zip(groups.tolist(), aggs[:len(groups)]))
-    by_event = dict(zip(events.tolist(), aggs[len(groups):-1]))
-    return GroupTimeAtts(dict(zip(keys, cells)), comparison, aggs[-1], by_event,
-                         by_cohort, cohort_weights, omitted, bootstrap_reps, seed)
+    read_only(W, *(a for cohort in cohorts for a in cohort[1:]))
+    return cohorts, keys, W, cohort_weights, omitted
 
 
 def _multiplier_covariance(seed, draws, units):

@@ -18,7 +18,7 @@ import contextvars
 import math
 import threading
 import warnings
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
@@ -40,6 +40,12 @@ class DesignMatrix:
     column_names: list
     qr: tuple                         # thin (Q, R) of data: Q n × k, R k × k
     dropped_columns: list = field(default_factory=list)  # (name, reason) pairs
+    r_inv: np.ndarray = field(init=False)   # R⁻¹, formed with the QR
+    bread: np.ndarray = field(init=False)   # (XᵀX)⁻¹ = R⁻¹R⁻ᵀ
+
+    def __post_init__(self):
+        self.r_inv = np.linalg.inv(self.qr[1])
+        self.bread = self.r_inv @ self.r_inv.T
 
 
 def build_design(columns, add_intercept: bool = True) -> DesignMatrix:
@@ -139,23 +145,22 @@ def ols_fit(X: DesignMatrix, y, clusters, extra_dof: int = 0) -> FitResult:
 def _sandwich_fit(X, y, cluster_idx, G, extra_dof):
     """ols_fit on rows already indexed 0..G-1 by cluster."""
     y = np.asarray(y, dtype=float)
-    Q, R = X.qr
+    Q = X.qr[0]
     n, k = Q.shape
     if G < 2:
         raise PanelCauseError("FEWER_CLUSTERS_THAN_TWO",
                               f"cluster-robust variance needs ≥2 clusters, got {G}")
 
     qty = Q.T @ y
-    r_inv = np.linalg.inv(R)
-    beta = r_inv @ qty
+    beta = X.r_inv @ qty
     resid = y - Q @ qty
     S = index_sums(cluster_idx, G, Q * resid[:, None])
-    W = r_inv @ S.T
+    W = X.r_inv @ S.T
     c = (G / (G - 1)) * ((n - 1) / max(n - k - extra_dof, 1))
 
     coefs = dict(zip(X.column_names, beta.tolist()))
     return FitResult(coefs, c * (W @ W.T), list(X.column_names), resid, n, k, G,
-                     list(X.dropped_columns), r_inv @ r_inv.T)
+                     list(X.dropped_columns), X.bread)
 
 
 def index_sums(index, size, values):
@@ -269,6 +274,11 @@ class FixedEffects:
         alpha, gamma = self.effects(M)
         return M - alpha[self.unit_idx] - gamma[self.time_idx]
 
+    def fit(self, X, y):
+        """within_fit of y on X, a design _within_design absorbed here, or None."""
+        return None if X is None else _sandwich_fit(X, self.absorb(y), *self.clusters,
+                                                    self.absorbed)
+
 
 def _fixed_effects(unit_idx, time_idx) -> FixedEffects:
     """FixedEffects of these rows, taken from the shared memo when one is open."""
@@ -312,9 +322,7 @@ def within_fit(unit_idx, time_idx, y, columns) -> FitResult | None:
     raw = np.column_stack(cols)
     X = memoized(lambda: ("within design", fe, names, raw.tobytes()),
                   lambda: _within_design(fe, names, raw))
-    if X is None:
-        return None
-    return _sandwich_fit(X, fe.absorb(y), *fe.clusters, fe.absorbed)
+    return fe.fit(X, y)
 
 
 def _within_design(fe, names, raw):
@@ -323,9 +331,14 @@ def _within_design(fe, names, raw):
     if not M.any():
         return None
     X = build_design(zip(names, M.T), add_intercept=False)
-    for a in (X.data, *X.qr):
-        a.flags.writeable = False
+    read_only(X.data, *X.qr, X.r_inv, X.bread)
     return X
+
+
+def read_only(*arrays):
+    """Mark the arrays read-only, as everything the shared memo hands out is."""
+    for a in arrays:
+        a.setflags(write=False)
 
 
 # ---------------------------------------------------------------------------
@@ -337,17 +350,22 @@ _MEMO = contextvars.ContextVar("panelcause_memo", default=None)
 
 
 class _Memo:
-    """Least-recently-used table of at most MEMO_ENTRIES values, shared by threads."""
+    """Least-recently-used table of at most MEMO_ENTRIES values, shared by
+    threads; ``hits`` and ``misses`` count lookups by kind (a tuple key's key[0])."""
 
     def __init__(self):
         self.items = OrderedDict()
+        self.hits, self.misses = Counter(), Counter()
         self._lock = threading.Lock()
 
     def get(self, key, build):
+        kind = key[0] if isinstance(key, tuple) else key
         with self._lock:
             if key in self.items:
+                self.hits[kind] += 1
                 self.items.move_to_end(key)
                 return self.items[key]
+            self.misses[kind] += 1
         value = build()
         with self._lock:
             self.items[key] = value
@@ -361,10 +379,12 @@ def shared_memo():
     """Within the block, fits keep for later fits what their inputs decide.
 
     Kept: simharness's DGP skeleton by shape, effect and adoption,
-    FixedEffects by their rows, within_fit's absorbed design by its
-    FixedEffects, names and column bytes, and the sample covariance of did's
-    multiplier draws. Each value is built as it is outside the block, so
-    fits give the same bits. Threads see the memo when run in a copy of the
+    FixedEffects by their rows, within_fit's absorbed design (QR, R⁻¹, bread)
+    by its FixedEffects, names and column bytes, the sample covariance of
+    did's multiplier draws, and the outcome-free plans of the event study,
+    group-time ATTs and debiased AR by everything they are computed from.
+    Each value is built as it is outside the block, so fits give the same
+    bits. Threads see the memo when run in a copy of the
     block's context. It is emptied and dropped when the block ends.
     """
     memo = _Memo()

@@ -14,12 +14,14 @@ speed-up and inflate each rep's runtime_s with time spent waiting.
 One ``evaluate`` call opens ``linreg.shared_memo`` for its reps. They then
 share what the draws do not change: each adoption's DGP skeleton (panel
 arrays, effect grid and truth), the fixed-effects operator of each set of
-rows, the absorbed design and its QR of each set of columns (with fixed
-adoption, the TWFE and event-study designs of every rep), and the sample
-covariance of the group-time multiplier draws, which every rep makes from
-seed 0. Each value is built as it is outside the call, so a rep's panel is
-the one ``simulate_panel`` draws alone, and its score is exactly what
-``fit`` reports for that panel. The memo is dropped on return.
+rows, the absorbed design with its QR, R⁻¹ and bread of each set of columns
+(with fixed adoption, the TWFE design of every rep), the sample covariance
+of the group-time multiplier draws, which every rep makes from seed 0, and
+the outcome-free plans of the event study, the group-time ATTs and the
+debiased AR, so that with fixed adoption a later rep runs only each fit's
+outcome pass. Each value is built as it is outside the call, so a rep's
+panel is the one ``simulate_panel`` draws alone, and its score is exactly
+what ``fit`` reports for that panel. The memo is dropped on return.
 """
 
 from __future__ import annotations

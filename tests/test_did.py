@@ -241,6 +241,13 @@ class TestEventStudy:
         p = build_panel(["a"], 4, {}, {"a": [0.0] * 4})
         assert err(pc.fit_event_study, p).code == "NO_VARIATION"
 
+    def test_only_the_reference_period_observed(self):
+        # the adopter's one observed cell is k = -1: no indicator to fit
+        p = build_panel(["a", "b", "c"], 4, {"a": 2},
+                        {"a": [np.nan, 1.0, np.nan, np.nan], "b": [0.0, 1.0, 2.0, 3.0],
+                         "c": [1.0, 0.5, 2.5, 3.0]})
+        assert err(pc.fit_event_study, p).code == "COLLINEAR_EVENT_TIME"
+
 
 def cohort_effect_panel(noise=0.0, seed=70, sizes=(2, 2, 3), T=8,
                         gs=(3, 5), deltas=(1.0, 3.0)):

@@ -1,8 +1,10 @@
+import contextlib
 import csv
 import dataclasses
 import hashlib
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ import panelcause as pc
 import panelcause.simharness as sh
 from panelcause import advisor as adv
 from panelcause import linreg
-from panelcause.advisor import (ASCM, CITS, DID_TWFE, EVENT_STUDY,
+from panelcause.advisor import (ASCM, CITS, DEBIASED_AR, DID_TWFE, EVENT_STUDY,
                                 GROUP_TIME_DID, ITS, SCM)
 from panelcause.simharness import (DgpConfig, TruthRecord, evaluate,
                                    simulate_panel)
@@ -337,7 +339,7 @@ class TestSharedMemo:
     multipliers' covariance. What it reuses must give the bits a draw or fit
     outside evaluate gives, and nothing may outlive the call."""
 
-    METHODS = (DID_TWFE, EVENT_STUDY, GROUP_TIME_DID, CITS)
+    METHODS = (DID_TWFE, EVENT_STUDY, GROUP_TIME_DID, CITS, DEBIASED_AR)
 
     @pytest.mark.parametrize("confounding", ["none", "intercept"])
     def test_reps_equal_direct_fits(self, confounding):
@@ -444,7 +446,150 @@ class TestSharedMemo:
         finally:
             sys.setswitchinterval(switch)
         key = lambda r: (r.method, r.rep)
-        assert len(pooled.per_rep) == len(serial.per_rep) == 48
+        assert len(pooled.per_rep) == len(serial.per_rep) == 60
         for a, b in zip(sorted(serial.per_rep, key=key),
                         sorted(pooled.per_rep, key=key)):
             assert (a.estimate, a.se, a.error) == (b.estimate, b.se, b.error)
+
+
+KIND = {EVENT_STUDY: "event study plan", GROUP_TIME_DID: "group-time plan",
+        DEBIASED_AR: "debiased ar plan"}
+PLANS = tuple(KIND.values())
+
+
+def plan_panel(blank=(), adopt_late=False, x_seed=0, common=False):
+    """A 16 × 10 panel with a singleton cohort and a covariate x; ``blank``
+    rows get a blank outcome, ``adopt_late`` makes a never-treated unit
+    adopt at t=8, and ``common`` gives every unit the same adoption."""
+    cohorts = {5: 16} if common else {3: 1, 6: 5}
+    p, _ = simulate_panel(DgpConfig(n_units=16, n_periods=10, cohorts=cohorts,
+                                    effect={"kind": "constant", "delta": 1.0},
+                                    ar_coef=0.4, seed=6), 0)
+    y = p.outcome.copy()
+    y[list(blank)] = np.nan
+    policy = p.policy.copy()
+    if adopt_late:
+        policy[(p.unit_idx == 15) & (p.time_idx >= 8)] = 1
+    x = np.random.default_rng(x_seed).normal(size=p.n_rows) + 0.1 * p.time_idx
+    return pc.PanelDataset(p.units, p.time_labels, p.unit_idx, p.time_idx, y,
+                           policy, {"x": x})
+
+
+def outcome_of(fit, panel):
+    """fit(panel)'s fields other than its FitResult, and its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        est = fit(panel)
+    return ({k: v for k, v in vars(est).items() if k != "fit"},
+            [str(w.message) for w in caught])
+
+
+PLAN_FITS = {
+    EVENT_STUDY: lambda p: pc.fit_event_study(p, ("x",), leads=3, lags=2),
+    GROUP_TIME_DID: lambda p: pc.fit_group_time_att(p, pc.NOT_YET_TREATED, ("x",)),
+    DEBIASED_AR: lambda p: pc.fit_debiased_ar(p, ("x",), lag_order=2),
+}
+
+
+class TestPlans:
+    """The event-study, group-time and debiased AR fits take the part that
+    does not read the outcome's values, their plan, from the shared memo.
+    A fit served by a kept plan must give the bits and the warnings of one
+    that builds its own, and a plan must never serve another panel."""
+
+    @pytest.mark.parametrize("method,panel", [
+        (EVENT_STUDY, plan_panel()),
+        # blank outcome cells and a singleton cohort, whose warning the
+        # second call must give too
+        (GROUP_TIME_DID, plan_panel(blank=(9, 33, 71))),
+        (DEBIASED_AR, plan_panel()),
+        (DEBIASED_AR, plan_panel(common=True)),
+    ])
+    def test_a_hit_gives_the_bits_of_a_miss(self, method, panel):
+        fit = PLAN_FITS[method]
+        alone = outcome_of(fit, panel)
+        kind = KIND[method]
+        with linreg.shared_memo() as memo:
+            first, again = outcome_of(fit, panel), outcome_of(fit, panel)
+            (plan,) = [v for k, v in memo.items.items() if k[0] == kind]
+        assert first == again == alone
+        assert (memo.misses[kind], memo.hits[kind]) == (1, 1)
+        if method == GROUP_TIME_DID:
+            assert sum("SINGLETON_COHORT" in w for w in again[1]) == 1
+        if method == DEBIASED_AR:
+            # common adoption puts policy in the period span: the dense path
+            assert plan.absorbed != (panel.policy_matrix().min(axis=0) == 1).any()
+
+    @pytest.mark.parametrize("method", sorted(PLAN_FITS))
+    def test_each_panel_reads_its_own_plan(self, method):
+        # panels that differ from the first only in adoption, in blank
+        # outcome cells or in covariate values, fit in turn in one memo
+        # (a cell in the last period: no lag is missing for the AR)
+        panels = [plan_panel(), plan_panel(adopt_late=True), plan_panel(blank=(29, 99)),
+                  plan_panel(x_seed=1), plan_panel()]
+        fit = PLAN_FITS[method]
+        alone = [outcome_of(fit, p) for p in panels]
+        with linreg.shared_memo() as memo:
+            shared = [outcome_of(fit, p) for p in panels]
+        assert shared == alone
+        assert memo.hits[KIND[method]] >= 1
+
+    def test_errors_are_never_kept(self):
+        # the row after a blank cell lacks its lag: both calls raise
+        p = plan_panel(blank=(23,))
+        with linreg.shared_memo() as memo:
+            for _ in range(2):
+                with pytest.raises(pc.PanelCauseError) as exc:
+                    pc.fit_debiased_ar(p)
+                assert exc.value.code == "MISSING_LAG"
+        assert (memo.misses[KIND[DEBIASED_AR]], memo.hits[KIND[DEBIASED_AR]]) == (2, 0)
+
+    def test_jackknife_folds_stay_out_of_the_memo(self):
+        # one fold per unit through a 16-entry memo would evict the rest
+        p = plan_panel()
+        alone = pc.fit_debiased_ar(p, ("x",), jackknife=True).gamma_se_jackknife
+        with linreg.shared_memo() as plain:
+            pc.fit_debiased_ar(p, ("x",))
+            entries = len(plain.items)
+        with linreg.shared_memo() as jack:
+            est = pc.fit_debiased_ar(p, ("x",), jackknife=True)
+            assert len(jack.items) == entries == 1
+        assert jack.misses == plain.misses
+        assert est.gamma_se_jackknife == alone
+
+    def test_plans_are_read_only(self):
+        p = plan_panel(blank=(9,))
+        with linreg.shared_memo() as memo:
+            for fit in PLAN_FITS.values():
+                fit(p)
+            plans = {k[0]: v for k, v in memo.items.items() if k[0] in PLANS}
+        X = plans[KIND[EVENT_STUDY]][2]
+        cohorts, _, W, _, _ = plans[KIND[GROUP_TIME_DID]]
+        ar = plans[KIND[DEBIASED_AR]]
+        arrays = [X.data, *X.qr, X.r_inv, X.bread, W,
+                  *(a for cohort in cohorts for a in cohort[1:]), *ar.rows,
+                  *(v for v in vars(ar).values() if isinstance(v, np.ndarray))]
+        assert len(arrays) == 6 + 5 * len(cohorts) + 5 + 6
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0
+
+    @pytest.mark.parametrize("confounding", ["none", "intercept"])
+    def test_memo_counts_the_plans(self, monkeypatch, confounding):
+        # fixed adoption: each plan is built by rep 0 and read by reps 1 and
+        # 2; adoption drawn per rep: each rep builds its own
+        memos, real = [], sh.shared_memo
+
+        @contextlib.contextmanager
+        def spy():
+            with real() as memo:
+                memos.append(memo)
+                yield memo
+
+        monkeypatch.setattr(sh, "shared_memo", spy)
+        evaluate([cfg(ar_coef=0.3, confounding=confounding)],
+                 [EVENT_STUDY, GROUP_TIME_DID, DEBIASED_AR], reps=3, force=True)
+        (memo,) = memos
+        want = (1, 2) if confounding == "none" else (3, 0)
+        assert {k: (memo.misses[k], memo.hits[k]) for k in PLANS} == dict.fromkeys(PLANS, want)

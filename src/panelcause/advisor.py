@@ -9,7 +9,8 @@ cautions are guidance, never vetoes.
 Each method is declared once, in ``METHODS``: how to fit it, which number
 summarizes the fit, which true value the Monte Carlo harness scores it
 against, its assumptions and its heterogeneity support. The CLI and the
-harness read the same table.
+harness read the same table, and the same reported interval
+(``MethodSpec.point``).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .did import (fit_did_twfe, fit_event_study, fit_group_time_att,
                   fit_imputation_did)
 from .errors import PanelCauseError
 from .its import fit_cits, fit_its, fit_its_multiple_baseline
+from .linreg import normal_ci
 from .panel import (NO_TREATED, SINGLE_TREATED, STAGGERED, PanelDataset,
                     derive_adoption)
 from .scm import fit_ascm, fit_scm, fit_staggered_ascm
@@ -56,7 +58,7 @@ def _post_event_times(est):
     return sorted(k for k in est.coefficients if isinstance(k, int) and k >= 0)
 
 
-def _event_study_point(est):
+def _event_study_summary(est):
     """Mean of the post-period event coefficients and its SE."""
     ks = _post_event_times(est)
     if not ks:
@@ -90,13 +92,23 @@ class MethodSpec:
     anything that rebinds that name (a tracer, a test double) sees the call.
     """
     fit: Callable               # (panel, covariates, ci_level, seed) -> estimate
-    point: Callable             # estimate -> (estimate, se), None if undefined
+    summary: Callable           # estimate -> (estimate, se), None if undefined
     assumptions: tuple          # identification assumptions the method leans on
     by_time: bool               # supports effect heterogeneity by time
     by_cohort: bool             # supports effect heterogeneity by cohort
     label: str | None = None    # names a point estimate that is not the ATT
     target: Callable = _overall  # (estimate, truth) -> true value it estimates
     placebo: bool = False       # fit adds placebo inference on the treated unit
+
+    def point(self, est, ci_level):
+        """The reported (estimate, se, lo, hi), None where the summary is:
+        the normal interval at ci_level, with NaN bounds without a finite SE."""
+        summary = self.summary(est)
+        if summary is None:
+            return None
+        estimate, se = summary
+        lo, hi = normal_ci(estimate, se, ci_level) if np.isfinite(se) else (float("nan"),) * 2
+        return estimate, se, lo, hi
 
 
 METHODS = {
@@ -127,9 +139,8 @@ METHODS = {
         (POSITIVITY, NO_ANTICIPATION, CONSISTENCY, NO_SPILLOVER,
          PARALLEL_TRENDS), False, False),
     EVENT_STUDY: MethodSpec(
-        lambda p, cov, ci, seed: fit_event_study(p, covariates=cov,
-                                                 ci_level=ci),
-        _event_study_point,
+        lambda p, cov, ci, seed: fit_event_study(p, covariates=cov),
+        _event_study_summary,
         (IGNORABILITY, POSITIVITY, NO_ANTICIPATION, CONSISTENCY,
          NO_SPILLOVER, PARALLEL_TRENDS), True, False,
         label="mean post-period event effect", target=_event_study_target),

@@ -26,9 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PanelCauseError, PanelCauseWarning
-from .linreg import (GRAM_PIVOT_TOL, INTERCEPT, DesignMatrix, _sandwich_fit, build_design,
-                     index_sums, jackknife_se, memoized, normal_ci, normal_p, ols_fit,
-                     read_only)
+from .linreg import (GRAM_PIVOT_TOL, INTERCEPT, DesignMatrix, build_design, index_sums,
+                     jackknife_se, memoized, normal_ci, normal_p, ols_fit, read_only)
 from .panel import PanelDataset
 
 FP_TOL = 1e-8
@@ -53,10 +52,6 @@ class DebiasedArEstimate:
     ci: tuple
     fit: object = None
     gamma_se_jackknife: float = None
-
-    @property
-    def used_fallback(self) -> bool:
-        return not self.converged
 
 
 def _used_rows(panel: PanelDataset, lag_order: int):
@@ -112,7 +107,7 @@ def _ols_pass(panel, cand, ui, ti, y, pol, lag_y, lag_p, gamma, covariates):
             for ell in range(len(lag_y))]
     X = build_design(lags + [("policy", pol)] + fixed)
     _check_saturated(len(pol), X.data.shape[1])
-    return ols_fit(X, y, ui), levels
+    return ols_fit(X, y, np.unique(ui, return_inverse=True)[1]), levels
 
 
 class _Plan:
@@ -254,8 +249,7 @@ class _LagPolicyGram:
         X = design(zc)
         rank = X.shape[1] + len(levels)
         _check_saturated(len(y), rank)
-        fit = _sandwich_fit(DesignMatrix(X, names, np.linalg.qr(X)), zc[:, 0],
-                            clusters, int(clusters.max()) + 1, len(levels))
+        fit = ols_fit(DesignMatrix(X, names, np.linalg.qr(X)), zc[:, 0], clusters, len(levels))
         alpha = (means[:, 0] - design(means) @ list(fit.coefficients.values())).tolist()
         fit.coefficients = {INTERCEPT: alpha[0], **fit.coefficients, **{
             t: a - alpha[0] for t, a in zip(periods[1:], alpha[1:])}}
@@ -302,9 +296,11 @@ def _grid_refine(ssr, lo, hi):
 
 
 def _solve(panel, rows, covariates, plan=None):
-    """γ path, pass count and convergence on ``rows`` (with their _Plan, or
-    None), and a function giving the reported (fit, levels), which a
-    jackknife fold need not call."""
+    """γ path, pass count and convergence of the fixed-point passes on
+    ``rows`` (with their _Plan, or None), and a function concluding the fit
+    with the reported (fit, levels). Without convergence it first extends
+    the path by the grid search's γ, with a FIXED_POINT_FALLBACK warning; a
+    jackknife fold, which needs a converged γ alone, need not call it."""
     lag_p = rows[-1]
     if not lag_p.any():
         fit, levels = _ols_pass(panel, *rows, 0.0, covariates)
@@ -321,24 +317,24 @@ def _solve(panel, rows, covariates, plan=None):
             break
     iterations = len(gamma_path) - 1
     converged = abs(gamma_path[-1] - gamma_path[-2]) <= FP_TOL
-    if not converged:
-        searched = []       # the grids re-centre: report what they covered
-        gamma_path.append(_grid_refine(
-            lambda g: searched.append(g) or gram.profile_ssr(g),
-            min(gamma_path) - 1.0, max(gamma_path) + 1.0))
-        warnings.warn(PanelCauseWarning("FIXED_POINT_FALLBACK", (
-            f"no fixed point within {FP_TOL:g} after {iterations} passes; "
-            f"γ = {gamma_path[-1]:.10g} from a profile least-squares grid "
-            f"search over [{min(searched):.6g}, {max(searched):.6g}]")))
-    # the reported fit is the pass that produced γ (or, after the grid
-    # search, the fit at γ itself), dense where that pass was refit dense
-    g = gamma_path[-2 if converged else -1]
 
-    def report():
+    def conclude():
+        if not converged:
+            searched = []       # the grids re-centre: report what they covered
+            gamma_path.append(_grid_refine(
+                lambda g: searched.append(g) or gram.profile_ssr(g),
+                min(gamma_path) - 1.0, max(gamma_path) + 1.0))
+            warnings.warn(PanelCauseWarning("FIXED_POINT_FALLBACK", (
+                f"no fixed point within {FP_TOL:g} after {iterations} passes; "
+                f"γ = {gamma_path[-1]:.10g} from a profile least-squares grid "
+                f"search over [{min(searched):.6g}, {max(searched):.6g}]")))
+        # the reported fit is the pass that produced γ (or, after the grid
+        # search, the fit at γ itself), dense where that pass was refit dense
+        g = gamma_path[-2 if converged else -1]
         if gram.absorbed and gram.policy_coef(g) is not None:
             return gram.report(g)
         return _ols_pass(panel, *rows, g, covariates)
-    return gamma_path, iterations, converged, report
+    return gamma_path, iterations, converged, conclude
 
 
 def fit_debiased_ar(panel: PanelDataset, covariates=(), lag_order: int = 1,
@@ -368,7 +364,8 @@ def fit_debiased_ar(panel: PanelDataset, covariates=(), lag_order: int = 1,
     ignores the uncertainty in the debiasing step; set jackknife=True for a
     unit-level jackknife SE that includes it, over the units with used rows.
     A fold solves for γ alone; it builds no report unless it has too few
-    rows to be sure the report cannot raise.
+    rows to be sure the report cannot raise. A fold without a fixed point
+    raises NO_FIXED_POINT and is dropped: a grid γ off its path is no estimate.
     The used rows, lag check, period levels, absorption QR and clusters
     (_Plan) are outcome-free: a Monte Carlo evaluate builds them once per
     adoption. A jackknife fold builds its own, outside the shared memo.
@@ -390,8 +387,8 @@ def fit_debiased_ar(panel: PanelDataset, covariates=(), lag_order: int = 1,
     Y = panel.outcome_matrix()
     lag_y = np.stack([Y[ui, ti - ell] for ell in range(1, lag_order + 1)])
     rows = (cand, ui, ti, Y[ui, ti], pol, lag_y, lag_p)
-    gamma_path, iterations, converged, report = _solve(panel, rows, covariates, plan)
-    fit, levels = report()
+    gamma_path, iterations, converged, conclude = _solve(panel, rows, covariates, plan)
+    fit, levels = conclude()
     gamma = gamma_path[-1]
 
     se = float("nan")
@@ -420,9 +417,12 @@ def fit_debiased_ar(panel: PanelDataset, covariates=(), lag_order: int = 1,
             # its plan is built for the fold alone, outside the shared memo
             keep = ui != v
             fold = (rows[0] & (panel.unit_idx != v), *(a[..., keep] for a in rows[1:]))
-            gamma_path, _, _, fold_report = _solve(panel, fold, covariates)
+            gamma_path, iterations, converged, conclude = _solve(panel, fold, covariates)
+            if not converged:
+                raise PanelCauseError("NO_FIXED_POINT", (
+                    f"no fixed point within {FP_TOL:g} after {iterations} passes"))
             if keep.sum() <= width:
-                fold_report()
+                conclude()
             return gamma_path[-1]
         se_jack = jackknife_se(without, np.unique(ui))
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from . import advisor as adv
 from .errors import PanelCauseError
-from .linreg import FitResult, normal_ci
+from .linreg import FitResult
 from .panel import (ColumnSpec, balance_panel, cumulative_adoption_counts,
                     derive_adoption, load_panel)
 from .scm import placebo_inference
@@ -225,14 +225,14 @@ def cmd_recommend(args):
 
 
 def _point_doc(spec, est, ci_level):
-    """The document's headline (estimate, se, ci) from the method's summary."""
-    point = spec.point(est)
+    """The document's headline (estimate, se, ci) from the method's point."""
+    point = spec.point(est, ci_level)
     if point is None:
         return None
-    estimate, se = point
+    estimate, se, lo, hi = point
     doc = {"estimate": _jsonable(estimate), "se": _jsonable(se)}
     if np.isfinite(se):
-        doc["ci"] = list(normal_ci(estimate, se, ci_level))
+        doc["ci"] = [lo, hi]
     if spec.label:
         doc["label"] = spec.label
     return doc

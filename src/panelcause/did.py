@@ -129,7 +129,7 @@ def fit_did_twfe(panel: PanelDataset, covariates=(),
 
 
 def fit_event_study(panel: PanelDataset, covariates=(), leads: int | None = None,
-                    lags: int | None = None, ci_level: float = 0.95) -> EventStudyEstimate:
+                    lags: int | None = None) -> EventStudyEstimate:
     """Leads-and-lags regression around adoption, reference period k = -1.
 
     By default every event time observed for a treated unit gets its own
@@ -350,9 +350,7 @@ def _group_time_plan(schedule, adopt, blanks, comparison):
     W_g /= W_g.sum(axis=0)
     W_e = (cell_e[:, None] == events).astype(float)
     W_e /= W_e.sum(axis=0)
-    sizes = schedule.cohort_sizes()
-    total = sum(sizes[g] for g in groups.tolist())
-    cohort_weights = {g: sizes[g] / total for g in groups.tolist()}
+    cohort_weights = schedule.cohort_weights(groups.tolist())
     w_all = W_g @ np.array(list(cohort_weights.values()))
     W = np.column_stack([W_g, W_e, w_all])                   # cells × aggregates
     read_only(W, *(a for cohort in cohorts for a in cohort[1:]))

@@ -129,7 +129,7 @@ def fit_its_multiple_baseline(panel: PanelDataset,
             "NOT_STAGGERED",
             "multiple-baseline ITS expects ≥2 adoption cohorts; use fit_its")
 
-    per_cohort, sizes = {}, {}
+    per_cohort = {}
     for g, members in schedule.cohorts.items():
         sub = panel.subset(units=members)
         try:
@@ -137,10 +137,8 @@ def fit_its_multiple_baseline(panel: PanelDataset,
         except PanelCauseError as e:
             raise PanelCauseError(
                 e.code, f"cohort g={panel.time_labels[g]}: {e.args[0]}") from e
-        sizes[g] = len(members)
 
-    total = sum(sizes.values())
-    weights = {g: sizes[g] / total for g in per_cohort}
+    weights = schedule.cohort_weights(per_cohort)
     lvl = sum(weights[g] * per_cohort[g].level_change for g in per_cohort)
     slp = sum(weights[g] * per_cohort[g].slope_change for g in per_cohort)
     lvl_se = float(np.sqrt(sum((weights[g] * per_cohort[g].level_change_se) ** 2

@@ -123,10 +123,11 @@ class FitResult:
         return self.vcov[np.ix_(idx, idx)]
 
 
-def ols_fit(X: DesignMatrix, y, clusters, extra_dof: int = 0) -> FitResult:
+def ols_fit(X: DesignMatrix, y, cluster_idx, extra_dof: int = 0) -> FitResult:
     """OLS with the cluster-robust (CR0 × small-sample factor) sandwich.
 
-    ``clusters`` labels each row; passing a distinct label per row yields
+    ``cluster_idx`` numbers each row's cluster 0..G-1, G = max + 1 (the
+    inverse of np.unique over the labels); a distinct number per row yields
     heteroskedasticity-robust (HC1-style) errors. ``extra_dof`` counts
     parameters absorbed out of the design (fixed effects) so the
     small-sample factor matches the equivalent dummy regression.
@@ -136,14 +137,7 @@ def ols_fit(X: DesignMatrix, y, clusters, extra_dof: int = 0) -> FitResult:
     W = R⁻¹S_Qᵀ and S_Q the cluster sums of the scores Q_i·e_i: bread·meat·
     bread in the Q basis, a sum of squares, so symmetric and PSD as formed.
     """
-    labels = np.asarray(clusters)
-    _, cluster_idx = np.unique(labels, return_inverse=True)
-    G = int(cluster_idx.max()) + 1 if len(labels) else 0
-    return _sandwich_fit(X, y, cluster_idx, G, extra_dof)
-
-
-def _sandwich_fit(X, y, cluster_idx, G, extra_dof):
-    """ols_fit on rows already indexed 0..G-1 by cluster."""
+    G = int(cluster_idx.max()) + 1 if len(cluster_idx) else 0
     y = np.asarray(y, dtype=float)
     Q = X.qr[0]
     n, k = Q.shape
@@ -224,8 +218,7 @@ class FixedEffects:
             ui, return_inverse=True, return_counts=True)
         units = len(self._unit_rows)
         # within_fit clusters by unit, or by row when the rows hold one unit
-        self.clusters = ((self._unit_pos, units) if units > 1
-                         else (np.arange(len(ui)), len(ui)))
+        self.clusters = self._unit_pos if units > 1 else np.arange(len(ui))
         self.single_level = ()
         if time_idx is None:
             self.time_idx, self.absorbed = None, units
@@ -276,8 +269,7 @@ class FixedEffects:
 
     def fit(self, X, y):
         """within_fit of y on X, a design _within_design absorbed here, or None."""
-        return None if X is None else _sandwich_fit(X, self.absorb(y), *self.clusters,
-                                                    self.absorbed)
+        return None if X is None else ols_fit(X, self.absorb(y), self.clusters, self.absorbed)
 
 
 def _fixed_effects(unit_idx, time_idx) -> FixedEffects:

@@ -246,6 +246,11 @@ class AdoptionSchedule:
     def cohort_sizes(self) -> dict:
         return {g: len(us) for g, us in self.cohorts.items()}
 
+    def cohort_weights(self, gs) -> dict:
+        """Each cohort of ``gs`` weighted by its share of their units, in order."""
+        sizes = {g: len(self.cohorts[g]) for g in gs}
+        return {g: n / sum(sizes.values()) for g, n in sizes.items()}
+
 
 @dataclass(frozen=True)
 class BalanceReport:

@@ -731,9 +731,7 @@ def fit_staggered_ascm(panel: PanelDataset, nu="auto",
     else:
         W = weights(Yd, nu)
 
-    sizes = schedule.cohort_sizes()
-    total = sum(sizes[g] for g in targets)
-    cohort_weights = {g: sizes[g] / total for g in targets}
+    cohort_weights = schedule.cohort_weights(targets)
 
     def estimate(Yd, W, donors):
         per_cohort = {

@@ -5,11 +5,12 @@ common linear trend, and an AR(1) disturbance, then adds the configured
 treatment effect on treated cells — so every estimand (overall ATT,
 per-event-time, per-cohort) is known exactly and stored beside the panel.
 Each method is fitted, summarized and scored through its entry in
-``advisor.METHODS``, the same entry the CLI's ``fit`` uses. Replications
-derive independent RNG substreams from (seed, rep), so results are
-identical under any schedule. ``evaluate(threads=N)`` runs them on N
-threads (default serial), but the fits hold the GIL: threads give no
-speed-up and inflate each rep's runtime_s with time spent waiting.
+``advisor.METHODS``, the same entry the CLI's ``fit`` uses: a rep keeps the
+estimate, SE and interval of ``MethodSpec.point``, which ``fit`` writes as
+its ``point``. Replications derive independent RNG substreams from (seed,
+rep), so results are identical under any schedule. ``evaluate(threads=N)``
+runs them on N threads (default serial), but the fits hold the GIL:
+threads give no speed-up and inflate each rep's runtime_s with waiting.
 
 One ``evaluate`` call opens ``linreg.shared_memo`` for its reps. They then
 share what the draws do not change: each adoption's DGP skeleton (panel
@@ -301,18 +302,14 @@ def _one_rep(config, methods, rep, ci_level):
         try:
             spec = adv.METHODS[m]
             fitted = spec.fit(panel, (), ci_level, 0)
-            est, se = spec.point(fitted)
+            est, se, lo, hi = spec.point(fitted, ci_level)
             # the truth component matching the method's estimand
             target = spec.target(fitted, truth)
-            lo, hi = normal_ci(est, se, ci_level) if np.isfinite(se) \
-                else (float("nan"), float("nan"))
             out.append(RepRecord(config.name, m, rep, est, se, lo, hi, target,
                                  time.perf_counter() - t0))
         except PanelCauseError as exc:
-            out.append(RepRecord(config.name, m, rep, float("nan"),
-                                 float("nan"), float("nan"), float("nan"),
-                                 float("nan"), time.perf_counter() - t0,
-                                 error=exc.code))
+            out.append(RepRecord(config.name, m, rep, *[float("nan")] * 5,
+                                 time.perf_counter() - t0, error=exc.code))
     return out
 
 

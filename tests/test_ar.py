@@ -61,7 +61,6 @@ class TestFixedPoint:
         assert est.beta_lag == pytest.approx(0.6, abs=1e-6)
         assert est.intercept == pytest.approx(0.5 + 0.1, abs=1e-6)
         assert est.converged and est.iterations > 1
-        assert not est.used_fallback
 
     def test_time_effects_relative_to_first_used_period(self):
         est = pc.fit_debiased_ar(ar_panel())
@@ -298,11 +297,61 @@ class TestOptions:
         assert blank.gamma_se_jackknife == pytest.approx(est.gamma_se_jackknife,
                                                          abs=1e-12)
 
+    def test_jackknife_drops_a_fold_without_fixed_point(self):
+        # the fold without u2 diverges: its path runs off to about 8e9 and a
+        # grid search around it gave γ ≈ −7.4e9, which read as an SE of 5.6e9
+        p, _ = oracle_draw(280, 4, 9, "random", True, False)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            est = pc.fit_debiased_ar(p, ("z",), 3, jackknife=True)
+        assert est.converged
+        assert [str(w.message) for w in caught] == [
+            "JACKKNIFE_FOLDS_DROPPED: 1 of 4 jackknife folds raised and were "
+            "left out (first: NO_FIXED_POINT)"]
+        rest = p.subset(units=["u0", "u1", "u3"])
+        with pytest.warns(pc.PanelCauseWarning, match="FIXED_POINT_FALLBACK"):
+            assert not pc.fit_debiased_ar(rest, ("z",), 3).converged
+        thetas = np.array([pc.fit_debiased_ar(p.subset(units=[u for u in p.units if u != v]),
+                                              ("z",), 3).gamma
+                           for v in ("u0", "u1", "u3")])
+        assert est.gamma_se_jackknife == np.sqrt(2 / 3 * ((thetas - thetas.mean()) ** 2).sum())
+        assert est.gamma_se_jackknife == pytest.approx(1.43, abs=0.01)
+
     def test_config_errors(self):
         p = ar_panel()
         assert err(pc.fit_debiased_ar, p, lag_order=0).code == "CONFIG_ERROR"
         assert err(pc.fit_debiased_ar, p,
                    covariates=("nope",)).code == "CONFIG_ERROR"
+
+
+def oracle_draw(seed, U, T, covariate, late_entry, common_adoption):
+    """A test_gamma_path_matches panel and its (Y, P, Z, entry) grids: units
+    enter late at random, adopt together or at random, and follow the AR
+    model with γ = 2; the covariate z is None, "random", "period" or "lagged_y"."""
+    rng = np.random.default_rng(seed)
+    entry = rng.integers(0, 3, U) if late_entry else np.zeros(U, int)
+    if common_adoption:
+        adopt = np.full(U, T // 2)
+    else:
+        adopt = np.array([rng.integers(e + 1, T + 3) for e in entry])
+    P = (np.arange(T)[None, :] >= adopt[:, None]).astype(float)
+    Y = np.zeros((U, T))
+    for i in range(U):
+        Y[i, entry[i]] = rng.normal(0.0, 1.0)
+        for t in range(entry[i] + 1, T):
+            Y[i, t] = (0.5 + 0.1 * t + 0.5 * (Y[i, t - 1] - 2.0 * P[i, t - 1])
+                       + 2.0 * P[i, t] + rng.normal(0.0, 0.5))
+    # "period" is collinear with a period dummy, which is dropped in its
+    # place; "lagged_y" is the lag column at γ = 0, dropped there only
+    Z = {None: np.zeros((U, T)), "random": rng.normal(size=(U, T)),
+         "period": np.tile(3.0 * (np.arange(T) == T - 2), (U, 1)),
+         "lagged_y": np.hstack([np.zeros((U, 1)), Y[:, :-1]])}[covariate]
+    cells = [(i, t) for i in range(U) for t in range(entry[i], T)]
+    ui, ti = (np.array(v) for v in zip(*cells))
+    p = PanelDataset([f"u{i}" for i in range(U)], list(range(T)), ui, ti,
+                     Y[ui, ti], P[ui, ti].astype(int),
+                     {"z": Z[ui, ti]} if covariate else None)
+    return p, (Y, P, Z, entry)
 
 
 class TestAgainstDenseOracle:
@@ -315,30 +364,9 @@ class TestAgainstDenseOracle:
            st.booleans(), st.booleans())
     def test_gamma_path_matches(self, seed, U, T, lag_order, covariate,
                                 late_entry, common_adoption):
-        rng = np.random.default_rng(seed)
-        entry = rng.integers(0, 3, U) if late_entry else np.zeros(U, int)
-        if common_adoption:
-            adopt = np.full(U, T // 2)
-        else:
-            adopt = np.array([rng.integers(e + 1, T + 3) for e in entry])
-        P = (np.arange(T)[None, :] >= adopt[:, None]).astype(float)
-        Y = np.zeros((U, T))
-        for i in range(U):
-            Y[i, entry[i]] = rng.normal(0.0, 1.0)
-            for t in range(entry[i] + 1, T):
-                Y[i, t] = (0.5 + 0.1 * t + 0.5 * (Y[i, t - 1] - 2.0 * P[i, t - 1])
-                           + 2.0 * P[i, t] + rng.normal(0.0, 0.5))
-        # "period" is collinear with a period dummy, which is dropped in its
-        # place; "lagged_y" is the lag column at γ = 0, dropped there only
-        Z = {None: np.zeros((U, T)), "random": rng.normal(size=(U, T)),
-             "period": np.tile(3.0 * (np.arange(T) == T - 2), (U, 1)),
-             "lagged_y": np.hstack([np.zeros((U, 1)), Y[:, :-1]])}[covariate]
-        cells = [(i, t) for i in range(U) for t in range(entry[i], T)]
-        ui, ti = (np.array(v) for v in zip(*cells))
-        p = PanelDataset([f"u{i}" for i in range(U)], list(range(T)), ui, ti,
-                         Y[ui, ti], P[ui, ti].astype(int),
-                         {"z": Z[ui, ti]} if covariate else None)
-
+        p, (Y, P, Z, entry) = oracle_draw(seed, U, T, covariate, late_entry,
+                                          common_adoption)
+        ui, ti = p.unit_idx, p.time_idx
         used = ti >= entry[ui] + lag_order
         u, t = ui[used], ti[used]
         levels = np.unique(t)
@@ -492,7 +520,7 @@ def test_fallback_to_grid_warns():
         seed=22), 0)
     with pytest.warns(pc.PanelCauseWarning, match="FIXED_POINT_FALLBACK"):
         est = pc.fit_debiased_ar(p)
-    assert est.used_fallback and not est.converged
+    assert not est.converged
     assert est.iterations == FP_MAX_ITER
     # recorded with a full design rebuild on every pass
     assert est.gamma == pytest.approx(2.527080466723551, abs=1e-10)
@@ -504,7 +532,7 @@ def test_fallback_bracket_contains_gamma():
     # warning names the range every round's grid covered, which holds γ
     with pytest.warns(pc.PanelCauseWarning, match="FIXED_POINT_FALLBACK") as rec:
         est = pc.fit_debiased_ar(late_start_panel())
-    assert est.used_fallback
+    assert not est.converged
     msg = next(str(w.message) for w in rec
                if "FIXED_POINT_FALLBACK" in str(w.message))
     lo, hi = (float(v) for v in re.search(r"\[(\S+), (\S+)\]", msg).groups())

@@ -16,6 +16,11 @@ from oracles import (bipartite_components, chi2_upper_tail, cluster_sandwich,
 from helpers import build_panel
 
 
+def cluster_index(labels):
+    """ols_fit's cluster index of the labels: 0..G-1 in label order."""
+    return np.unique(labels, return_inverse=True)[1]
+
+
 def random_design(rng, n=60, k=3):
     cols = [(f"x{j}", rng.normal(size=n)) for j in range(k)]
     X = build_design(cols)
@@ -28,7 +33,7 @@ class TestOls:
     def test_coefficients_match_normal_equations(self):
         rng = np.random.default_rng(7)
         X, y = random_design(rng)
-        fit = ols_fit(X, y, clusters=np.arange(len(y)))
+        fit = ols_fit(X, y, cluster_index(np.arange(len(y))))
         ref = ols_beta(X.data, y)
         got = np.array([fit.coefficients[n] for n in X.column_names])
         np.testing.assert_allclose(got, ref, atol=1e-10)
@@ -37,7 +42,7 @@ class TestOls:
         rng = np.random.default_rng(8)
         X, y = random_design(rng, n=90)
         clusters = np.repeat(np.arange(9), 10)
-        fit = ols_fit(X, y, clusters)
+        fit = ols_fit(X, y, cluster_index(clusters))
         _, V = cluster_sandwich(X.data, y, clusters)
         np.testing.assert_allclose(fit.vcov, V, atol=1e-12)
         assert fit.cluster_count == 9
@@ -45,7 +50,7 @@ class TestOls:
     def test_row_clusters_equal_hc1(self):
         rng = np.random.default_rng(9)
         X, y = random_design(rng, n=40)
-        fit = ols_fit(X, y, clusters=np.arange(40))
+        fit = ols_fit(X, y, cluster_index(np.arange(40)))
         _, V = cluster_sandwich(X.data, y, np.arange(40))
         np.testing.assert_allclose(fit.vcov, V, atol=1e-12)
 
@@ -53,8 +58,8 @@ class TestOls:
         rng = np.random.default_rng(10)
         X, y = random_design(rng, n=50)
         c = np.repeat(np.arange(10), 5)
-        v0 = ols_fit(X, y, c, extra_dof=0).vcov
-        v5 = ols_fit(X, y, c, extra_dof=5).vcov
+        v0 = ols_fit(X, y, cluster_index(c), extra_dof=0).vcov
+        v5 = ols_fit(X, y, cluster_index(c), extra_dof=5).vcov
         n, k = X.data.shape
         np.testing.assert_allclose(v5, v0 * (n - k) / (n - k - 5), rtol=1e-12)
 
@@ -62,20 +67,20 @@ class TestOls:
         rng = np.random.default_rng(11)
         X, y = random_design(rng, n=20)
         with pytest.raises(PanelCauseError) as ei:
-            ols_fit(X, y, clusters=np.zeros(20, dtype=int))
+            ols_fit(X, y, cluster_index(np.zeros(20, dtype=int)))
         assert ei.value.code == "FEWER_CLUSTERS_THAN_TWO"
 
     def test_residuals_orthogonal_to_design(self):
         rng = np.random.default_rng(12)
         X, y = random_design(rng)
-        fit = ols_fit(X, y, clusters=np.arange(len(y)))
+        fit = ols_fit(X, y, cluster_index(np.arange(len(y))))
         np.testing.assert_allclose(X.data.T @ fit.residuals,
                                    np.zeros(X.data.shape[1]), atol=1e-8)
 
     def test_accessors(self):
         rng = np.random.default_rng(13)
         X, y = random_design(rng)
-        fit = ols_fit(X, y, clusters=np.arange(len(y)))
+        fit = ols_fit(X, y, cluster_index(np.arange(len(y))))
         assert fit.coef("x0") == fit.coefficients["x0"]
         assert fit.se("x1") >= 0.0
         sub = fit.subvcov(["x0", "x2"])
@@ -187,7 +192,7 @@ class TestAbsorb:
             p.unit_idx, p.time_idx,
             np.column_stack([p.policy.astype(float), p.outcome]))
         X = build_design([("policy", cols[:, 0])], add_intercept=False)
-        fit = ols_fit(X, cols[:, 1], clusters=p.unit_idx, extra_dof=dof)
+        fit = ols_fit(X, cols[:, 1], cluster_index(p.unit_idx), extra_dof=dof)
         ref_beta, ref_se = twfe_dummy_fit(p)
         assert fit.coef("policy") == pytest.approx(ref_beta, abs=1e-8)
         assert fit.se("policy") == pytest.approx(ref_se, rel=1e-8)
@@ -387,7 +392,7 @@ def test_ols_matches_oracle_property(seed, k):
     clusters = rng.integers(0, 4, size=n)
     if len(np.unique(clusters)) < 2:
         clusters = np.arange(n) % 2
-    fit = ols_fit(X, y, clusters)
+    fit = ols_fit(X, y, cluster_index(clusters))
     ref_beta, ref_V = cluster_sandwich(X.data, y, clusters)
     got = np.array([fit.coefficients[nm] for nm in X.column_names])
     np.testing.assert_allclose(got, ref_beta, atol=1e-8)
@@ -407,7 +412,7 @@ def test_near_collinear_kept_column_se_matches_fwl(eps):
     z = x + eps * noise
     X = build_design([("x", x), ("z", z)])
     assert X.column_names == [INTERCEPT, "x", "z"]
-    fit = ols_fit(X, y, clusters)
+    fit = ols_fit(X, y, cluster_index(clusters))
     se, model_se = fwl_cluster_se(np.column_stack([np.ones(n), x]), z, y, clusters)
     assert fit.se("z") == pytest.approx(se, rel=1e-6)
     assert fit.model_se("z") == pytest.approx(model_se, rel=1e-6)

@@ -63,7 +63,7 @@ def test_outcome_shift_and_scale(design, method, monkeypatch):
     def point(a, c):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            return spec.point(spec.fit(with_outcome(p, a, c), (), 0.95, 0))
+            return spec.point(spec.fit(with_outcome(p, a, c), (), 0.95, 0), 0.95)[:2]
 
     est, se = point(1.0, 0.0)
     shifted, scaled = point(1.0, SHIFT), point(SCALE, 0.0)
@@ -89,8 +89,8 @@ def test_scm_outcome_scale(a):
     p = simulate_panel(SINGLE_TREATED, 0)[0]
     est, scaled = (spec.fit(with_outcome(p, x, 0.0), (), 0.95, 0)
                    for x in (1.0, a))
-    assert spec.point(scaled)[0] == pytest.approx(a * spec.point(est)[0],
-                                                  rel=1e-9)
+    assert spec.point(scaled, 0.95)[0] == pytest.approx(a * spec.point(est, 0.95)[0],
+                                                        rel=1e-9)
     np.testing.assert_allclose(scaled.weights.as_array(est.donors),
                                est.weights.as_array(est.donors),
                                rtol=0, atol=1e-9)
@@ -158,8 +158,8 @@ def test_labels_and_row_order(cfg, method):
     est = fit(p)
     for name, q, rename in relabelled(p):
         got = fit(q)
-        assert spec.point(got) == pytest.approx(spec.point(est), rel=1e-10,
-                                                nan_ok=True), name
+        assert spec.point(got, 0.95)[:2] == pytest.approx(spec.point(est, 0.95)[:2],
+                                                          rel=1e-10, nan_ok=True), name
 
 
 @pytest.mark.parametrize("method", [adv.SCM, adv.ASCM])

@@ -75,3 +75,9 @@ def test_evaluate_scores_what_fit_reports(design, tmp_path):
             assert np.isnan(rep.se), m
         else:
             assert rep.se == point["se"], m
+        # the interval too: fit writes none where the SE is not finite
+        if "ci" in point:
+            assert [rep.ci_lo, rep.ci_hi] == point["ci"], m
+        else:
+            assert point["se"] is None, m
+            assert np.isnan(rep.ci_lo) and np.isnan(rep.ci_hi), m

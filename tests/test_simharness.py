@@ -356,7 +356,7 @@ class TestSharedMemo:
             assert rec.error == "", (rec.method, rec.error)
             spec = adv.METHODS[rec.method]
             panel, _ = simulate_panel(configs[rec.config], rec.rep)
-            est, se = spec.point(spec.fit(panel, (), 0.95, 0))
+            est, se = spec.point(spec.fit(panel, (), 0.95, 0), 0.95)[:2]
             assert (rec.estimate, rec.se) == (est, se), (rec.config, rec.method, rec.rep)
         if confounding == "intercept":
             adoption = [simulate_panel(c, r)[1].adoption for r in range(3)]

@@ -3,7 +3,8 @@
 Every document embeds the tool version, the fully resolved run config, and
 the seed, and contains no timestamps — rerunning a command reproduces its
 output byte for byte. Estimator and loader errors print one
-``error CODE: message`` line to stderr and exit nonzero.
+``error CODE: message`` line to stderr and exit nonzero; warnings print
+one ``warning CODE: message`` line each.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ import functools
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
 from . import __version__
 from . import advisor as adv
-from .errors import PanelCauseError
+from .errors import PanelCauseError, PanelCauseWarning
 from .linreg import FitResult
 from .panel import (ColumnSpec, balance_panel, cumulative_adoption_counts,
                     derive_adoption, load_panel)
@@ -258,7 +260,10 @@ def cmd_fit(args):
     est = spec.fit(panel, cov, args.ci_level, args.seed)
     if spec.placebo:
         try:
-            est.placebo = placebo_inference(panel, est.treated, covariates=cov)
+            # a classic SCM estimate is the placebo's own fit of the treated unit
+            base = None if est.weights.negative_allowed else est
+            est.placebo = placebo_inference(panel, est.treated, covariates=cov,
+                                            base=base)
         except PanelCauseError as exc:
             est.info["placebo_error"] = exc.code
     doc = {
@@ -394,13 +399,25 @@ def build_parser():
 _parser = functools.cache(build_parser)
 
 
+def _show_warning(default, message, category, *args, **kwargs):
+    """A PanelCauseWarning as one ``warning CODE: message`` line on stderr,
+    which names no source file or line; others as default shows them."""
+    if issubclass(category, PanelCauseWarning):
+        print(f"warning {message}", file=sys.stderr)
+    else:
+        default(message, category, *args, **kwargs)
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except PanelCauseError as exc:
-        print(f"error {exc.code}: {exc.message}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = functools.partial(_show_warning,
+                                                 warnings.showwarning)
+        try:
+            return args.func(args)
+        except PanelCauseError as exc:
+            print(f"error {exc.code}: {exc.message}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -562,9 +562,13 @@ def _summed_folds(panel, covariates, coefs):
         A = G_dd[np.ix_(P, P)] + N_v[:, :, None] * N_v[:, None, :] * inv_n[vs, None, None]
         A[:, diag, diag] -= N_v
         B = G_dz[P] - D[vs][:, P]
-        good = np.linalg.slogdet(A)[0] != 0     # a singular fold is refit
-        Y = np.zeros(B.shape)
-        Y[good] = np.linalg.solve(A[good], B[good])
+        try:
+            Y = np.linalg.solve(A, B)
+            good = np.ones(len(vs), dtype=bool)
+        except np.linalg.LinAlgError:
+            good = np.linalg.slogdet(A)[0] != 0     # a singular fold is refit
+            Y = np.zeros(B.shape)
+            Y[good] = np.linalg.solve(A[good], B[good])
         # [covariates | y] within both effects; Gaussian elimination of the
         # covariate rows meets build_design's pivots in covariate order
         E = (G_zz_u.sum(axis=0) - G_zz_u[vs] - B.transpose(0, 2, 1) @ Y)[:, :K]

@@ -333,9 +333,12 @@ def _read_records(source):
 def _plain_table(text):
     """``(0, header, columns)`` of a plain text, else None: each line end is
     a token of its own, every (w+1)-th for a first record w fields wide."""
-    if '"' in text or "\0" in text or text.count("\r") != text.count("\r\n"):
+    if '"' in text or "\0" in text:
         return None
-    text = text.replace("\r", "")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:       # a carriage return that ends no line
+            return None
     if not text.endswith("\n"):
         text += "\n"
     n = text.count("\n")

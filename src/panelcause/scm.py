@@ -28,9 +28,9 @@ from .panel import NEVER, PanelDataset, derive_adoption
 SOLVER_TOL = 1e-10
 SOLVER_MAX_ITER = 10_000
 LAMBDA_GRID = np.logspace(-4, 6, 21)
-# ridge-CV folds whose SVDs are stacked together hold at most this many
-# numbers in each folds × penalties × donors array; a single stack at 80
-# donors raised an ASCM fit's temporaries from 1.2 MB to 4.2 MB
+# ridge-CV folds factorised together number at most this over penalties ×
+# donors; scoring all 80 folds of an 80-donor pool in one stack raised
+# _cv_lambda's peak temporaries from 0.9 MB to 2.7 MB
 BATCH_CHUNK = 1 << 15
 
 
@@ -485,7 +485,8 @@ def _post_rmspe(gaps: dict) -> float:
 
 
 def placebo_inference(panel: PanelDataset, treated, donors=None, covariates=(),
-                      exclusion_cutoff: float = 5.0) -> PlaceboResult:
+                      exclusion_cutoff: float = 5.0, *,
+                      base: ScmEstimate | None = None) -> PlaceboResult:
     """In-space permutation test on post/pre RMSPE ratios.
 
     Each donor is refit as a pseudo-treated unit (remaining donors as its
@@ -494,13 +495,24 @@ def placebo_inference(panel: PanelDataset, treated, donors=None, covariates=(),
     fit is worse than cutoff × the treated unit's pre-RMSPE are excluded. The
     p-value counts placebos with ratios at least as extreme as the treated
     unit's (ties count), plus one, over retained placebos plus one.
+
+    base, if given, is the treated unit's fit_scm(panel, treated, donors,
+    covariates), which is then not solved again; the result is the same
+    with or without it. An augmented fit is CONFIG_ERROR: its weights are
+    not the classic SCM's.
     """
     g, donors = _prep(panel, treated, donors)
     if len(donors) < 3:
         raise PanelCauseError("TOO_FEW_DONORS",
                               "placebo inference needs ≥3 donors so each pseudo-"
                               "treated fit retains ≥2")
-    base = fit_scm(panel, treated, donors, covariates)
+    if base is None:
+        base = fit_scm(panel, treated, donors, covariates)
+    elif (base.weights.negative_allowed or base.treated != treated
+          or base.donors != tuple(donors)):
+        raise PanelCauseError("CONFIG_ERROR",
+                              "base is not the classic SCM fit of this treated "
+                              "unit on this donor pool")
     t_pre = base.weights.pre_period_rmspe
     t_ratio = _rmspe_ratio(t_pre, _post_rmspe(base.gaps))
 
@@ -561,9 +573,14 @@ def _cv_lambda(X0: np.ndarray, grid=LAMBDA_GRID):
     Each donor in turn becomes pseudo-treated with the rest as its pool;
     weights are fit on all but the last pre period and scored on the
     held-out one. The simplex fits are solved in lockstep off the shared
-    donor Gram (_leave_outs) and the folds' ridge corrections come from
-    stacked SVDs, in chunks of at most BATCH_CHUNK numbers. Ties resolve to
-    the larger penalty.
+    donor Gram (_leave_outs). A fold is scored without forming its
+    augmented weights: with Xc its centred pool features, R their QR factor
+    and R = U S Vᵀ, the correction's dot product with the pool's held-out
+    values y is Σ_k (Vᵀa)_k (Vᵀr)_k / (s_k² + lam), where a = Xcᵀy and r is
+    the simplex fit's residual. Terms under _ridge_augment's floor are
+    zeroed as there, which keeps the lam -> 0 minimum-norm limit. Folds are
+    factorised in stacks of at most BATCH_CHUNK // (penalties × donors).
+    Ties resolve to the larger penalty.
     """
     J, F = X0.shape
     if F < 2 or J < 3:
@@ -573,11 +590,23 @@ def _cv_lambda(X0: np.ndarray, grid=LAMBDA_GRID):
     off = ~np.eye(J, dtype=bool)
     pools = np.nonzero(off)[1].reshape(J, J - 1)         # fold j: all but j
     W = _leave_outs(_donor_gram(fit))[off].reshape(J, J - 1)
+    lams = np.asarray(grid, dtype=float)[:, None]
     scores = np.zeros(len(grid))
     step = max(1, BATCH_CHUNK // (len(grid) * J))
     for f in (slice(lo, lo + step) for lo in range(0, J, step)):
-        w_aug = _ridge_augment(fit[pools[f]], fit[f], W[f], grid)
-        pred = (w_aug @ last[pools[f]][:, :, None])[..., 0]
+        X, y = fit[pools[f]], last[pools[f]]
+        Xc = X - X.mean(axis=1, keepdims=True)
+        sv, Vt = np.linalg.svd(np.linalg.qr(Xc, mode="r"),
+                               full_matrices=False)[1:]
+        # Xcᵀ1 = 0: centring y leaves a as it is but for rounding, which
+        # it shrinks
+        yc = y - y.mean(axis=1, keepdims=True)
+        a = Vt @ np.einsum("fjk,fj->fk", Xc, yc)[..., None]
+        r = Vt @ (fit[f] - np.einsum("fjk,fj->fk", X, W[f]))[..., None]
+        ev = sv[:, None, :] ** 2 + lams
+        floor = np.finfo(float).eps * (F - 1) * ev[..., :1]
+        inv = np.divide(1.0, ev, out=np.zeros_like(ev), where=ev > floor)
+        pred = (W[f] * y).sum(axis=1)[:, None] + (inv @ (a * r))[..., 0]
         scores += ((last[f, None] - pred) ** 2).sum(axis=0)
     best = np.flatnonzero(scores <= scores.min())[-1]
     return float(grid[best]), dict(zip(grid.tolist(), scores.tolist()))

@@ -11,6 +11,8 @@ import panelcause
 from panelcause import cli
 from panelcause.advisor import ALL_METHODS
 from panelcause.cli import main
+from panelcause.panel import load_panel
+from panelcause.scm import fit_scm, placebo_inference
 from helpers import build_panel, strip_runtime_columns
 
 
@@ -187,6 +189,35 @@ class TestFit:
         assert placebo is not None
         assert 0.0 < placebo["p_value"] <= 1.0
         assert placebo["treated_rank"] >= 1
+
+    @pytest.mark.parametrize("method", ["SCM", "ASCM"])
+    def test_fit_placebo_is_the_direct_placebo(self, capsys, noisy_donor_csv,
+                                               method):
+        # SCM hands its own fit to the placebo as base, ASCM lets it refit
+        rc, out, _ = run(capsys, "fit", "--data", noisy_donor_csv,
+                         "--method", method)
+        assert rc == 0
+        got = json.loads(out)["estimate"]["placebo"]
+        want = cli._jsonable(placebo_inference(load_panel(noisy_donor_csv), "tr"))
+        assert got.keys() == want.keys()
+        for field in want:
+            assert got[field] == want[field], field
+
+    def test_placebo_base_changes_nothing(self, noisy_donor_csv):
+        panel = load_panel(noisy_donor_csv)
+        assert placebo_inference(panel, "tr", base=fit_scm(panel, "tr")) == \
+            placebo_inference(panel, "tr")
+
+    def test_warnings_name_no_source_file(self, capsys, flat_2x1_csv):
+        # a single-unit cohort: GROUP_TIME_DID warns SINGLETON_COHORT
+        rc, _, err = run(capsys, "fit", "--data", flat_2x1_csv,
+                         "--method", "GROUP_TIME_DID", "--force")
+        assert rc == 0
+        lines = err.splitlines()
+        assert "warning SINGLETON_COHORT: cohort g=3 has a single unit; " \
+               "its SEs are unreliable" in lines
+        assert all(line.startswith("warning ") for line in lines)
+        assert ".py:" not in err
 
     def test_group_time_seed_changes_bootstrap_only(self, capsys,
                                                     case_csv_path):

@@ -444,6 +444,30 @@ class TestLeaveOuts:
                                    atol=0)
         assert lam == want
 
+    def test_cv_scores_match_fold_loop_below_the_floor(self):
+        # 6 donors, 11 fit features: each fold's 5 centred donors have rank
+        # 4, so a zero singular value sits under the floor at lam = 0
+        X0 = np.random.default_rng(11).normal(size=(6, 12))
+        grid = np.array([0.0, 1e-4, 1.0])
+        fit, last = X0[:, :-1], X0[:, -1]
+        G = _donor_gram(fit)
+        scores = np.zeros(len(grid))
+        for j in range(len(X0)):
+            pool, gram = leave_out_gram(G, j)
+            w, *_ = solve_simplex_lsq(None, None, gram=gram)
+            w_aug = _ridge_augment(fit[pool][None], fit[j][None], w[None],
+                                   grid)[0]
+            scores += (last[j] - w_aug @ last[pool]) ** 2
+        lam, got = _cv_lambda(X0, grid=grid)
+        got = np.array(list(got.values()))
+        np.testing.assert_allclose(got[[0, 2]], scores[[0, 2]], rtol=1e-12,
+                                   atol=0)
+        # at lam = 1e-4 the zero direction passes the floor, so both sides
+        # carry its rounding times 1 / lam: the loop's own score was up to
+        # 4e-10 off the exact one (zero direction dropped) on random draws
+        np.testing.assert_allclose(got[1], scores[1], rtol=1e-9, atol=0)
+        assert lam == grid[np.flatnonzero(scores <= scores.min())[-1]]
+
 
 def donor_panel(effect=2.0, T=10, g=6, treated_noise=0.0, seed=110,
                 n_donors=3, combo=(0.5, 0.5), donor_noise=0.0):
@@ -592,6 +616,13 @@ class TestPlacebo:
     def test_needs_three_donors(self):
         p = donor_panel(n_donors=2, combo=(0.5, 0.5))
         assert err(pc.placebo_inference, p, "tr").code == "TOO_FEW_DONORS"
+
+    def test_base_must_be_the_classic_fit(self):
+        p = self.make()
+        for base in (pc.fit_ascm(p, "tr", lam=1.0),
+                     pc.fit_scm(p, "tr", donors=["d0", "d1", "d2", "d3"])):
+            assert err(pc.placebo_inference, p, "tr", base=base).code == \
+                "CONFIG_ERROR"
 
     def test_ratio_conventions(self):
         assert _rmspe_ratio(0.0, 0.0) == 0.0

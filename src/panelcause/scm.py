@@ -498,8 +498,8 @@ def placebo_inference(panel: PanelDataset, treated, donors=None, covariates=(),
 
     base, if given, is the treated unit's fit_scm(panel, treated, donors,
     covariates), which is then not solved again; the result is the same
-    with or without it. An augmented fit is CONFIG_ERROR: its weights are
-    not the classic SCM's.
+    with or without it. A base that is augmented, or fit for another
+    treated unit or donor pool, is CONFIG_ERROR.
     """
     g, donors = _prep(panel, treated, donors)
     if len(donors) < 3:

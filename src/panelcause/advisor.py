@@ -15,6 +15,7 @@ harness read the same table, and the same reported interval
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -66,7 +67,7 @@ def _event_study_summary(est):
     V = est.fit.subvcov([f"k[{k}]" for k in ks])
     w = np.full(len(ks), 1.0 / len(ks))
     return (float(np.mean([est.coefficients[k][0] for k in ks])),
-            float(np.sqrt(max(w @ V @ w, 0.0))))
+            math.sqrt(max(w @ V @ w, 0.0)))
 
 
 def _event_study_target(est, truth):

@@ -32,6 +32,9 @@ from .panel import PanelDataset
 
 FP_TOL = 1e-8
 FP_MAX_ITER = 200
+# a Gram pivot at or below this share of its column's raw squared norm is
+# one build_design would drop (see GRAM_PIVOT_TOL)
+_PIVOT_FLOOR = GRAM_PIVOT_TOL ** 2
 # a cluster-robust SE below this share of the model-based one means the
 # clusters' scores cancel (two units, say): the sandwich says nothing
 CLUSTER_SE_ROUNDING = 1e-6
@@ -115,7 +118,9 @@ class _Plan:
     rows (cand, ui, ti, pol, lag_p), the covariates on them, the period
     levels, ``absorbed`` (see _LagPolicyGram) with ``basis`` the Q of the
     period-demeaned covariates or else the dense fixed part F, and the unit
-    clusters, all read-only."""
+    clusters, all read-only; and the names the report reads back: ``names``
+    of the absorbed design's columns and ``periods``, each level's (time
+    label, t_<label> coefficient name)."""
 
     def __init__(self, panel, rows, covariates):
         cand, ui, ti, _, pol, _, lag_p = rows
@@ -137,6 +142,9 @@ class _Plan:
             self.basis = X.data[:, [j for j, name in enumerate(X.column_names)
                                     if name != "policy"]]
         self.clusters = (np.cumsum(np.bincount(ui) > 0) - 1)[ui]  # np.unique's inverse
+        self.names = [f"lag{ell + 1}" for ell in range(len(lag_p))] + ["policy", *covariates]
+        self.periods = [(label, f"t_{label}")
+                        for label in map(panel.label_of, self.levels.tolist())]
         read_only(*self.rows, self.cov, self.levels, self.tpos, self.counts, self.basis,
                   self.clusters)
 
@@ -191,7 +199,7 @@ class _LagPolicyGram:
     The leading principal minors Δ_1..Δ_{L+1} of the [lags, policy] block
     and the minor M of the [lags, policy] rows against the [lags, y] columns
     are expanded from them once, by cofactors, into polynomials of degree
-    ≤ 2L. All are kept as tuples of Python floats, highest power first:
+    ≤ 2L. All are kept as sequences of Python floats, highest power first:
     polynomials this small evaluate faster in floats than through numpy
     calls. A pass's policy coefficient is M/Δ_{L+1}, and column j's pivot
     is Δ_{j+1}/Δ_j (Δ_0 = 1). A pass with a pivot at the floor, one whose
@@ -210,25 +218,30 @@ class _LagPolicyGram:
             means = index_sums(plan.tpos, len(plan.levels), zc) / plan.counts[:, None]
             zc -= means[plan.tpos]
             R = zc[:, :k] - plan.basis @ (plan.basis.T @ zc[:, :k])
-            self._report = (zc, means, plan.levels, y, plan.clusters,
-                            [f"lag{ell + 1}" for ell in range(L)] + ["policy", *covariates],
-                            [f"t_{panel.label_of(int(t))}" for t in plan.levels])
+            self._report = (zc, means, plan.levels, y, plan.clusters, plan.names,
+                            plan.periods)
         else:
             R = z - plan.basis @ np.linalg.lstsq(plan.basis, z, rcond=None)[0]
 
-        C0, C1 = np.zeros((k, L + 2)), np.zeros((k, L + 2))
-        C0[2:2 + L, :L] = np.eye(L)
-        C0[1, L] = C0[0, L + 1] = 1.0
-        C1[2 + L:, :L] = -np.eye(L)
+        # C0 takes column r0[i] of z as column i, and C1 subtracts column
+        # r1[i] from lag i: with r = r0 + r1, each coefficient block of
+        # C(γ)ᵀMC(γ) is a block of M[r][:, r]. "+ 0.0" gives a negated zero
+        # the sign +0.0 that the selection matmuls gave it.
+        n = L + 2
+        r = np.array([*range(2, 2 + L), 1, 0, *range(2 + L, k)])
 
         def quadratic(M):       # C(γ)ᵀMC(γ) as coefficients of γ², γ, 1
-            return (C1.T @ M @ C1, C0.T @ M @ C1 + C1.T @ M @ C0,
-                    C0.T @ M @ C0)
+            P, q = M[r[:, None], r], np.zeros((3, n, n))
+            q[0, :L, :L] = P[n:, n:]
+            q[1, :, :L] = -P[:n, n:]
+            q[1, :L] -= P[n:, :n]
+            q[2] = P[:n, :n]
+            q += 0.0
+            return q
 
         self._lags = L
-        self._gram = [list(zip(*rows))
-                      for rows in zip(*(m.tolist() for m in quadratic(R.T @ R)))]
-        self._raw = list(zip(*(np.diag(m).tolist() for m in quadratic(z.T @ z))))
+        self._gram = quadratic(R.T @ R).transpose(1, 2, 0).tolist()
+        self._raw = np.diagonal(quadratic(z.T @ z), axis1=1, axis2=2).T.tolist()
         memo = {(): (1.0,)}
         self._pivots = [(_minor(self._gram, tuple(range(j + 1)), memo), self._raw[j])
                         for j in range(L + 1)]
@@ -252,7 +265,7 @@ class _LagPolicyGram:
         fit = ols_fit(DesignMatrix(X, names, np.linalg.qr(X)), zc[:, 0], clusters, len(levels))
         alpha = (means[:, 0] - design(means) @ list(fit.coefficients.values())).tolist()
         fit.coefficients = {INTERCEPT: alpha[0], **fit.coefficients, **{
-            t: a - alpha[0] for t, a in zip(periods[1:], alpha[1:])}}
+            t: a - alpha[0] for (_, t), a in zip(periods[1:], alpha[1:])}}
         fit.rank = rank
         return fit, levels
 
@@ -260,13 +273,21 @@ class _LagPolicyGram:
         """Policy coefficient M(γ)/Δ_{L+1}(γ); None if a lag or policy pivot
         Δ_{j+1}/Δ_j is at or below GRAM_PIVOT_TOL² times the column's raw
         squared norm, as build_design would drop the column."""
+        # _at inlined: a pass is 2L + 3 evaluations, each about the cost of a call
         prev = 1.0
         for minor, raw in self._pivots:
-            d = _at(minor, gamma)
-            if d <= GRAM_PIVOT_TOL ** 2 * _at(raw, gamma) * prev:
+            d = r = 0.0
+            for a in minor:
+                d = d * gamma + a
+            for a in raw:
+                r = r * gamma + a
+            if d <= _PIVOT_FLOOR * r * prev:
                 return None
             prev = d
-        return _at(self._cross, gamma) / prev
+        c = 0.0
+        for a in self._cross:
+            c = c * gamma + a
+        return c / prev
 
     def profile_ssr(self, gamma):
         """Residual sum of squares with γ fixed: γ·policy moved to the left
@@ -275,7 +296,7 @@ class _LagPolicyGram:
         it, and left as it is."""
         A = [[_at(c, gamma) for c in row] for row in self._gram]
         for j in range(self._lags):
-            if A[j][j] <= GRAM_PIVOT_TOL ** 2 * _at(self._raw[j], gamma):
+            if A[j][j] <= _PIVOT_FLOOR * _at(self._raw[j], gamma):
                 continue
             for i in range(j + 1, len(A)):
                 f = A[i][j] / A[j][j]
@@ -379,7 +400,7 @@ def fit_debiased_ar(panel: PanelDataset, covariates=(), lag_order: int = 1,
 
     cov = panel.covariate_matrix(covariates)        # CONFIG_ERROR for an unknown name
     plan = memoized(
-        lambda: ("debiased ar plan", panel.unit_count, panel.time_count, lag_order,
+        lambda: ("debiased ar plan", tuple(panel.time_labels), panel.unit_count, lag_order,
                  covariates, panel.unit_idx.tobytes(), panel.time_idx.tobytes(),
                  panel.policy.tobytes(), np.isfinite(panel.outcome).tobytes(), cov.tobytes()),
         lambda: _Plan(panel, _used_rows(panel, lag_order), covariates))
@@ -388,7 +409,7 @@ def fit_debiased_ar(panel: PanelDataset, covariates=(), lag_order: int = 1,
     lag_y = np.stack([Y[ui, ti - ell] for ell in range(1, lag_order + 1)])
     rows = (cand, ui, ti, Y[ui, ti], pol, lag_y, lag_p)
     gamma_path, iterations, converged, conclude = _solve(panel, rows, covariates, plan)
-    fit, levels = conclude()
+    fit, _ = conclude()
     gamma = gamma_path[-1]
 
     se = float("nan")
@@ -402,9 +423,8 @@ def fit_debiased_ar(panel: PanelDataset, covariates=(), lag_order: int = 1,
                 f"CI and the p-value are NaN")))
             se = float("nan")
 
-    labels = [panel.label_of(int(t)) for t in levels]
-    time_effects = {labels[0]: 0.0, **{
-        t: fit.coefficients.get(f"t_{t}", 0.0) for t in labels[1:]}}
+    (base, _), *periods = plan.periods
+    time_effects = {base: 0.0, **{t: fit.coefficients.get(name, 0.0) for t, name in periods}}
 
     se_jack = None
     if jackknife:       # a unit without used rows leaves γ as it is: no fold

@@ -9,6 +9,7 @@ rewrites the TWFE coefficient as a weighted average of all 2×2 comparisons
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -140,8 +141,9 @@ def fit_event_study(panel: PanelDataset, covariates=(), leads: int | None = None
     effects; they are applied as supplied. The leads' joint Wald test is
     skipped, with a PRETREND_AT_ROUNDING warning, when every lead variance
     is at most PRETREND_ROUNDING times the outcome variance (a noiseless fit).
-    The event-time keys, omitted bins and absorbed design (_event_study_plan)
-    are outcome-free: a Monte Carlo evaluate builds them once per adoption.
+    The event-time keys with their design columns, omitted bins, collinear
+    indicators and absorbed design (_event_study_plan) are outcome-free: a
+    Monte Carlo evaluate builds them once per adoption.
     """
     if (leads is not None and leads < 2) or (lags is not None and lags < 0):
         raise PanelCauseError("CONFIG_ERROR", (
@@ -149,33 +151,27 @@ def fit_event_study(panel: PanelDataset, covariates=(), leads: int | None = None
             f"window's terminal bin holds the reference period k = -1"))
     covariates = tuple(covariates)
     keep, Xc = complete_rows(panel, covariates)
-    keys, fe, X, omitted = memoized(
+    coef_at, fe, X, omitted, collinear, lead_at = memoized(
         lambda: ("event study plan", panel.unit_count, panel.time_count, leads, lags,
                  covariates, panel.unit_idx.tobytes(), panel.time_idx.tobytes(),
                  panel.policy.tobytes(), keep.tobytes(), Xc.tobytes()),
         lambda: _event_study_plan(panel, keep, Xc, covariates, leads, lags))
     fe.warn()
     fit = fe.fit(X, panel.outcome[keep])
-    if fit is None or not any(n.startswith("k[") for n in fit.coefficients):
+    if fit is None or not coef_at:
         raise PanelCauseError("COLLINEAR_EVENT_TIME",
                               "every event-time indicator was dropped as collinear")
 
-    collinear = [n for n, _ in fit.dropped_columns if n.startswith("k[")]
-    coeffs = {}
-    for kk in keys:
-        name = f"k[{kk}]"
-        if name in fit.coefficients:
-            coeffs[kk] = (fit.coef(name), fit.se(name))
+    beta, var = list(fit.coefficients.values()), np.diagonal(fit.vcov).tolist()
+    coeffs = {kk: (beta[j], math.sqrt(max(var[j], 0.0))) for kk, j in coef_at}
 
     # joint Wald test that all lead coefficients (k <= -2 side) are zero;
     # leads whose variances are at rounding level against the outcome's give
     # a statistic of rounding noise over rounding noise, so no test
-    lead_names = [f"k[{kk}]" for kk in coeffs
-                  if (isinstance(kk, int) and kk <= -2) or str(kk).startswith("<=")]
     pre = (None, 0, None)
-    if lead_names:
-        b = np.array([fit.coef(n) for n in lead_names])
-        V = fit.subvcov(lead_names)
+    if len(lead_at):
+        b = np.array([beta[j] for j in lead_at])
+        V = fit.vcov[lead_at[:, None], lead_at]
         v_max, scale = float(np.diag(V).max()), float(np.var(panel.outcome[keep]))
         if v_max <= PRETREND_ROUNDING * scale:
             warnings.warn(PanelCauseWarning("PRETREND_AT_ROUNDING", (
@@ -190,12 +186,17 @@ def fit_event_study(panel: PanelDataset, covariates=(), leads: int | None = None
             pre = (stat, df, chi2_sf(stat, df))
 
     return EventStudyEstimate(coeffs, -1, pre[0], pre[1], pre[2],
-                              list(omitted), collinear, fit)
+                              list(omitted), list(collinear), fit)
 
 
 def _event_study_plan(panel, keep, Xc, covariates, leads, lags):
-    """(event-time keys, FixedEffects, absorbed design, omitted window keys)
-    of an event study on the rows ``keep``: all it computes without y."""
+    """All an event study on the rows ``keep`` computes without y:
+    (coef_at, FixedEffects, absorbed design, omitted window keys, collinear,
+    lead_at). ``coef_at`` pairs each event-time key whose indicator the
+    design keeps with its column, ``collinear`` names the indicators dropped
+    as collinear, and ``lead_at`` (read-only) holds the columns of the kept
+    leads. A design column is also the index of its coefficient in the fit
+    and of its row in the vcov."""
     schedule = derive_adoption(panel)
     if not schedule.cohorts:
         raise PanelCauseError("NO_VARIATION", "no unit ever adopts the policy")
@@ -239,7 +240,15 @@ def _event_study_plan(panel, keep, Xc, covariates, leads, lags):
     raw[:, len(keys):] = Xc[keep]
     names = [f"k[{kk}]" for kk in keys] + list(covariates)
     fe = _fixed_effects(ui, ti)
-    return keys, fe, _within_design(fe, names, raw), omitted
+    X = _within_design(fe, names, raw)
+    kept = {} if X is None else {name: j for j, name in enumerate(X.column_names)}
+    coef_at = [(kk, kept[f"k[{kk}]"]) for kk in keys if f"k[{kk}]" in kept]
+    lead_at = np.array([j for kk, j in coef_at
+                        if (isinstance(kk, int) and kk <= -2) or str(kk).startswith("<=")],
+                       dtype=np.intp)
+    collinear = [] if X is None else [n for n, _ in X.dropped_columns if n.startswith("k[")]
+    read_only(lead_at)
+    return coef_at, fe, X, omitted, collinear, lead_at
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +275,9 @@ def fit_group_time_att(panel: PanelDataset,
     Carlo evaluate builds S once for all its reps. bootstrap_reps below 2
     raises CONFIG_ERROR. With covariates, outcomes are first residualized
     against them (coefficients fit on untreated rows with unit+time effects).
-    The cells' masks, keys and W (_group_time_plan) are outcome-free: a
-    Monte Carlo evaluate builds them once per adoption.
+    The adoption array, the cells' masks and keys, W and the labels of its
+    columns (_group_time_plan) are outcome-free: a Monte Carlo evaluate
+    builds them once per adoption.
     """
     if comparison not in (NEVER_TREATED, NOT_YET_TREATED):
         raise PanelCauseError("CONFIG_ERROR", f"unknown comparison '{comparison}'")
@@ -286,12 +296,14 @@ def fit_group_time_att(panel: PanelDataset,
     Y = panel.outcome_matrix()
     if covariates:
         Y = Y - _covariate_residualizer(panel, covariates)
-    adopt = _adoption_array(panel, schedule)
-    # the cells' masks read which cells are NaN or infinite, not the values
+    # the cells' masks read which cells are NaN or infinite, not the values;
+    # the policy grid decides the adoption
     blanks = np.where(np.isfinite(Y), 0.0, Y)
-    cohorts, keys, W, cohort_weights, omitted = memoized(
-        lambda: ("group-time plan", *Y.shape, comparison, adopt.tobytes(), blanks.tobytes()),
-        lambda: _group_time_plan(schedule, adopt, blanks, comparison))
+    cohorts, keys, W, (cohort_weights, events), omitted = memoized(
+        lambda: ("group-time plan", *Y.shape, comparison, panel.policy_matrix().tobytes(),
+                 blanks.tobytes()),
+        lambda: _group_time_plan(schedule, _adoption_array(panel, schedule), blanks,
+                                 comparison))
 
     atts, phis = [], []
     for g, live, treated, comp, n_t, n_c in cohorts:
@@ -311,17 +323,19 @@ def fit_group_time_att(panel: PanelDataset,
     pairs = list(zip(np.concatenate([att, att @ W]).tolist(), se.tolist()))
     cells, aggs = pairs[:len(keys)], pairs[len(keys):]
     by_cohort = dict(zip(cohort_weights, aggs))
-    by_event = dict(zip(sorted({t - g for g, t in keys}), aggs[len(cohort_weights):-1]))
+    by_event = dict(zip(events, aggs[len(cohort_weights):-1]))
     return GroupTimeAtts(dict(zip(keys, cells)), comparison, aggs[-1], by_event,
                          by_cohort, dict(cohort_weights), list(omitted),
                          bootstrap_reps, seed)
 
 
 def _group_time_plan(schedule, adopt, blanks, comparison):
-    """(cohorts, cell keys, W, cohort weights, omitted cells) of the
-    group-time ATTs, from adoption and the blank cells of the outcome grid
-    Y (``blanks``, Y with its finite cells 0.0). A cohort is (g, its live
-    periods, treated and comparison masks over them, their counts)."""
+    """(cohorts, cell keys, W, (cohort weights, event times), omitted cells)
+    of the group-time ATTs, from adoption and the blank cells of the outcome
+    grid Y (``blanks``, Y with its finite cells 0.0). A cohort is (g, its
+    live periods, treated and comparison masks over them, their counts). W's
+    columns are the cohorts of the weights, the event times, then the
+    overall ATT."""
     periods = np.arange(blanks.shape[1])
     cohorts, keys, omitted = [], [], []
     for g in sorted(schedule.cohorts):
@@ -354,19 +368,24 @@ def _group_time_plan(schedule, adopt, blanks, comparison):
     w_all = W_g @ np.array(list(cohort_weights.values()))
     W = np.column_stack([W_g, W_e, w_all])                   # cells × aggregates
     read_only(W, *(a for cohort in cohorts for a in cohort[1:]))
-    return cohorts, keys, W, cohort_weights, omitted
+    return cohorts, keys, W, (cohort_weights, events.tolist()), omitted
 
 
 def _multiplier_covariance(seed, draws, units):
     """Sample covariance (ddof 1, units × units) of the Rademacher multipliers
-    (draws × units) from SeedSequence([seed]), read-only. VᵀV and the column
-    sums s of the draws are integers, so S = (VᵀV − ssᵀ/draws)/(draws − 1)
-    rounds only in its last three operations."""
+    (draws × units) from SeedSequence([seed]), read-only. The multipliers are
+    V = 2X − 1 for the 0/1 draws X, the indices rng.choice((-1.0, 1.0), ...)
+    draws. With c the column counts of X, VᵀV = 4XᵀX − 2(c1ᵀ + 1cᵀ) + draws
+    and the column sums s = 2c − draws are integers, formed exactly, so
+    S = (VᵀV − ssᵀ/draws)/(draws − 1) rounds only in its last three
+    operations."""
     def build():
         rng = np.random.default_rng(np.random.SeedSequence([seed]))
-        V = rng.choice((-1.0, 1.0), size=(draws, units))
-        s = V.sum(axis=0)
-        S = (V.T @ V - np.outer(s, s) / draws) / (draws - 1)
+        X = rng.integers(0, 2, size=(draws, units)).astype(float)
+        c = X.sum(axis=0)
+        s = 2.0 * c - draws
+        VtV = 4.0 * (X.T @ X) - 2.0 * (c[:, None] + c) + draws
+        S = (VtV - np.outer(s, s) / draws) / (draws - 1)
         S.flags.writeable = False
         return S
     return memoized(lambda: ("multiplier covariance", seed, draws, units), build)

@@ -106,7 +106,7 @@ class FitResult:
 
     def se(self, name) -> float:
         i = self.vcov_names.index(name)
-        return float(np.sqrt(max(self.vcov[i, i], 0.0)))
+        return math.sqrt(max(self.vcov[i, i], 0.0))
 
     def model_se(self, name) -> float:
         """Homoskedastic SE, sqrt(s²·(XᵀX)⁻¹_jj) with s² = e·e / (n − rank).
@@ -116,11 +116,11 @@ class FitResult:
         """
         i = self.vcov_names.index(name)
         s2 = float(self.residuals @ self.residuals) / max(self.n - self.rank, 1)
-        return float(np.sqrt(max(s2 * self.bread[i, i], 0.0)))
+        return math.sqrt(max(s2 * self.bread[i, i], 0.0))
 
     def subvcov(self, names) -> np.ndarray:
-        idx = [self.vcov_names.index(n) for n in names]
-        return self.vcov[np.ix_(idx, idx)]
+        idx = np.array([self.vcov_names.index(n) for n in names], dtype=np.intp)
+        return self.vcov[idx[:, None], idx]
 
 
 def ols_fit(X: DesignMatrix, y, cluster_idx, extra_dof: int = 0) -> FitResult:
@@ -164,7 +164,7 @@ def index_sums(index, size, values):
     row order as np.add.at does, so the sums are the same to the bit.
     """
     values = np.asarray(values, dtype=float)
-    k = int(np.prod(values.shape[1:]))
+    k = math.prod(values.shape[1:])
     slot = (np.asarray(index)[:, None] * k + np.arange(k)).ravel()
     return np.bincount(slot, values.ravel(), size * k).reshape((size,) + values.shape[1:])
 

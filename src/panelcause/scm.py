@@ -552,7 +552,11 @@ def _ridge_augment(X0: np.ndarray, x1: np.ndarray, w: np.ndarray, lams):
     serves every fold and penalty. Directions whose Gram eigenvalue plus
     lam is below the rounding floor get no correction: at lam = 0, where
     the Gram matrix is singular whenever donors-1 < features, that is the
-    minimum-norm solution, the lam -> 0 limit.
+    minimum-norm solution, the lam -> 0 limit. Nor do singular values past
+    the first donors - 1, the centred pool's largest possible rank: with no
+    more donors than features the last is rounding, and at lam > 0 its
+    correction, rounding / lam along the constant donor vector, would move
+    the weights' sum off one.
     """
     Xc = X0 - X0.mean(axis=1, keepdims=True)
     U, sv, Vt = np.linalg.svd(Xc, full_matrices=False)
@@ -561,6 +565,7 @@ def _ridge_augment(X0: np.ndarray, x1: np.ndarray, w: np.ndarray, lams):
     ev = sv ** 2 + lams
     floor = np.finfo(float).eps * X0.shape[2] * (sv[..., :1] ** 2 + lams)
     coef = np.divide(sv, ev, out=np.zeros_like(ev), where=ev > floor)
+    coef[..., X0.shape[1] - 1:] = 0.0
     resid = x1 - np.einsum("fjk,fj->fk", X0, w)
     out = (coef * (Vt @ resid[:, :, None])[:, None, :, 0]) @ U.transpose(0, 2, 1)
     out += w[:, None, :]
@@ -577,10 +582,10 @@ def _cv_lambda(X0: np.ndarray, grid=LAMBDA_GRID):
     augmented weights: with Xc its centred pool features, R their QR factor
     and R = U S Vᵀ, the correction's dot product with the pool's held-out
     values y is Σ_k (Vᵀa)_k (Vᵀr)_k / (s_k² + lam), where a = Xcᵀy and r is
-    the simplex fit's residual. Terms under _ridge_augment's floor are
-    zeroed as there, which keeps the lam -> 0 minimum-norm limit. Folds are
-    factorised in stacks of at most BATCH_CHUNK // (penalties × donors).
-    Ties resolve to the larger penalty.
+    the simplex fit's residual. Terms under _ridge_augment's floor or past
+    the pool's rank are zeroed as there, which keeps the lam -> 0
+    minimum-norm limit. Folds are factorised in stacks of at most
+    BATCH_CHUNK // (penalties × donors). Ties resolve to the larger penalty.
     """
     J, F = X0.shape
     if F < 2 or J < 3:
@@ -606,6 +611,7 @@ def _cv_lambda(X0: np.ndarray, grid=LAMBDA_GRID):
         ev = sv[:, None, :] ** 2 + lams
         floor = np.finfo(float).eps * (F - 1) * ev[..., :1]
         inv = np.divide(1.0, ev, out=np.zeros_like(ev), where=ev > floor)
+        inv[..., J - 2:] = 0.0          # past the rank of J - 1 centred donors
         pred = (W[f] * y).sum(axis=1)[:, None] + (inv @ (a * r))[..., 0]
         scores += ((last[f, None] - pred) ** 2).sum(axis=0)
     best = np.flatnonzero(scores <= scores.min())[-1]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import panelcause as pc
 from panelcause.did import (NEVER_TREATED, NOT_YET_TREATED, _impute_att,
-                            _summed_folds)
+                            _multiplier_covariance, _summed_folds)
 from panelcause.simharness import DgpConfig, simulate_panel
 from helpers import build_panel, linear_paths, with_blank_unit
 from oracles import cluster_sandwich, group_time_cells, ols_beta, twfe_dummy_fit
@@ -388,6 +388,19 @@ class TestGroupTime:
             e = err(pc.fit_group_time_att, cohort_effect_panel(), bootstrap_reps=reps)
         assert e.code == "CONFIG_ERROR"
         assert str(e).endswith(f"got {reps}")
+
+    @pytest.mark.parametrize("seed,draws,units", [
+        (0, 999, 80), (0, 999, 40), (3, 2, 1), (5, 2, 7), (8, 3, 1), (13, 50, 12)])
+    def test_multiplier_covariance_is_that_of_the_sign_draws(self, seed, draws, units):
+        # the reference: the ±1 multipliers as rng.choice draws them, and
+        # their sample covariance formed from them
+        rng = np.random.default_rng(np.random.SeedSequence([seed]))
+        V = rng.choice((-1.0, 1.0), size=(draws, units))
+        s = V.sum(axis=0)
+        want = (V.T @ V - np.outer(s, s) / draws) / (draws - 1)
+        got = _multiplier_covariance(seed, draws, units)
+        assert got.shape == want.shape == (units, units)
+        assert got.tobytes() == want.tobytes()
 
 
 def random_group_time_panel(rng):

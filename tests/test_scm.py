@@ -462,11 +462,25 @@ class TestLeaveOuts:
         got = np.array(list(got.values()))
         np.testing.assert_allclose(got[[0, 2]], scores[[0, 2]], rtol=1e-12,
                                    atol=0)
-        # at lam = 1e-4 the zero direction passes the floor, so both sides
-        # carry its rounding times 1 / lam: the loop's own score was up to
-        # 4e-10 off the exact one (zero direction dropped) on random draws
-        np.testing.assert_allclose(got[1], scores[1], rtol=1e-9, atol=0)
+        # at lam = 1e-4 the zero direction passes the floor; both sides drop
+        # it as past the pool's rank (before that, the loop carried its
+        # rounding times 1 / lam, up to 4e-10 off on random draws)
+        np.testing.assert_allclose(got[1], scores[1], rtol=1e-12, atol=0)
         assert lam == grid[np.flatnonzero(scores <= scores.min())[-1]]
+
+    def test_augmented_weights_sum_to_one_with_few_donors(self):
+        # n donors centre to rank n - 1: with no more donors than features
+        # the last singular value is rounding, and a correction along it
+        # would move the sum by about eps·s₁·|r| / lam
+        drift = []
+        for seed in range(24):
+            rng = np.random.default_rng(seed)
+            J, F = rng.integers(6, 9), rng.integers(12, 31)
+            X0, x1 = rng.normal(size=(J, F)), rng.normal(size=F)
+            w = rng.dirichlet(np.ones(J))
+            w_aug = _ridge_augment(X0[None], x1[None], w[None], [1e-4])[0, 0]
+            drift.append(abs(w_aug.sum() - 1.0))
+        assert max(drift) <= 1e-13
 
 
 def donor_panel(effect=2.0, T=10, g=6, treated_noise=0.0, seed=110,

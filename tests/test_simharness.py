@@ -453,8 +453,8 @@ class TestSharedMemo:
 
 
 KIND = {EVENT_STUDY: "event study plan", GROUP_TIME_DID: "group-time plan",
-        DEBIASED_AR: "debiased ar plan"}
-PLANS = tuple(KIND.values())
+        DEBIASED_AR: "debiased ar plan", DID_TWFE: "within design"}
+PLANS = tuple(KIND[m] for m in (EVENT_STUDY, GROUP_TIME_DID, DEBIASED_AR))
 
 
 def plan_panel(blank=(), adopt_late=False, x_seed=0, common=False):
@@ -476,18 +476,26 @@ def plan_panel(blank=(), adopt_late=False, x_seed=0, common=False):
 
 
 def outcome_of(fit, panel):
-    """fit(panel)'s fields other than its FitResult, and its warnings."""
+    """fit(panel)'s fields, with its FitResult's coefficients, names, dropped
+    columns, counts and the bytes of its vcov, residuals and bread, and its
+    warnings."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         est = fit(panel)
-    return ({k: v for k, v in vars(est).items() if k != "fit"},
-            [str(w.message) for w in caught])
+    fields = {k: v for k, v in vars(est).items() if k != "fit"}
+    if hasattr(est, "fit"):
+        f = est.fit
+        fields["fit"] = (f.coefficients, f.vcov_names, f.dropped_columns,
+                         (f.n, f.rank, f.cluster_count),
+                         *(a.tobytes() for a in (f.vcov, f.residuals, f.bread)))
+    return fields, [str(w.message) for w in caught]
 
 
 PLAN_FITS = {
     EVENT_STUDY: lambda p: pc.fit_event_study(p, ("x",), leads=3, lags=2),
     GROUP_TIME_DID: lambda p: pc.fit_group_time_att(p, pc.NOT_YET_TREATED, ("x",)),
     DEBIASED_AR: lambda p: pc.fit_debiased_ar(p, ("x",), lag_order=2),
+    DID_TWFE: lambda p: pc.fit_did_twfe(p, ("x",)),
 }
 
 
@@ -504,6 +512,8 @@ class TestPlans:
         (GROUP_TIME_DID, plan_panel(blank=(9, 33, 71))),
         (DEBIASED_AR, plan_panel()),
         (DEBIASED_AR, plan_panel(common=True)),
+        # within_fit takes the absorbed design from the memo
+        (DID_TWFE, plan_panel()),
     ])
     def test_a_hit_gives_the_bits_of_a_miss(self, method, panel):
         fit = PLAN_FITS[method]
@@ -574,6 +584,13 @@ class TestPlans:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[...] = 0
+
+    def test_event_study_lead_columns_are_read_only(self):
+        with linreg.shared_memo() as memo:
+            PLAN_FITS[EVENT_STUDY](plan_panel())
+            (plan,) = [v for k, v in memo.items.items() if k[0] == KIND[EVENT_STUDY]]
+        lead_at = plan[-1]
+        assert len(lead_at) and not lead_at.flags.writeable
 
     @pytest.mark.parametrize("confounding", ["none", "intercept"])
     def test_memo_counts_the_plans(self, monkeypatch, confounding):

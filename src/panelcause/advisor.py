@@ -29,7 +29,7 @@ from .its import fit_cits, fit_its, fit_its_multiple_baseline
 from .linreg import normal_ci
 from .panel import (NO_TREATED, SINGLE_TREATED, STAGGERED, PanelDataset,
                     derive_adoption)
-from .scm import fit_ascm, fit_scm, fit_staggered_ascm
+from .scm import LEAVE_OUT_MIN_DONORS, fit_ascm, fit_scm, fit_staggered_ascm
 
 ITS = "ITS"
 ITS_MULTI_BASELINE = "ITS_MULTI_BASELINE"
@@ -175,6 +175,8 @@ METHODS = {
 }
 
 ALL_METHODS = tuple(METHODS)
+# one treatment coefficient, compared across a single adoption cohort
+SINGLE_COHORT = (DID_TWFE, EVENT_STUDY, CITS)
 
 MIN_PRE_PERIODS = 2        # FEW_PRE_PERIODS below this
 SINGLE_CLUSTER_AT = 1      # SINGLE_CLUSTER_INFERENCE at or below this many treated
@@ -248,13 +250,15 @@ def _reason(method: str, f: DesignFeatures):
             "NOT_APPLICABLE", "comparison units exist; comparison-based designs "
             "identify the effect under weaker assumptions")
     if method in (SCM, ASCM):
-        if f.timing_class == SINGLE_TREATED and f.n_control >= 2:
+        # ASCM's ridge CV leaves one donor out at a time
+        need = LEAVE_OUT_MIN_DONORS if method == ASCM else 2
+        if f.timing_class == SINGLE_TREATED and f.n_control >= need:
             return None
         if f.n_treated != 1:
             return ("TOO_MANY_TREATED",
                     "synthetic control matches exactly one treated unit")
-        return ("TOO_FEW_DONORS", "needs at least two donor units")
-    single_cohort = method in (DID_TWFE, EVENT_STUDY, CITS)
+        return ("TOO_FEW_DONORS", f"needs at least {need} donor units")
+    single_cohort = method in SINGLE_COHORT
     if f.n_control == 0:
         return ("NO_CONTROL", "needs at least one comparison unit" if single_cohort
                 else "needs never-treated comparison units")
@@ -278,14 +282,11 @@ def _cautions(method: str, f: DesignFeatures):
         out.append(("FEW_PRE_PERIODS",
                     f"some cohort has fewer than "
                     f"{MIN_PRE_PERIODS} pre periods"))
-    if (f.singleton_cohorts and
-            method in (ITS_MULTI_BASELINE, GROUP_TIME_DID, IMPUTATION_DID,
-                       STAGGERED_ASCM)):
+    if f.singleton_cohorts and METHODS[method].by_cohort:
         out.append(("SINGLETON_COHORT",
                     f"{f.singleton_cohorts} cohort(s) contain a single unit; "
                     "cohort-level estimates will be noisy"))
-    if (f.n_treated <= SINGLE_CLUSTER_AT and
-            method in (DID_TWFE, EVENT_STUDY, CITS)):
+    if f.n_treated <= SINGLE_CLUSTER_AT and method in SINGLE_COHORT:
         out.append(("SINGLE_CLUSTER_INFERENCE",
                     "one treated cluster: cluster-robust standard errors are "
                     "unreliable; prefer permutation-style inference"))

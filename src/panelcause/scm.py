@@ -13,10 +13,16 @@ The solver takes a batch of problems that share AᵀA and solves them in
 lockstep; a single fit is a batch of one. The leave-one-donor-out refits of
 placebo inference and ridge CV are each one batch off the shared donor Gram
 matrix. Reruns are byte-identical.
+
+fit_scm, fit_ascm and placebo_inference each check and read one match of
+the treated unit (_match), which ASCM augments after its classic fit; each
+staggered cohort is a match built from arrays its fit already holds, and
+_ridge_augment corrects the weights of one match.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +38,9 @@ LAMBDA_GRID = np.logspace(-4, 6, 21)
 # donors; scoring all 80 folds of an 80-donor pool in one stack raised
 # _cv_lambda's peak temporaries from 0.9 MB to 2.7 MB
 BATCH_CHUNK = 1 << 15
+# donor-level leave-one-out (placebo refits, ridge CV, the staggered
+# jackknife) needs this many donors, so each fold keeps a pool of two
+LEAVE_OUT_MIN_DONORS = 3
 
 
 @dataclass
@@ -359,10 +368,19 @@ def solve_simplex_lsq(A: np.ndarray, b: np.ndarray, blocks=None,
 
 
 # ---------------------------------------------------------------------------
-# data preparation
+# the match: one treated unit's problem, validated and read once
 
 
-def _prep(panel: PanelDataset, treated, donors):
+# a treated unit's synthetic-control problem: adoption period g, the donor
+# pool, the treated series y and donor series Yd (donors × periods), and the
+# matched features of the treated unit (x1) and donors (X0, donors ×
+# features): pre-period outcomes, then covariate pre-means
+_Match = namedtuple("_Match", "g donors y Yd x1 X0")
+
+
+def _match(panel: PanelDataset, treated, donors, covariates) -> _Match:
+    """The match of a treated unit on a donor pool (default: every
+    never-treated unit), checked and read once for every entry point."""
     schedule = derive_adoption(panel)
     if treated not in panel.units:
         raise PanelCauseError("CONFIG_ERROR", f"unknown treated unit '{treated}'")
@@ -385,33 +403,33 @@ def _prep(panel: PanelDataset, treated, donors):
     if g < 2:
         raise PanelCauseError("TOO_FEW_PERIODS",
                               f"need ≥2 pre periods, adoption at t={g}")
-    return g, donors
-
-
-def _features(panel, unit_rows, g, covariates):
-    """Feature matrix rows=units: pre-period outcomes then covariate pre-means."""
-    Y = panel.outcome_matrix()
-    F = Y[unit_rows][:, :g]
-    for x in panel.covariate_matrix(covariates).T:     # CONFIG_ERROR if unknown
-        C = np.full((panel.unit_count, panel.time_count), np.nan)
-        C[panel.unit_idx, panel.time_idx] = x
-        F = np.column_stack([F, C[unit_rows][:, :g].mean(axis=1)])
-    return F
-
-
-def _check_missing(panel, treated_row, donor_rows):
-    Y = panel.outcome_matrix()
-    rows = [treated_row] + list(donor_rows)
-    if np.isnan(Y[rows]).any():
+    rows = [panel.units.index(u) for u in [treated] + donors]
+    Y = panel.outcome_matrix()[rows]
+    if np.isnan(Y).any():
         bad = [(panel.units[rows[i]], panel.time_labels[t])
-               for i, t in zip(*np.nonzero(np.isnan(Y[rows])))]
+               for i, t in zip(*np.nonzero(np.isnan(Y)))]
         raise PanelCauseError("MISSING_CELLS",
                               f"missing outcome cells in matched series: {bad[:10]}",
                               cells=bad)
+    F = Y[:, :g]
+    for x in panel.covariate_matrix(covariates).T:     # CONFIG_ERROR if unknown
+        C = np.full((panel.unit_count, panel.time_count), np.nan)
+        C[panel.unit_idx, panel.time_idx] = x
+        F = np.column_stack([F, C[rows][:, :g].mean(axis=1)])
+    return _Match(g, donors, Y[0], Y[1:], F[0], F[1:])
 
 
 # ---------------------------------------------------------------------------
 # classic SCM
+
+
+def _classic(m: _Match, treated) -> ScmEstimate:
+    """The classic SCM fit of a match."""
+    w, obj, iters, gap = solve_simplex_lsq(m.X0.T, m.x1)
+    pre, gaps, att = _synth_gaps(m.y, m.Yd, w, m.g)
+    weights = ScmWeights(dict(zip(m.donors, w.tolist())), pre, obj, False)
+    return ScmEstimate(att, gaps, weights, treated, tuple(m.donors), m.g,
+                       info={"iterations": iters, "fw_gap": gap})
 
 
 def fit_scm(panel: PanelDataset, treated, donors=None,
@@ -424,19 +442,7 @@ def fit_scm(panel: PanelDataset, treated, donors=None,
     is not unique (a flat objective), the one returned is fixed by the
     active set's deterministic path from the best single donor.
     """
-    g, donors = _prep(panel, treated, donors)
-    trow = panel.units.index(treated)
-    drows = [panel.units.index(d) for d in donors]
-    _check_missing(panel, trow, drows)
-    x1 = _features(panel, [trow], g, covariates)[0]
-    X0 = _features(panel, drows, g, covariates)          # donors × features
-    w, obj, iters, gap = solve_simplex_lsq(X0.T, x1)
-
-    Y = panel.outcome_matrix()
-    pre, gaps, att = _synth_gaps(Y[trow], Y[drows], w, g)
-    weights = ScmWeights(dict(zip(donors, w.tolist())), pre, obj, False)
-    return ScmEstimate(att, gaps, weights, treated, tuple(donors), g,
-                       info={"iterations": iters, "fw_gap": gap})
+    return _classic(_match(panel, treated, donors, covariates), treated)
 
 
 def _synth_gaps(y, Y_donors, w, g):
@@ -501,29 +507,27 @@ def placebo_inference(panel: PanelDataset, treated, donors=None, covariates=(),
     with or without it. A base that is augmented, or fit for another
     treated unit or donor pool, is CONFIG_ERROR.
     """
-    g, donors = _prep(panel, treated, donors)
-    if len(donors) < 3:
+    m = _match(panel, treated, donors, covariates)
+    if len(m.donors) < LEAVE_OUT_MIN_DONORS:
         raise PanelCauseError("TOO_FEW_DONORS",
-                              "placebo inference needs ≥3 donors so each pseudo-"
-                              "treated fit retains ≥2")
+                              f"placebo inference needs ≥{LEAVE_OUT_MIN_DONORS} "
+                              "donors so each pseudo-treated fit retains ≥2")
     if base is None:
-        base = fit_scm(panel, treated, donors, covariates)
+        base = _classic(m, treated)
     elif (base.weights.negative_allowed or base.treated != treated
-          or base.donors != tuple(donors)):
+          or base.donors != tuple(m.donors)):
         raise PanelCauseError("CONFIG_ERROR",
                               "base is not the classic SCM fit of this treated "
                               "unit on this donor pool")
     t_pre = base.weights.pre_period_rmspe
     t_ratio = _rmspe_ratio(t_pre, _post_rmspe(base.gaps))
 
-    drows = np.array([panel.units.index(d) for d in donors])
-    W = _leave_outs(_donor_gram(_features(panel, drows, g, covariates)))
-    Yd = panel.outcome_matrix()[drows]
-    resid = Yd - W @ Yd
-    pre = np.sqrt(np.mean(resid[:, :g] ** 2, axis=1))
-    post = np.sqrt(np.mean(resid[:, g:] ** 2, axis=1))
+    W = _leave_outs(_donor_gram(m.X0))
+    resid = m.Yd - W @ m.Yd
+    pre = np.sqrt(np.mean(resid[:, :m.g] ** 2, axis=1))
+    post = np.sqrt(np.mean(resid[:, m.g:] ** 2, axis=1))
     ratios, excluded = {}, []
-    for d, pre_d, post_d in zip(donors, pre.tolist(), post.tolist()):
+    for d, pre_d, post_d in zip(m.donors, pre.tolist(), post.tolist()):
         if pre_d > exclusion_cutoff * t_pre:
             excluded.append(d)
         else:
@@ -542,34 +546,30 @@ def placebo_inference(panel: PanelDataset, treated, donors=None, covariates=(),
 
 
 def _ridge_augment(X0: np.ndarray, x1: np.ndarray, w: np.ndarray, lams):
-    """Simplex weights plus a sign-free ridge correction, per fold and penalty.
+    """Simplex weights w plus a sign-free ridge correction, per penalty.
 
-    Arrays carry a leading fold axis: X0 is folds × donors × features, x1
-    folds × features and w folds × donors; the result is folds × penalties
-    × donors. Centering features across donors makes each correction
-    Xc (XcᵀXc + lam I)⁺ (x1 - X0ᵀw) sum to zero exactly, so augmented
-    weights still sum to one. One stacked SVD of the centred features
-    serves every fold and penalty. Directions whose Gram eigenvalue plus
-    lam is below the rounding floor get no correction: at lam = 0, where
-    the Gram matrix is singular whenever donors-1 < features, that is the
-    minimum-norm solution, the lam -> 0 limit. Nor do singular values past
-    the first donors - 1, the centred pool's largest possible rank: with no
-    more donors than features the last is rounding, and at lam > 0 its
+    X0 is donors × features and x1 the target's features; the result is
+    penalties × donors. Centering features across donors makes each
+    correction Xc (XcᵀXc + lam I)⁺ (x1 - X0ᵀw) sum to zero exactly, so
+    augmented weights still sum to one. One SVD of the centred features
+    serves every penalty. Directions whose Gram eigenvalue plus lam is below
+    the rounding floor get no correction: at lam = 0, where the Gram matrix
+    is singular whenever donors-1 < features, that is the minimum-norm
+    solution, the lam -> 0 limit. Nor do singular values past the first
+    donors - 1, the centred pool's largest possible rank: with no more
+    donors than features the last is rounding, and at lam > 0 its
     correction, rounding / lam along the constant donor vector, would move
     the weights' sum off one.
     """
-    Xc = X0 - X0.mean(axis=1, keepdims=True)
+    Xc = X0 - X0.mean(axis=0)
     U, sv, Vt = np.linalg.svd(Xc, full_matrices=False)
-    sv = sv[:, None, :]
     lams = np.asarray(lams, dtype=float)[:, None]
     ev = sv ** 2 + lams
-    floor = np.finfo(float).eps * X0.shape[2] * (sv[..., :1] ** 2 + lams)
+    floor = np.finfo(float).eps * X0.shape[1] * (sv[:1] ** 2 + lams)
     coef = np.divide(sv, ev, out=np.zeros_like(ev), where=ev > floor)
-    coef[..., X0.shape[1] - 1:] = 0.0
-    resid = x1 - np.einsum("fjk,fj->fk", X0, w)
-    out = (coef * (Vt @ resid[:, :, None])[:, None, :, 0]) @ U.transpose(0, 2, 1)
-    out += w[:, None, :]
-    return out
+    coef[:, X0.shape[0] - 1:] = 0.0
+    resid = x1 - np.einsum("jk,j->k", X0, w)
+    return (coef * (Vt @ resid[:, None])[:, 0]) @ U.T + w
 
 
 def _cv_lambda(X0: np.ndarray, grid=LAMBDA_GRID):
@@ -588,9 +588,11 @@ def _cv_lambda(X0: np.ndarray, grid=LAMBDA_GRID):
     BATCH_CHUNK // (penalties × donors). Ties resolve to the larger penalty.
     """
     J, F = X0.shape
-    if F < 2 or J < 3:
-        raise PanelCauseError("TOO_FEW_PERIODS",
-                              "ridge CV needs ≥2 matched features and ≥3 donors")
+    if F < 2:
+        raise PanelCauseError("TOO_FEW_PERIODS", f"ridge CV needs ≥2 features, got {F}")
+    if J < LEAVE_OUT_MIN_DONORS:
+        raise PanelCauseError("TOO_FEW_DONORS",
+                              f"ridge CV needs ≥{LEAVE_OUT_MIN_DONORS} donors, got {J}")
     fit, last = X0[:, :F - 1], X0[:, F - 1]
     off = ~np.eye(J, dtype=bool)
     pools = np.nonzero(off)[1].reshape(J, J - 1)         # fold j: all but j
@@ -618,22 +620,22 @@ def _cv_lambda(X0: np.ndarray, grid=LAMBDA_GRID):
     return float(grid[best]), dict(zip(grid.tolist(), scores.tolist()))
 
 
-def _augmented(X0, x1, w, lam, y, Y_donors, g, treated, donors, info):
-    """Ridge-augmented ScmEstimate of the series y from simplex weights w on
-    the donor features X0 (donors × features, target x1) and outcomes
-    Y_donors; lam is a penalty or "cv" (_cv_lambda). info adds entries after
-    the penalty."""
+def _augmented(m: _Match, w, lam, treated, info):
+    """Ridge-augmented ScmEstimate of a match from its simplex weights w;
+    lam is a penalty or "cv" (_cv_lambda). info adds entries after the
+    penalty."""
     cv_scores = None
     if lam == "cv":
-        lam, cv_scores = _cv_lambda(X0)
-    w_aug = _ridge_augment(X0[None], x1[None], w[None], [lam])[0, 0]
-    pre, gaps, att = _synth_gaps(y, Y_donors, w_aug, g)
-    obj = float(np.sum((x1 - X0.T @ w_aug) ** 2))
-    weights = ScmWeights(dict(zip(donors, w_aug.tolist())), pre, obj, True)
+        lam, cv_scores = _cv_lambda(m.X0)
+    w_aug = _ridge_augment(m.X0, m.x1, w, [lam])[0]
+    pre, gaps, att = _synth_gaps(m.y, m.Yd, w_aug, m.g)
+    obj = float(np.sum((m.x1 - m.X0.T @ w_aug) ** 2))
+    weights = ScmWeights(dict(zip(m.donors, w_aug.tolist())), pre, obj, True)
     info = {"lambda": float(lam), **info}
     if cv_scores is not None:
         info["cv_scores"] = cv_scores
-    return ScmEstimate(att, gaps, weights, treated, tuple(donors), g, info=info)
+    return ScmEstimate(att, gaps, weights, treated, tuple(m.donors), m.g,
+                       info=info)
 
 
 def fit_ascm(panel: PanelDataset, treated, donors=None, covariates=(),
@@ -643,15 +645,9 @@ def fit_ascm(panel: PanelDataset, treated, donors=None, covariates=(),
     With zero imbalance the correction vanishes and the estimate equals
     classic SCM exactly; as lam → ∞ it degenerates to classic SCM.
     """
-    base = fit_scm(panel, treated, donors, covariates)
-    g, donors = base.adoption_time, base.donors
-    trow = panel.units.index(treated)
-    drows = [panel.units.index(d) for d in donors]
-    x1 = _features(panel, [trow], g, covariates)[0]
-    X0 = _features(panel, drows, g, covariates)
-    Y = panel.outcome_matrix()
-    return _augmented(X0, x1, base.weights.as_array(donors), lam, Y[trow],
-                      Y[drows], g, treated, donors,
+    m = _match(panel, treated, donors, covariates)
+    base = _classic(m, treated)
+    return _augmented(m, base.weights.as_array(m.donors), lam, treated,
                       {"scm_att": base.att,
                        "scm_objective": base.weights.objective_value})
 
@@ -770,8 +766,8 @@ def fit_staggered_ascm(panel: PanelDataset, nu="auto",
 
     def estimate(Yd, W, donors):
         per_cohort = {
-            g: _augmented(Yd[:, :g], b_g, w, lam, series[g], Yd, g, g, donors,
-                          {"scm_weights": dict(zip(donors, w.tolist()))})
+            g: _augmented(_Match(g, donors, series[g], Yd, b_g, Yd[:, :g]), w,
+                          lam, g, {"scm_weights": dict(zip(donors, w.tolist()))})
             for w, (g, b_g) in zip(W, targets.items())}
         att = float(sum(cohort_weights[g] * per_cohort[g].att for g in targets))
         return per_cohort, att
@@ -782,6 +778,7 @@ def fit_staggered_ascm(panel: PanelDataset, nu="auto",
         return estimate(Yk, weights(Yk, nu), [donors[i] for i in keep])[1]
 
     per_cohort, att = estimate(Yd, W, donors)
-    se = jackknife_se(fold, range(len(donors)) if len(donors) >= 3 else ())
+    se = jackknife_se(fold, range(len(donors))
+                      if len(donors) >= LEAVE_OUT_MIN_DONORS else ())
     return StaggeredAscmEstimate(nu, nu_mode, per_cohort, cohort_weights, att,
                                  se, _pooled_rmspe(Yd, targets, W), trace)

@@ -6,7 +6,7 @@ import panelcause as pc
 from panelcause.advisor import (ALL_METHODS, ASCM, CITS, DEBIASED_AR,
                                 DID_TWFE, EVENT_STUDY, GROUP_TIME_DID,
                                 IMPUTATION_DID, ITS, ITS_MULTI_BASELINE,
-                                SCM, STAGGERED_ASCM, DesignFeatures,
+                                METHODS, SCM, STAGGERED_ASCM, DesignFeatures,
                                 derive_features, recommend)
 from helpers import build_panel
 
@@ -126,26 +126,28 @@ class TestRuleTable:
 
 # (viable, first reason code) of every method, in ALL_METHODS order, over
 # each timing class x n_treated x n_control, recorded from the two-function
-# rule table this one replaced. "+" is viable; the rest abbreviate codes.
+# rule table this one replaced, but for ASCM at two controls: its ridge CV
+# leaves one donor out, so it needs three. "+" is viable; the rest abbreviate
+# codes.
 REASON_ABBREV = {"NA": "NOT_APPLICABLE", "NS": "NOT_STAGGERED",
                  "TMT": "TOO_MANY_TREATED", "TFD": "TOO_FEW_DONORS",
                  "NC": "NO_CONTROL", "SI": "STAGGERED_INPUT"}
 PINNED_RULE_TABLE = """
 SINGLE_TREATED 0 0  +   NS  TMT TMT NC  NC  NC  NC  NC  NC  NC
 SINGLE_TREATED 0 1  NA  NS  TMT TMT +   +   +   NS  NS  NS  NS
-SINGLE_TREATED 0 2  NA  NS  +   +   +   +   +   NS  NS  NS  NS
+SINGLE_TREATED 0 2  NA  NS  +   TMT +   +   +   NS  NS  NS  NS
 SINGLE_TREATED 0 5  NA  NS  +   +   +   +   +   NS  NS  NS  NS
 SINGLE_TREATED 1 0  +   NS  TFD TFD NC  NC  NC  NC  NC  NC  NC
 SINGLE_TREATED 1 1  NA  NS  TFD TFD +   +   +   NS  NS  NS  NS
-SINGLE_TREATED 1 2  NA  NS  +   +   +   +   +   NS  NS  NS  NS
+SINGLE_TREATED 1 2  NA  NS  +   TFD +   +   +   NS  NS  NS  NS
 SINGLE_TREATED 1 5  NA  NS  +   +   +   +   +   NS  NS  NS  NS
 SINGLE_TREATED 2 0  +   NS  TMT TMT NC  NC  NC  NC  NC  NC  NC
 SINGLE_TREATED 2 1  NA  NS  TMT TMT +   +   +   NS  NS  NS  NS
-SINGLE_TREATED 2 2  NA  NS  +   +   +   +   +   NS  NS  NS  NS
+SINGLE_TREATED 2 2  NA  NS  +   TMT +   +   +   NS  NS  NS  NS
 SINGLE_TREATED 2 5  NA  NS  +   +   +   +   +   NS  NS  NS  NS
 SINGLE_TREATED 5 0  +   NS  TMT TMT NC  NC  NC  NC  NC  NC  NC
 SINGLE_TREATED 5 1  NA  NS  TMT TMT +   +   +   NS  NS  NS  NS
-SINGLE_TREATED 5 2  NA  NS  +   +   +   +   +   NS  NS  NS  NS
+SINGLE_TREATED 5 2  NA  NS  +   TMT +   +   +   NS  NS  NS  NS
 SINGLE_TREATED 5 5  NA  NS  +   +   +   +   +   NS  NS  NS  NS
 SIMULTANEOUS   0 0  +   NS  TMT TMT NC  NC  NC  NC  NC  NC  NC
 SIMULTANEOUS   0 1  NA  NS  TMT TMT +   +   +   NS  NS  NS  NS
@@ -223,6 +225,18 @@ class TestCautions:
                    for c, _ in rec.methods[STAGGERED_ASCM].cautions)
         assert not any(c == "SINGLETON_COHORT"
                        for c, _ in rec.methods[DEBIASED_AR].cautions)
+
+    @pytest.mark.parametrize("n_control, flagged", [
+        (0, {ITS_MULTI_BASELINE}),
+        (3, {GROUP_TIME_DID, IMPUTATION_DID, STAGGERED_ASCM})])
+    def test_singleton_cohort_marks_the_viable_by_cohort_methods(
+            self, n_control, flagged):
+        rec = recommend(features(n_treated=3, n_control=n_control,
+                                 timing="STAGGERED", cohort_sizes={2: 1, 4: 2},
+                                 singles=1))
+        got = {m for m in rec.viable
+               if "SINGLETON_COHORT" in {c for c, _ in rec.methods[m].cautions}}
+        assert got == {m for m in rec.viable if METHODS[m].by_cohort} == flagged
 
     def test_single_cluster_inference(self):
         rec = recommend(features(n_treated=1, n_control=5))

@@ -13,6 +13,7 @@ from panelcause.advisor import ALL_METHODS
 from panelcause.cli import main
 from panelcause.panel import load_panel
 from panelcause.scm import fit_scm, placebo_inference
+from panelcause.simharness import DgpConfig, simulate_panel
 from helpers import build_panel, strip_runtime_columns
 
 
@@ -202,6 +203,20 @@ class TestFit:
         assert got.keys() == want.keys()
         for field in want:
             assert got[field] == want[field], field
+
+    def test_ascm_needs_three_donors(self, capsys, tmp_path):
+        # two never-treated units: too few for ASCM's ridge CV, so the
+        # advisor leaves it out and a forced fit fails with the same code
+        path = str(tmp_path / "two_donors.csv")
+        simulate_panel(DgpConfig(3, 10, cohorts={6: 1}, seed=1), 0)[0].write_csv(path)
+        rc, out, _ = run(capsys, "recommend", "--data", path)
+        assert rc == 0
+        assert "viable methods: SCM, DID_TWFE, EVENT_STUDY, CITS\n" in out
+        for force in ((), ("--force",)):
+            rc, out, err = run(capsys, "fit", "--data", path, "--method", "ASCM",
+                               *force)
+            assert rc == 1 and out == ""
+            assert err.startswith("error TOO_FEW_DONORS:")
 
     def test_placebo_base_changes_nothing(self, noisy_donor_csv):
         panel = load_panel(noisy_donor_csv)

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -435,8 +437,7 @@ class TestLeaveOuts:
         for j in range(J):
             pool, gram = leave_out_gram(G, j)
             w, *_ = solve_simplex_lsq(None, None, gram=gram)
-            w_aug = _ridge_augment(fit[pool][None], fit[j][None], w[None],
-                                   LAMBDA_GRID)[0]
+            w_aug = _ridge_augment(fit[pool], fit[j], w, LAMBDA_GRID)
             scores += (last[j] - w_aug @ last[pool]) ** 2
         want = LAMBDA_GRID[np.flatnonzero(scores <= scores.min())[-1]]
         lam, got = _cv_lambda(X0)
@@ -455,8 +456,7 @@ class TestLeaveOuts:
         for j in range(len(X0)):
             pool, gram = leave_out_gram(G, j)
             w, *_ = solve_simplex_lsq(None, None, gram=gram)
-            w_aug = _ridge_augment(fit[pool][None], fit[j][None], w[None],
-                                   grid)[0]
+            w_aug = _ridge_augment(fit[pool], fit[j], w, grid)
             scores += (last[j] - w_aug @ last[pool]) ** 2
         lam, got = _cv_lambda(X0, grid=grid)
         got = np.array(list(got.values()))
@@ -478,7 +478,7 @@ class TestLeaveOuts:
             J, F = rng.integers(6, 9), rng.integers(12, 31)
             X0, x1 = rng.normal(size=(J, F)), rng.normal(size=F)
             w = rng.dirichlet(np.ones(J))
-            w_aug = _ridge_augment(X0[None], x1[None], w[None], [1e-4])[0, 0]
+            w_aug = _ridge_augment(X0, x1, w, [1e-4])[0]
             drift.append(abs(w_aug.sum() - 1.0))
         assert max(drift) <= 1e-13
 
@@ -507,6 +507,11 @@ def donor_panel(effect=2.0, T=10, g=6, treated_noise=0.0, seed=110,
     return build_panel(units, T, {"tr": g}, paths)
 
 
+MATCH_ENTRY_POINTS = [pc.fit_scm, functools.partial(pc.fit_ascm, lam=1.0),
+                      pc.placebo_inference]
+MATCH_ENTRY_IDS = ["fit_scm", "fit_ascm", "placebo_inference"]
+
+
 class TestFitScm:
     def test_exact_combo_recovery(self):
         p = donor_panel()
@@ -533,28 +538,29 @@ class TestFitScm:
         assert w.sum() == pytest.approx(1.0, abs=1e-8)
         assert (w >= -1e-10).all()
 
-    def test_error_codes(self):
+    # every single-treated entry point validates its match alike
+    @pytest.mark.parametrize("fit", MATCH_ENTRY_POINTS, ids=MATCH_ENTRY_IDS)
+    def test_error_codes(self, fit):
         p = donor_panel()
-        assert err(pc.fit_scm, p, "nope").code == "CONFIG_ERROR"
-        assert err(pc.fit_scm, p, "d0").code == "CONFIG_ERROR"
-        assert err(pc.fit_scm, p, "tr", donors=["d0", "zzz"]).code == \
-            "CONFIG_ERROR"
-        assert err(pc.fit_scm, p, "tr", donors=["d0"]).code == "TOO_FEW_DONORS"
+        assert err(fit, p, "nope").code == "CONFIG_ERROR"
+        assert err(fit, p, "d0").code == "CONFIG_ERROR"
+        assert err(fit, p, "tr", donors=["d0", "zzz"]).code == "CONFIG_ERROR"
+        assert err(fit, p, "tr", donors=["d0"]).code == "TOO_FEW_DONORS"
         p2 = build_panel(["a", "b", "c"], 6, {"a": 3, "b": 4},
                          {u: list(range(6)) for u in "abc"})
-        assert err(pc.fit_scm, p2, "a", donors=["b", "c"]).code == \
-            "TREATED_DONOR"
+        assert err(fit, p2, "a", donors=["b", "c"]).code == "TREATED_DONOR"
         p3 = donor_panel(g=1, T=6)
-        assert err(pc.fit_scm, p3, "tr").code == "TOO_FEW_PERIODS"
+        assert err(fit, p3, "tr").code == "TOO_FEW_PERIODS"
 
-    def test_missing_cells(self):
+    @pytest.mark.parametrize("fit", MATCH_ENTRY_POINTS, ids=MATCH_ENTRY_IDS)
+    def test_missing_cells(self, fit):
         p = donor_panel()
         y = p.outcome.copy()
         y[3] = np.nan
         import panelcause.panel as pp
         p2 = pp.PanelDataset(p.units, p.time_labels, p.unit_idx, p.time_idx,
                              y, p.policy, p.covariates)
-        e = err(pc.fit_scm, p2, "tr")
+        e = err(fit, p2, "tr")
         assert e.code == "MISSING_CELLS"
 
     def test_covariate_features_used(self):
@@ -706,7 +712,7 @@ class TestAscm:
 
     def test_cv_needs_three_donors(self):
         p = donor_panel(n_donors=2, combo=(0.5, 0.5))
-        assert err(pc.fit_ascm, p, "tr").code == "TOO_FEW_PERIODS"
+        assert err(pc.fit_ascm, p, "tr").code == "TOO_FEW_DONORS"
         est = pc.fit_ascm(p, "tr", lam=1.0)  # fixed penalty still fine
         assert est.att == pytest.approx(2.0, abs=1e-6)
 
@@ -824,7 +830,7 @@ class TestStaggeredAscm:
             est = pc.fit_staggered_ascm(p, nu=0.5, lam="cv")
         assert [str(w.message) for w in ws] == [
             "JACKKNIFE_FOLDS_DROPPED: 3 of 3 jackknife folds raised and were "
-            "left out (first: TOO_FEW_PERIODS)"]
+            "left out (first: TOO_FEW_DONORS)"]
         assert np.isnan(est.se)
 
 

@@ -29,7 +29,7 @@ from .its import fit_cits, fit_its, fit_its_multiple_baseline
 from .linreg import normal_ci
 from .panel import (NO_TREATED, SINGLE_TREATED, STAGGERED, PanelDataset,
                     derive_adoption)
-from .scm import LEAVE_OUT_MIN_DONORS, fit_ascm, fit_scm, fit_staggered_ascm
+from .scm import LEAVE_OUT_MIN_DONORS, MIN_DONORS, fit_ascm, fit_scm, fit_staggered_ascm
 
 ITS = "ITS"
 ITS_MULTI_BASELINE = "ITS_MULTI_BASELINE"
@@ -251,7 +251,7 @@ def _reason(method: str, f: DesignFeatures):
             "identify the effect under weaker assumptions")
     if method in (SCM, ASCM):
         # ASCM's ridge CV leaves one donor out at a time
-        need = LEAVE_OUT_MIN_DONORS if method == ASCM else 2
+        need = LEAVE_OUT_MIN_DONORS if method == ASCM else MIN_DONORS
         if f.timing_class == SINGLE_TREATED and f.n_control >= need:
             return None
         if f.n_treated != 1:
@@ -269,6 +269,8 @@ def _reason(method: str, f: DesignFeatures):
     if not single_cohort and not staggered:
         return ("NOT_STAGGERED",
                 "adoption is simultaneous; standard single-cohort designs apply")
+    if method == STAGGERED_ASCM and f.n_control < MIN_DONORS:
+        return ("TOO_FEW_DONORS", f"needs at least {MIN_DONORS} never-treated donor units")
     return None
 
 

@@ -5,10 +5,10 @@ indicator, optional covariates, and period effects — but the lag is
 "debiased" by stripping the estimated policy effect from it
 (L = Y_lag − γ·policy_lag), so prior treatment doesn't contaminate the
 autoregressive baseline. γ appears both in the regressor construction and
-as the regression coefficient, so estimation iterates to a fixed point;
-a profile least-squares grid refinement takes over, with a
-FIXED_POINT_FALLBACK warning, if the iteration cycles. There are no unit
-fixed effects: unit-specific variability is carried by the lag itself.
+as the regression coefficient, so estimation iterates to a fixed point.
+An iteration that does not settle is NO_FIXED_POINT: a γ off its path is
+no estimate. There are no unit fixed effects: unit-specific variability is
+carried by the lag itself.
 
 Only the lag columns move with γ. The period effects are absorbed once and
 the covariates partialled out (Frisch–Waugh–Lovell), which leaves the Gram
@@ -49,7 +49,7 @@ class DebiasedArEstimate:
     time_effects: dict          # time label -> sigma_t (baseline period = 0.0)
     covariate_betas: dict
     iterations: int
-    converged: bool
+    converged: bool             # always True: a path that does not settle raises
     gamma_path: list
     p_value: float
     ci: tuple
@@ -156,14 +156,6 @@ def _check_saturated(n, rank):
             f"of freedom are left to identify γ"))
 
 
-def _at(c, x):
-    """The polynomial with coefficients c (highest power first) at x, by Horner."""
-    v = 0.0
-    for a in c:
-        v = v * x + a
-    return v
-
-
 def _minor(P, cols, memo):
     """Determinant of rows 0..len(cols)-1 of the matrix P of quadratics
     against the columns ``cols``, by cofactors along its last row: 2r + 3
@@ -240,15 +232,15 @@ class _LagPolicyGram:
             return q
 
         self._lags = L
-        self._gram = quadratic(R.T @ R).transpose(1, 2, 0).tolist()
-        self._raw = np.diagonal(quadratic(z.T @ z), axis1=1, axis2=2).T.tolist()
+        gram = quadratic(R.T @ R).transpose(1, 2, 0).tolist()
+        raw = np.diagonal(quadratic(z.T @ z), axis1=1, axis2=2).T.tolist()
         memo = {(): (1.0,)}
-        self._pivots = [(_minor(self._gram, tuple(range(j + 1)), memo), self._raw[j])
+        self._pivots = [(_minor(gram, tuple(range(j + 1)), memo), raw[j])
                         for j in range(L + 1)]
-        self._cross = _minor(self._gram, (*range(L), L + 1), memo)
+        self._cross = _minor(gram, (*range(L), L + 1), memo)
 
     def report(self, gamma):
-        """_ols_pass's (fit, levels) at γ, read from the demeaned [lag_ℓ −
+        """_ols_pass's fit at γ, read from the demeaned [lag_ℓ −
         γ·lagp_ℓ, policy, covariates]: unit-clustered with the period levels
         counted in the small-sample factor and the rank, and the intercept
         and t_<label> read back from the period means of y − Xβ."""
@@ -267,13 +259,13 @@ class _LagPolicyGram:
         fit.coefficients = {INTERCEPT: alpha[0], **fit.coefficients, **{
             t: a - alpha[0] for (_, t), a in zip(periods[1:], alpha[1:])}}
         fit.rank = rank
-        return fit, levels
+        return fit
 
     def policy_coef(self, gamma):
         """Policy coefficient M(γ)/Δ_{L+1}(γ); None if a lag or policy pivot
         Δ_{j+1}/Δ_j is at or below GRAM_PIVOT_TOL² times the column's raw
         squared norm, as build_design would drop the column."""
-        # _at inlined: a pass is 2L + 3 evaluations, each about the cost of a call
+        # Horner inlined: a pass is 2L + 3 evaluations, each about the cost of a call
         prev = 1.0
         for minor, raw in self._pivots:
             d = r = 0.0
@@ -289,43 +281,23 @@ class _LagPolicyGram:
             c = c * gamma + a
         return c / prev
 
-    def profile_ssr(self, gamma):
-        """Residual sum of squares with γ fixed: γ·policy moved to the left
-        side. The Gram's lag columns are eliminated at γ, in order; a lag
-        whose pivot is at the floor is skipped, as policy_coef would refuse
-        it, and left as it is."""
-        A = [[_at(c, gamma) for c in row] for row in self._gram]
-        for j in range(self._lags):
-            if A[j][j] <= _PIVOT_FLOOR * _at(self._raw[j], gamma):
-                continue
-            for i in range(j + 1, len(A)):
-                f = A[i][j] / A[j][j]
-                for k in range(j + 1, len(A)):
-                    A[i][k] -= f * A[j][k]
-        pp, py, yy = A[-2][-2], A[-2][-1], A[-1][-1]
-        return yy - 2.0 * gamma * py + gamma ** 2 * pp
 
-
-def _grid_refine(ssr, lo, hi):
-    for _ in range(4):
-        grid = np.linspace(lo, hi, 41)
-        vals = np.array([ssr(g) for g in grid])
-        i = int(np.argmin(vals))
-        step = grid[1] - grid[0]
-        lo, hi = grid[i] - 2 * step, grid[i] + 2 * step
-    return float(grid[i])
+def _report(panel, rows, covariates, gram, gamma):
+    """The reported fit: the pass at γ, the last pass's input, read from the
+    Gram where that pass was absorbed and dense where it was refit dense."""
+    if gram.absorbed and gram.policy_coef(gamma) is not None:
+        return gram.report(gamma)
+    return _ols_pass(panel, *rows, gamma, covariates)[0]
 
 
 def _solve(panel, rows, covariates, plan=None):
-    """γ path, pass count and convergence of the fixed-point passes on
-    ``rows`` (with their _Plan, or None), and a function concluding the fit
-    with the reported (fit, levels). Without convergence it first extends
-    the path by the grid search's γ, with a FIXED_POINT_FALLBACK warning; a
-    jackknife fold, which needs a converged γ alone, need not call it."""
-    lag_p = rows[-1]
-    if not lag_p.any():
-        fit, levels = _ols_pass(panel, *rows, 0.0, covariates)
-        return [0.0, _coef(fit, "policy")], 1, True, lambda: (fit, levels)
+    """γ path of the fixed-point passes on ``rows`` (with their _Plan, or
+    None), up to the first pass that moves γ by at most FP_TOL, and a
+    function returning the reported fit (_report). NO_FIXED_POINT if no
+    pass within FP_MAX_ITER settles."""
+    if not rows[-1].any():      # no treated lag: one dense pass is exact
+        fit = _ols_pass(panel, *rows, 0.0, covariates)[0]
+        return [0.0, _coef(fit, "policy")], lambda: fit
     gram = _LagPolicyGram(panel, rows, covariates, plan)
     gamma_path = [0.0]
     for _ in range(FP_MAX_ITER):
@@ -335,27 +307,9 @@ def _solve(panel, rows, covariates, plan=None):
             new = _coef(_ols_pass(panel, *rows, g, covariates)[0], "policy")
         gamma_path.append(new)
         if abs(new - g) <= FP_TOL:
-            break
-    iterations = len(gamma_path) - 1
-    converged = abs(gamma_path[-1] - gamma_path[-2]) <= FP_TOL
-
-    def conclude():
-        if not converged:
-            searched = []       # the grids re-centre: report what they covered
-            gamma_path.append(_grid_refine(
-                lambda g: searched.append(g) or gram.profile_ssr(g),
-                min(gamma_path) - 1.0, max(gamma_path) + 1.0))
-            warnings.warn(PanelCauseWarning("FIXED_POINT_FALLBACK", (
-                f"no fixed point within {FP_TOL:g} after {iterations} passes; "
-                f"γ = {gamma_path[-1]:.10g} from a profile least-squares grid "
-                f"search over [{min(searched):.6g}, {max(searched):.6g}]")))
-        # the reported fit is the pass that produced γ (or, after the grid
-        # search, the fit at γ itself), dense where that pass was refit dense
-        g = gamma_path[-2 if converged else -1]
-        if gram.absorbed and gram.policy_coef(g) is not None:
-            return gram.report(g)
-        return _ols_pass(panel, *rows, g, covariates)
-    return gamma_path, iterations, converged, conclude
+            return gamma_path, lambda: _report(panel, rows, covariates, gram, g)
+    raise PanelCauseError("NO_FIXED_POINT", (
+        f"no fixed point within {FP_TOL:g} after {FP_MAX_ITER} passes"))
 
 
 def fit_debiased_ar(panel: PanelDataset, covariates=(), lag_order: int = 1,
@@ -375,18 +329,16 @@ def fit_debiased_ar(panel: PanelDataset, covariates=(), lag_order: int = 1,
     dummies is fit instead where the absorption could drop a column
     differently: throughout when policy or a covariate lies (nearly) in the
     period span, else for a pass whose lag/policy block is near
-    rank-deficient and the report at its γ. After FP_MAX_ITER
-    passes without convergence, γ minimises the profile SSR on a grid
-    around the path, with a FIXED_POINT_FALLBACK warning. Raises
-    SATURATED_DESIGN when the used rows do not exceed the rank of the
-    design (always so for a single unit).
+    rank-deficient and the report at its γ. Raises NO_FIXED_POINT when no
+    pass within FP_MAX_ITER settles, and SATURATED_DESIGN when the used rows
+    do not exceed the rank of the design (always so for a single unit).
 
     SE is cluster-robust from the fit at the last pass's input γ and
     ignores the uncertainty in the debiasing step; set jackknife=True for a
     unit-level jackknife SE that includes it, over the units with used rows.
     A fold solves for γ alone; it builds no report unless it has too few
     rows to be sure the report cannot raise. A fold without a fixed point
-    raises NO_FIXED_POINT and is dropped: a grid γ off its path is no estimate.
+    raises NO_FIXED_POINT, as the fit does, and is dropped.
     The used rows, lag check, period levels, absorption QR and clusters
     (_Plan) are outcome-free: a Monte Carlo evaluate builds them once per
     adoption. A jackknife fold builds its own, outside the shared memo.
@@ -408,9 +360,8 @@ def fit_debiased_ar(panel: PanelDataset, covariates=(), lag_order: int = 1,
     Y = panel.outcome_matrix()
     lag_y = np.stack([Y[ui, ti - ell] for ell in range(1, lag_order + 1)])
     rows = (cand, ui, ti, Y[ui, ti], pol, lag_y, lag_p)
-    gamma_path, iterations, converged, conclude = _solve(panel, rows, covariates, plan)
-    fit, _ = conclude()
-    gamma = gamma_path[-1]
+    gamma_path, report = _solve(panel, rows, covariates, plan)
+    fit, gamma = report(), gamma_path[-1]
 
     se = float("nan")
     if "policy" in fit.coefficients:
@@ -437,12 +388,9 @@ def fit_debiased_ar(panel: PanelDataset, covariates=(), lag_order: int = 1,
             # its plan is built for the fold alone, outside the shared memo
             keep = ui != v
             fold = (rows[0] & (panel.unit_idx != v), *(a[..., keep] for a in rows[1:]))
-            gamma_path, iterations, converged, conclude = _solve(panel, fold, covariates)
-            if not converged:
-                raise PanelCauseError("NO_FIXED_POINT", (
-                    f"no fixed point within {FP_TOL:g} after {iterations} passes"))
+            gamma_path, report = _solve(panel, fold, covariates)
             if keep.sum() <= width:
-                conclude()
+                report()
             return gamma_path[-1]
         se_jack = jackknife_se(without, np.unique(ui))
 
@@ -453,7 +401,7 @@ def fit_debiased_ar(panel: PanelDataset, covariates=(), lag_order: int = 1,
         time_effects=time_effects,
         covariate_betas={n: fit.coefficients[n] for n in covariates
                          if n in fit.coefficients},
-        iterations=iterations, converged=converged, gamma_path=gamma_path,
+        iterations=len(gamma_path) - 1, converged=True, gamma_path=gamma_path,
         p_value=normal_p(gamma, se), ci=normal_ci(gamma, se, ci_level),
         fit=fit, gamma_se_jackknife=se_jack)
 

@@ -260,10 +260,9 @@ def cmd_fit(args):
     est = spec.fit(panel, cov, args.ci_level, args.seed)
     if spec.placebo:
         try:
-            # a classic SCM estimate is the placebo's own fit of the treated unit
-            base = None if est.weights.negative_allowed else est
-            est.placebo = placebo_inference(panel, est.treated, covariates=cov,
-                                            base=base)
+            # SCM's estimate is the placebo's classic fit of the treated unit,
+            # and ASCM's carries the classic weights it augmented
+            est.placebo = placebo_inference(panel, est.treated, covariates=cov, base=est)
         except PanelCauseError as exc:
             est.info["placebo_error"] = exc.code
     doc = {

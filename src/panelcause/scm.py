@@ -38,9 +38,11 @@ LAMBDA_GRID = np.logspace(-4, 6, 21)
 # donors; scoring all 80 folds of an 80-donor pool in one stack raised
 # _cv_lambda's peak temporaries from 0.9 MB to 2.7 MB
 BATCH_CHUNK = 1 << 15
+# a synthetic control needs a pool of at least this many donors, and
 # donor-level leave-one-out (placebo refits, ridge CV, the staggered
-# jackknife) needs this many donors, so each fold keeps a pool of two
-LEAVE_OUT_MIN_DONORS = 3
+# jackknife) one more, so each fold keeps such a pool
+MIN_DONORS = 2
+LEAVE_OUT_MIN_DONORS = MIN_DONORS + 1
 
 
 @dataclass
@@ -398,8 +400,8 @@ def _match(panel: PanelDataset, treated, donors, covariates) -> _Match:
                 "TREATED_DONOR",
                 f"donor '{d}' adopts the policy inside the sample; donor pools "
                 "must be never-treated")
-    if len(donors) < 2:
-        raise PanelCauseError("TOO_FEW_DONORS", f"need ≥2 donors, got {len(donors)}")
+    if len(donors) < MIN_DONORS:
+        raise PanelCauseError("TOO_FEW_DONORS", f"need ≥{MIN_DONORS} donors, got {len(donors)}")
     if g < 2:
         raise PanelCauseError("TOO_FEW_PERIODS",
                               f"need ≥2 pre periods, adoption at t={g}")
@@ -502,25 +504,28 @@ def placebo_inference(panel: PanelDataset, treated, donors=None, covariates=(),
     p-value counts placebos with ratios at least as extreme as the treated
     unit's (ties count), plus one, over retained placebos plus one.
 
-    base, if given, is the treated unit's fit_scm(panel, treated, donors,
-    covariates), which is then not solved again; the result is the same
-    with or without it. A base that is augmented, or fit for another
-    treated unit or donor pool, is CONFIG_ERROR.
+    base, if given, is the treated unit's fit_scm or fit_ascm(panel,
+    treated, donors, covariates): its classic fit, which for fit_ascm is the
+    one its info["scm_weights"] augmented, is then not solved again; the
+    result is the same with or without it. A base fit for another treated
+    unit or donor pool, or augmented without its classic weights, is
+    CONFIG_ERROR.
     """
     m = _match(panel, treated, donors, covariates)
     if len(m.donors) < LEAVE_OUT_MIN_DONORS:
         raise PanelCauseError("TOO_FEW_DONORS",
                               f"placebo inference needs ≥{LEAVE_OUT_MIN_DONORS} "
-                              "donors so each pseudo-treated fit retains ≥2")
+                              f"donors so each pseudo-treated fit retains ≥{MIN_DONORS}")
     if base is None:
         base = _classic(m, treated)
-    elif (base.weights.negative_allowed or base.treated != treated
-          or base.donors != tuple(m.donors)):
+    elif (base.treated != treated or base.donors != tuple(m.donors)
+          or base.weights.negative_allowed and "scm_weights" not in base.info):
         raise PanelCauseError("CONFIG_ERROR",
-                              "base is not the classic SCM fit of this treated "
+                              "base is not an SCM or ASCM fit of this treated "
                               "unit on this donor pool")
-    t_pre = base.weights.pre_period_rmspe
-    t_ratio = _rmspe_ratio(t_pre, _post_rmspe(base.gaps))
+    w = base.info["scm_weights"] if base.weights.negative_allowed else base.weights.weights
+    t_pre, gaps, _ = _synth_gaps(m.y, m.Yd, np.array([w[d] for d in m.donors]), m.g)
+    t_ratio = _rmspe_ratio(t_pre, _post_rmspe(gaps))
 
     W = _leave_outs(_donor_gram(m.X0))
     resid = m.Yd - W @ m.Yd
@@ -643,13 +648,15 @@ def fit_ascm(panel: PanelDataset, treated, donors=None, covariates=(),
     """Ridge-augmented SCM: corrects remaining pre-period imbalance.
 
     With zero imbalance the correction vanishes and the estimate equals
-    classic SCM exactly; as lam → ∞ it degenerates to classic SCM.
+    classic SCM exactly; as lam → ∞ it degenerates to classic SCM. info
+    keeps the classic fit's scm_att, scm_objective and scm_weights.
     """
     m = _match(panel, treated, donors, covariates)
     base = _classic(m, treated)
     return _augmented(m, base.weights.as_array(m.donors), lam, treated,
                       {"scm_att": base.att,
-                       "scm_objective": base.weights.objective_value})
+                       "scm_objective": base.weights.objective_value,
+                       "scm_weights": base.weights.weights})
 
 
 # ---------------------------------------------------------------------------
@@ -721,8 +728,8 @@ def fit_staggered_ascm(panel: PanelDataset, nu="auto",
     if not donors:
         raise PanelCauseError("NO_NEVER_TREATED",
                               "staggered fits use never-treated units as donors; none exist")
-    if len(donors) < 2:
-        raise PanelCauseError("TOO_FEW_DONORS", f"need ≥2 donors, got {len(donors)}")
+    if len(donors) < MIN_DONORS:
+        raise PanelCauseError("TOO_FEW_DONORS", f"need ≥{MIN_DONORS} donors, got {len(donors)}")
     nu_mode = "auto" if nu == "auto" else "fixed"
     if nu_mode == "fixed":
         nu = float(nu)

@@ -126,9 +126,10 @@ class TestRuleTable:
 
 # (viable, first reason code) of every method, in ALL_METHODS order, over
 # each timing class x n_treated x n_control, recorded from the two-function
-# rule table this one replaced, but for ASCM at two controls: its ridge CV
-# leaves one donor out, so it needs three. "+" is viable; the rest abbreviate
-# codes.
+# rule table this one replaced, but for ASCM at two controls (its ridge CV
+# leaves one donor out, so it needs three) and STAGGERED_ASCM at one (its
+# cohort fits need two donors, scm.MIN_DONORS). "+" is viable; the rest
+# abbreviate codes.
 REASON_ABBREV = {"NA": "NOT_APPLICABLE", "NS": "NOT_STAGGERED",
                  "TMT": "TOO_MANY_TREATED", "TFD": "TOO_FEW_DONORS",
                  "NC": "NO_CONTROL", "SI": "STAGGERED_INPUT"}
@@ -166,19 +167,19 @@ SIMULTANEOUS   5 1  NA  NS  TMT TMT +   +   +   NS  NS  NS  NS
 SIMULTANEOUS   5 2  NA  NS  TMT TMT +   +   +   NS  NS  NS  NS
 SIMULTANEOUS   5 5  NA  NS  TMT TMT +   +   +   NS  NS  NS  NS
 STAGGERED      0 0  SI  +   TMT TMT NC  NC  NC  NC  NC  NC  NC
-STAGGERED      0 1  SI  NA  TMT TMT SI  SI  SI  +   +   +   +
+STAGGERED      0 1  SI  NA  TMT TMT SI  SI  SI  +   +   +   TFD
 STAGGERED      0 2  SI  NA  TMT TMT SI  SI  SI  +   +   +   +
 STAGGERED      0 5  SI  NA  TMT TMT SI  SI  SI  +   +   +   +
 STAGGERED      1 0  SI  +   TFD TFD NC  NC  NC  NC  NC  NC  NC
-STAGGERED      1 1  SI  NA  TFD TFD SI  SI  SI  +   +   +   +
+STAGGERED      1 1  SI  NA  TFD TFD SI  SI  SI  +   +   +   TFD
 STAGGERED      1 2  SI  NA  TFD TFD SI  SI  SI  +   +   +   +
 STAGGERED      1 5  SI  NA  TFD TFD SI  SI  SI  +   +   +   +
 STAGGERED      2 0  SI  +   TMT TMT NC  NC  NC  NC  NC  NC  NC
-STAGGERED      2 1  SI  NA  TMT TMT SI  SI  SI  +   +   +   +
+STAGGERED      2 1  SI  NA  TMT TMT SI  SI  SI  +   +   +   TFD
 STAGGERED      2 2  SI  NA  TMT TMT SI  SI  SI  +   +   +   +
 STAGGERED      2 5  SI  NA  TMT TMT SI  SI  SI  +   +   +   +
 STAGGERED      5 0  SI  +   TMT TMT NC  NC  NC  NC  NC  NC  NC
-STAGGERED      5 1  SI  NA  TMT TMT SI  SI  SI  +   +   +   +
+STAGGERED      5 1  SI  NA  TMT TMT SI  SI  SI  +   +   +   TFD
 STAGGERED      5 2  SI  NA  TMT TMT SI  SI  SI  +   +   +   +
 STAGGERED      5 5  SI  NA  TMT TMT SI  SI  SI  +   +   +   +
 """

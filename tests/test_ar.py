@@ -1,4 +1,3 @@
-import re
 import warnings
 
 import numpy as np
@@ -8,7 +7,7 @@ from hypothesis import strategies as st
 
 import panelcause as pc
 import panelcause.ar as ar_module
-from panelcause.ar import FP_MAX_ITER, FP_TOL, _grid_refine
+from panelcause.ar import FP_MAX_ITER, FP_TOL
 from panelcause.panel import PanelDataset
 from helpers import build_panel, with_blank_unit
 from oracles import debiased_ar_path, ols_beta
@@ -35,10 +34,12 @@ def ar_panel(units=6, T=12, gamma=2.0, beta=0.6, alpha=0.5, sig=0.1,
     return build_panel(names, T, adopt, paths)
 
 
-def late_start_panel():
-    """Two units, a treated from t=5 and b observed from t=2, pure noise."""
+def late_start_panel(seed=7):
+    """Two units, a treated from t=5 and b observed from t=2, pure noise.
+    With seed 7 (the only one of seeds 0-39 that does) the iteration cycles;
+    with seed 0 it settles in 10 passes."""
     ui, ti, y, pol = [], [], [], []
-    rng = np.random.default_rng(7)
+    rng = np.random.default_rng(seed)
     for t in range(8):
         ui.append(0); ti.append(t)
         y.append(float(rng.normal())); pol.append(1 if t >= 5 else 0)
@@ -144,15 +145,16 @@ class TestRowSelection:
 
     def test_late_starting_unit_allowed(self):
         # unit b enters at t=2; its first observed period seeds the lag
-        p = late_start_panel()
-        est = pc.fit_debiased_ar(p)
-        assert est.fit.n == 7 + 5
+        p = late_start_panel(seed=0)
+        with pytest.warns(pc.PanelCauseWarning, match="CLUSTER_SE_DEGENERATE"):
+            est = pc.fit_debiased_ar(p)
+        assert est.fit.n == 7 + 5 and est.iterations == 10
 
     def test_two_clusters_cannot_support_the_sandwich(self):
         # two units with period effects: the clusters' scores cancel and the
         # policy's cluster-robust SE is rounding, not a zero-width CI
         with pytest.warns(pc.PanelCauseWarning, match="CLUSTER_SE_DEGENERATE"):
-            est = pc.fit_debiased_ar(late_start_panel())
+            est = pc.fit_debiased_ar(late_start_panel(seed=0))
         assert est.fit.cluster_count == 2
         assert est.fit.model_se("policy") > 0.1
         assert np.isnan(est.gamma_se) and np.isnan(est.p_value)
@@ -309,8 +311,7 @@ class TestOptions:
             "JACKKNIFE_FOLDS_DROPPED: 1 of 4 jackknife folds raised and were "
             "left out (first: NO_FIXED_POINT)"]
         rest = p.subset(units=["u0", "u1", "u3"])
-        with pytest.warns(pc.PanelCauseWarning, match="FIXED_POINT_FALLBACK"):
-            assert not pc.fit_debiased_ar(rest, ("z",), 3).converged
+        assert err(pc.fit_debiased_ar, rest, ("z",), 3).code == "NO_FIXED_POINT"
         thetas = np.array([pc.fit_debiased_ar(p.subset(units=[u for u in p.units if u != v]),
                                               ("z",), 3).gamma
                            for v in ("u0", "u1", "u3")])
@@ -428,11 +429,11 @@ class TestAbsorbedReport:
         gram = ar_module._LagPolicyGram(p, rows, covariates)
         assume(gram.absorbed and gram.policy_coef(gamma) is not None)
         try:
-            want, want_levels = ar_module._ols_pass(p, *rows, gamma, covariates)
+            want = ar_module._ols_pass(p, *rows, gamma, covariates)[0]
         except pc.PanelCauseError as e:
             assert err(gram.report, gamma).code == e.code
             return
-        fit, levels = gram.report(gamma)
+        fit = gram.report(gamma)
         assert want.dropped_columns == fit.dropped_columns == []
         assert list(fit.coefficients) == list(want.coefficients)
         assert list(fit.coefficients.values()) == pytest.approx(
@@ -442,7 +443,6 @@ class TestAbsorbedReport:
                                                        rel=1e-10)
         assert (fit.rank, fit.n, fit.cluster_count) == (
             want.rank, want.n, want.cluster_count)
-        assert np.array_equal(levels, want_levels)
 
     def test_period_covariate_sends_the_fit_dense(self, monkeypatch):
         # z is a function of the period alone: build_design keeps it and
@@ -512,34 +512,21 @@ def test_lagged_outcome_covariate_is_refit_in_full_at_zero_only(monkeypatch):
     assert est.gamma_path == pytest.approx(want, rel=1e-10, abs=1e-10)
 
 
-def test_fallback_to_grid_warns():
+@pytest.mark.parametrize("jackknife", [False, True])
+def test_cycling_path_raises_no_fixed_point(jackknife):
     # three units, five periods: the iteration cycles for FP_MAX_ITER passes
+    # around its one real root (3.887), which repels
     p, _ = pc.simulate_panel(pc.DgpConfig(
         n_units=3, n_periods=5, cohorts={1: 1, 2: 1}, ar_coef=0.9,
         intercept_sd=3.0, effect={"kind": "dynamic", "base": 1.0, "slope": 0.5},
         seed=22), 0)
-    with pytest.warns(pc.PanelCauseWarning, match="FIXED_POINT_FALLBACK"):
-        est = pc.fit_debiased_ar(p)
-    assert not est.converged
-    assert est.iterations == FP_MAX_ITER
-    # recorded with a full design rebuild on every pass
-    assert est.gamma == pytest.approx(2.527080466723551, abs=1e-10)
-    assert est.gamma_se == pytest.approx(1.9665559488403217, abs=1e-10)
+    e = err(pc.fit_debiased_ar, p, jackknife=jackknife)
+    assert (e.code, str(e)) == ("NO_FIXED_POINT", "NO_FIXED_POINT: no fixed point "
+                                f"within {FP_TOL:g} after {FP_MAX_ITER} passes")
 
 
-def test_fallback_bracket_contains_gamma():
-    # the grid re-centres each round, so it can leave the first bracket; the
-    # warning names the range every round's grid covered, which holds γ
-    with pytest.warns(pc.PanelCauseWarning, match="FIXED_POINT_FALLBACK") as rec:
-        est = pc.fit_debiased_ar(late_start_panel())
-    assert not est.converged
-    msg = next(str(w.message) for w in rec
-               if "FIXED_POINT_FALLBACK" in str(w.message))
-    lo, hi = (float(v) for v in re.search(r"\[(\S+), (\S+)\]", msg).groups())
-    assert lo <= est.gamma <= hi
-    assert est.gamma == pytest.approx(-1.507391822, abs=1e-9)
-
-
-def test_grid_refine_locates_minimum():
-    got = _grid_refine(lambda g: (g - 3.7) ** 2 + 1.0, -10.0, 10.0)
-    assert got == pytest.approx(3.7, abs=1e-3)
+@pytest.mark.parametrize("jackknife", [False, True])
+def test_late_start_path_raises_no_fixed_point(jackknife):
+    # the same two units as TestRowSelection's with seed 7: the path cycles
+    e = err(pc.fit_debiased_ar, late_start_panel(), jackknife=jackknife)
+    assert e.code == "NO_FIXED_POINT"

@@ -194,7 +194,8 @@ class TestFit:
     @pytest.mark.parametrize("method", ["SCM", "ASCM"])
     def test_fit_placebo_is_the_direct_placebo(self, capsys, noisy_donor_csv,
                                                method):
-        # SCM hands its own fit to the placebo as base, ASCM lets it refit
+        # each fit hands itself to the placebo as base: SCM its own weights,
+        # ASCM the classic weights it augmented
         rc, out, _ = run(capsys, "fit", "--data", noisy_donor_csv,
                          "--method", method)
         assert rc == 0
@@ -215,6 +216,21 @@ class TestFit:
         for force in ((), ("--force",)):
             rc, out, err = run(capsys, "fit", "--data", path, "--method", "ASCM",
                                *force)
+            assert rc == 1 and out == ""
+            assert err.startswith("error TOO_FEW_DONORS:")
+
+    def test_staggered_ascm_needs_two_donors(self, capsys, tmp_path):
+        # one never-treated unit: the advisor leaves STAGGERED_ASCM out, and a
+        # forced fit fails with the same code
+        path = str(tmp_path / "one_donor.csv")
+        config = DgpConfig(7, 10, cohorts={4: 3, 6: 3}, seed=1)
+        simulate_panel(config, 0)[0].write_csv(path)
+        rc, out, _ = run(capsys, "recommend", "--data", path)
+        assert rc == 0
+        assert "viable methods: GROUP_TIME_DID, IMPUTATION_DID, DEBIASED_AR\n" in out
+        for force in ((), ("--force",)):
+            rc, out, err = run(capsys, "fit", "--data", path, "--method",
+                               "STAGGERED_ASCM", *force)
             assert rc == 1 and out == ""
             assert err.startswith("error TOO_FEW_DONORS:")
 

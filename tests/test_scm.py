@@ -638,9 +638,16 @@ class TestPlacebo:
         assert err(pc.placebo_inference, p, "tr").code == "TOO_FEW_DONORS"
 
     def test_base_must_be_the_classic_fit(self):
+        # an ASCM base hands over the classic fit it augmented; a base of
+        # another donor pool, or an augmented one without its classic
+        # weights, is refused
         p = self.make()
-        for base in (pc.fit_ascm(p, "tr", lam=1.0),
-                     pc.fit_scm(p, "tr", donors=["d0", "d1", "d2", "d3"])):
+        ascm = pc.fit_ascm(p, "tr", lam=1.0)
+        assert pc.placebo_inference(p, "tr", base=ascm) == pc.placebo_inference(p, "tr")
+        del ascm.info["scm_weights"]
+        pool = ["d0", "d1", "d2", "d3"]
+        for base in (ascm, pc.fit_ascm(p, "tr", donors=pool, lam=1.0),
+                     pc.fit_scm(p, "tr", donors=pool)):
             assert err(pc.placebo_inference, p, "tr", base=base).code == \
                 "CONFIG_ERROR"
 

@@ -235,6 +235,23 @@ class TestEvaluate:
         errors = [r.error for r in out.per_rep if r.config == "cfg1"]
         assert errors == ["NO_VARIATION", "NO_VARIATION"]
 
+    def test_rep_without_fixed_point_is_a_failure(self):
+        # three units, five periods: rep 0's debiased AR iteration cycles
+        config = DgpConfig(3, 5, cohorts={1: 1, 2: 1}, ar_coef=0.9, intercept_sd=3.0,
+                           effect={"kind": "dynamic", "base": 1.0, "slope": 0.5},
+                           seed=22)
+        out = evaluate([config], [DEBIASED_AR], reps=8, force=True)
+        raised = set()
+        for r in range(8):
+            try:
+                pc.fit_debiased_ar(simulate_panel(config, r)[0])
+            except pc.PanelCauseError as exc:
+                assert exc.code == "NO_FIXED_POINT"
+                raised.add(r)
+        assert raised == {r.rep for r in out.per_rep if r.error == "NO_FIXED_POINT"} == {0}
+        assert {r.error for r in out.per_rep} == {"", "NO_FIXED_POINT"}
+        assert out.rows[0].failures == len(raised)
+
     def test_unknown_method_rejected(self):
         with pytest.raises(pc.PanelCauseError) as ei:
             evaluate([cfg()], ["OLS_WITH_VIBES"], reps=1)

@@ -110,7 +110,7 @@ def fit_did_twfe(panel: PanelDataset, covariates=(),
     """
     keep, Xc = complete_rows(panel, covariates)
     pol = panel.policy[keep].astype(float)
-    if pol.min() == pol.max():
+    if not pol.size or pol.min() == pol.max():   # no complete row, or constant
         raise PanelCauseError("NO_VARIATION", "policy indicator is constant")
 
     fit = within_fit(panel.unit_idx[keep], panel.time_idx[keep], panel.outcome[keep],

@@ -70,8 +70,10 @@ def _single_adoption(panel: PanelDataset, op: str):
     return schedule, next(iter(schedule.cohorts))
 
 
-def _check_periods(panel: PanelDataset, g: int):
-    pre, post = g, panel.time_count - g
+def _check_periods(t, g: int):
+    """≥2 pre and ≥2 post periods among the periods t of the complete rows."""
+    periods = np.unique(t)
+    pre, post = int((periods < g).sum()), int((periods >= g).sum())
     if pre < 2 or post < 2:
         raise PanelCauseError(
             "TOO_FEW_PERIODS",
@@ -79,13 +81,22 @@ def _check_periods(panel: PanelDataset, g: int):
             f"got {pre} pre, {post} post")
 
 
-def _unit_effects_fit(panel: PanelDataset, keep, cols, op: str):
-    """Within fit of the kept outcome on cols with unit effects absorbed, and
-    the intercept: the first kept unit's effect, mean(y − Xβ) over its rows."""
+def _unit_effects_fit(panel: PanelDataset, keep, terms, covariates, op: str):
+    """Within fit of the kept outcome on the terms the estimate reports and
+    the covariate columns, with unit effects absorbed, and the intercept: the
+    first kept unit's effect, mean(y − Xβ) over its rows. NO_VARIATION if
+    the fit drops a term."""
     ui, y = panel.unit_idx[keep], panel.outcome[keep]
+    cols = terms + covariates
     fit = within_fit(ui, None, y, cols)
     if fit is None:
         raise PanelCauseError("RANK_ZERO", f"{op}: unit effects absorb every regressor")
+    lost = [name for name, _ in terms if name not in fit.coefficients]
+    if lost:
+        raise PanelCauseError(
+            "NO_VARIATION",
+            f"{op}: {', '.join(lost)} dropped as zero or collinear on the "
+            "complete rows once unit effects are absorbed")
     first, raw = ui == ui.min(), dict(cols)
     fitted = sum(fit.coef(name) * raw[name][first] for name in fit.vcov_names)
     return fit, float((y[first] - fitted).mean())
@@ -99,14 +110,14 @@ def fit_its(panel: PanelDataset, covariates=()) -> ItsEstimate:
     SEs are unit-clustered; with a single unit each row is its own cluster.
     """
     schedule, g = _single_adoption(panel, "fit_its")
-    _check_periods(panel, g)
     keep, Xc = complete_rows(panel, covariates)
-
     t = panel.time_idx[keep].astype(float)
+    _check_periods(t, g)
+
     pol = panel.policy[keep].astype(float)
-    cols = [("time", t), ("policy", pol), ("time_since_policy", pol * (t - g))]
-    cols += [(name, Xc[keep][:, i]) for i, name in enumerate(covariates)]
-    fit, intercept = _unit_effects_fit(panel, keep, cols, "fit_its")
+    terms = [("time", t), ("policy", pol), ("time_since_policy", pol * (t - g))]
+    covs = [(name, Xc[keep][:, i]) for i, name in enumerate(covariates)]
+    fit, intercept = _unit_effects_fit(panel, keep, terms, covs, "fit_its")
     return ItsEstimate(
         level_change=fit.coef("policy"), level_change_se=fit.se("policy"),
         slope_change=fit.coef("time_since_policy"),
@@ -161,20 +172,19 @@ def fit_cits(panel: PanelDataset, covariates=()) -> CitsEstimate:
     schedule, g = _single_adoption(panel, "fit_cits")
     if not schedule.never_treated:
         raise PanelCauseError("NO_CONTROL", "fit_cits needs ≥1 never-treated unit")
-    _check_periods(panel, g)
     keep, Xc = complete_rows(panel, covariates)
-
     t = panel.time_idx[keep].astype(float)
     treated_ids = [panel.units.index(u) for u in schedule.treated_units]
     trt = np.isin(panel.unit_idx[keep], treated_ids).astype(float)
+    _check_periods(t[trt == 1.0], g)
     clock = (t >= g).astype(float)           # shared interruption clock
     tsp = clock * (t - g)
 
-    cols = [("time", t), ("policy", clock), ("time_since_policy", tsp),
-            ("trt_x_time", trt * t), ("trt_x_policy", trt * clock),
-            ("trt_x_time_since_policy", trt * tsp)]
-    cols += [(name, Xc[keep][:, i]) for i, name in enumerate(covariates)]
-    fit, intercept = _unit_effects_fit(panel, keep, cols, "fit_cits")
+    terms = [("time", t), ("policy", clock), ("time_since_policy", tsp),
+             ("trt_x_time", trt * t), ("trt_x_policy", trt * clock),
+             ("trt_x_time_since_policy", trt * tsp)]
+    covs = [(name, Xc[keep][:, i]) for i, name in enumerate(covariates)]
+    fit, intercept = _unit_effects_fit(panel, keep, terms, covs, "fit_cits")
     betas = {
         "beta0": intercept, "beta1": fit.coef("time"),
         "beta2": fit.coef("policy"), "beta3": fit.coef("time_since_policy"),

@@ -414,10 +414,15 @@ def _match(panel: PanelDataset, treated, donors, covariates) -> _Match:
                               f"missing outcome cells in matched series: {bad[:10]}",
                               cells=bad)
     F = Y[:, :g]
-    for x in panel.covariate_matrix(covariates).T:     # CONFIG_ERROR if unknown
+    # covariate_matrix raises CONFIG_ERROR for an unknown name
+    for name, x in zip(covariates, panel.covariate_matrix(covariates).T):
         C = np.full((panel.unit_count, panel.time_count), np.nan)
         C[panel.unit_idx, panel.time_idx] = x
-        F = np.column_stack([F, C[rows][:, :g].mean(axis=1)])
+        C = C[rows][:, :g]
+        if np.isnan(C).any():
+            raise PanelCauseError("MISSING_CELLS",
+                                  f"missing covariate '{name}' cells in matched pre periods")
+        F = np.column_stack([F, C.mean(axis=1)])
     return _Match(g, donors, Y[0], Y[1:], F[0], F[1:])
 
 
@@ -443,8 +448,11 @@ def fit_scm(panel: PanelDataset, treated, donors=None,
     the exact minimiser from the solver's active set; where the minimiser
     is not unique (a flat objective), the one returned is fixed by the
     active set's deterministic path from the best single donor.
+    info["covariates"] names the covariates matched on.
     """
-    return _classic(_match(panel, treated, donors, covariates), treated)
+    est = _classic(_match(panel, treated, donors, covariates), treated)
+    est.info["covariates"] = tuple(covariates)
+    return est
 
 
 def _synth_gaps(y, Y_donors, w, g):
@@ -508,8 +516,8 @@ def placebo_inference(panel: PanelDataset, treated, donors=None, covariates=(),
     treated, donors, covariates): its classic fit, which for fit_ascm is the
     one its info["scm_weights"] augmented, is then not solved again; the
     result is the same with or without it. A base fit for another treated
-    unit or donor pool, or augmented without its classic weights, is
-    CONFIG_ERROR.
+    unit, donor pool or covariates, or augmented without its classic
+    weights, is CONFIG_ERROR.
     """
     m = _match(panel, treated, donors, covariates)
     if len(m.donors) < LEAVE_OUT_MIN_DONORS:
@@ -519,10 +527,11 @@ def placebo_inference(panel: PanelDataset, treated, donors=None, covariates=(),
     if base is None:
         base = _classic(m, treated)
     elif (base.treated != treated or base.donors != tuple(m.donors)
+          or base.info.get("covariates") != tuple(covariates)
           or base.weights.negative_allowed and "scm_weights" not in base.info):
         raise PanelCauseError("CONFIG_ERROR",
                               "base is not an SCM or ASCM fit of this treated "
-                              "unit on this donor pool")
+                              "unit on this donor pool and these covariates")
     w = base.info["scm_weights"] if base.weights.negative_allowed else base.weights.weights
     t_pre, gaps, _ = _synth_gaps(m.y, m.Yd, np.array([w[d] for d in m.donors]), m.g)
     t_ratio = _rmspe_ratio(t_pre, _post_rmspe(gaps))
@@ -649,14 +658,16 @@ def fit_ascm(panel: PanelDataset, treated, donors=None, covariates=(),
 
     With zero imbalance the correction vanishes and the estimate equals
     classic SCM exactly; as lam → ∞ it degenerates to classic SCM. info
-    keeps the classic fit's scm_att, scm_objective and scm_weights.
+    keeps the classic fit's scm_att, scm_objective and scm_weights, and
+    covariates names the covariates matched on.
     """
     m = _match(panel, treated, donors, covariates)
     base = _classic(m, treated)
     return _augmented(m, base.weights.as_array(m.donors), lam, treated,
                       {"scm_att": base.att,
                        "scm_objective": base.weights.objective_value,
-                       "scm_weights": base.weights.weights})
+                       "scm_weights": base.weights.weights,
+                       "covariates": tuple(covariates)})
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import io
 import numpy as np
 
 from panelcause import PanelDataset, load_panel, ColumnSpec
+from panelcause.simharness import DgpConfig, simulate_panel
 
 # synthetic case-study adoption plan: 44 adopters in six waves, 6 never
 COHORT_PLAN = {2010: 1, 2013: 1, 2014: 8, 2015: 8, 2016: 16, 2017: 10}
@@ -97,3 +98,13 @@ def with_blank_unit(p):
         np.concatenate([p.outcome, np.full(T, np.nan)]),
         np.concatenate([p.policy, np.zeros(T, dtype=np.int8)]),
         {k: np.concatenate([v, np.zeros(T)]) for k, v in p.covariates.items()})
+
+
+def one_x_panel():
+    """One treated unit, u000, and a covariate x whose pre-means join the
+    synthetic-control match."""
+    p = simulate_panel(DgpConfig(n_units=14, n_periods=10, cohorts={6: 1},
+                                 seed=4), 0)[0]
+    x = np.random.default_rng(4).normal(size=p.n_rows) + 0.1 * p.time_idx
+    return PanelDataset(p.units, p.time_labels, p.unit_idx, p.time_idx,
+                        p.outcome, p.policy, {"x": x})

@@ -90,10 +90,11 @@ class TestIts:
         assert est.fit.n == 11
 
     def test_one_row_per_unit_leaves_nothing_to_fit(self):
-        # each unit keeps a single outcome: its effect absorbs every regressor
-        y = {u: [float("nan")] * 8 for u in "abc"}
-        y["a"][1], y["b"][5], y["c"][6] = 1.0, 2.0, 0.5
-        p = build_panel(list("abc"), 8, {u: 4 for u in "abc"}, y)
+        # each unit keeps a single outcome, two before adoption and two
+        # after: its effect absorbs every regressor
+        y = {u: [float("nan")] * 8 for u in "abcd"}
+        y["a"][1], y["b"][2], y["c"][5], y["d"][6] = 1.0, 1.5, 2.0, 0.5
+        p = build_panel(list("abcd"), 8, {u: 4 for u in "abcd"}, y)
         assert err_code(pc.fit_its, p).code == "RANK_ZERO"
 
     def test_no_adopter(self):
@@ -111,6 +112,23 @@ class TestIts:
         e = err_code(pc.fit_its, p)
         assert e.code == "TOO_FEW_PERIODS"
         assert f"{g} pre" in str(e)
+
+    def test_periods_counted_on_complete_rows(self):
+        # eight periods on the grid, but the outcome is blank after t=4
+        y = [1.0, 2.0, 3.0, 4.0, 5.0] + [float("nan")] * 3
+        e = err_code(pc.fit_its, build_panel(["a"], 8, {"a": 4}, {"a": y}))
+        assert e.code == "TOO_FEW_PERIODS"
+        assert "4 pre, 1 post" in str(e)
+
+    def test_dropped_term_is_no_variation(self):
+        # a is seen only before adoption and b only after: the unit effects
+        # absorb the policy indicator
+        nan = float("nan")
+        p = build_panel(["a", "b"], 6, {"a": 2, "b": 2},
+                        {"a": [1.0, 1.2] + [nan] * 4, "b": [nan, nan, 3.0, 3.1, 3.5, 3.4]})
+        e = err_code(pc.fit_its, p)
+        assert e.code == "NO_VARIATION"
+        assert "policy dropped" in str(e)
 
 
 class TestMultiBaseline:
@@ -254,6 +272,16 @@ class TestCits:
         p = build_panel(["a", "b"], 10, {"a": 5, "b": 5},
                         {u: seg_path(10, 5).tolist() for u in "ab"})
         assert err_code(pc.fit_cits, p).code == "NO_CONTROL"
+
+    def test_dropped_term_is_no_variation(self):
+        # the control's post-period outcomes are blank: its clock terms match
+        # the treated interactions on the complete rows
+        p = build_panel(["ctl", "trt"], 8, {"trt": 4},
+                        {"ctl": [1.0, 1.3, 1.1, 1.6] + [float("nan")] * 4,
+                         "trt": [2.0, 2.2, 2.1, 2.5, 4.0, 4.4, 4.1, 4.9]})
+        e = err_code(pc.fit_cits, p)
+        assert e.code == "NO_VARIATION"
+        assert "trt_x_policy, trt_x_time_since_policy dropped" in str(e)
 
     def test_staggered_rejected(self):
         p = build_panel(["a", "b", "c"], 10, {"a": 4, "b": 6},

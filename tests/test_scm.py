@@ -11,7 +11,7 @@ from panelcause.scm import (_active_set_polish, _cv_lambda, _donor_gram,
                             _rmspe_ratio, BATCH_CHUNK, LAMBDA_GRID,
                             SOLVER_MAX_ITER, SOLVER_TOL, solve_simplex_lsq)
 from panelcause.simharness import DgpConfig, simulate_panel
-from helpers import build_panel
+from helpers import build_panel, one_x_panel
 from oracles import (exhaustive_simplex_min, grid_simplex_min,
                      nnls_simplex_min, placebo_p)
 
@@ -563,6 +563,14 @@ class TestFitScm:
         e = err(fit, p2, "tr")
         assert e.code == "MISSING_CELLS"
 
+    @pytest.mark.parametrize("fit", MATCH_ENTRY_POINTS, ids=MATCH_ENTRY_IDS)
+    def test_missing_covariate_cells(self, fit):
+        # a blank pre-period covariate cell is named before the solver runs
+        px = one_x_panel()
+        px.covariates["x"][3] = np.nan
+        e = err(fit, px, "u000", covariates=("x",))
+        assert e.code == "MISSING_CELLS" and "covariate 'x'" in str(e)
+
     def test_covariate_features_used(self):
         # covariate pre-means enter the feature vector: exact match still holds
         p0 = donor_panel()
@@ -639,8 +647,8 @@ class TestPlacebo:
 
     def test_base_must_be_the_classic_fit(self):
         # an ASCM base hands over the classic fit it augmented; a base of
-        # another donor pool, or an augmented one without its classic
-        # weights, is refused
+        # another donor pool or covariates, or an augmented one without its
+        # classic weights, is refused
         p = self.make()
         ascm = pc.fit_ascm(p, "tr", lam=1.0)
         assert pc.placebo_inference(p, "tr", base=ascm) == pc.placebo_inference(p, "tr")
@@ -650,6 +658,15 @@ class TestPlacebo:
                      pc.fit_scm(p, "tr", donors=pool)):
             assert err(pc.placebo_inference, p, "tr", base=base).code == \
                 "CONFIG_ERROR"
+        # matched without x, the base gave treated_ratio 0.41488 where the
+        # placebo on x gives 0.41519
+        px, x = one_x_panel(), ("x",)
+        for fit in (pc.fit_scm, pc.fit_ascm):
+            assert pc.placebo_inference(px, "u000", covariates=x,
+                                        base=fit(px, "u000", covariates=x)) == \
+                pc.placebo_inference(px, "u000", covariates=x)
+            assert err(pc.placebo_inference, px, "u000", covariates=x,
+                       base=fit(px, "u000")).code == "CONFIG_ERROR"
 
     def test_ratio_conventions(self):
         assert _rmspe_ratio(0.0, 0.0) == 0.0

@@ -26,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PanelCauseError, PanelCauseWarning
-from .linreg import (GRAM_PIVOT_TOL, INTERCEPT, DesignMatrix, build_design, index_sums,
-                     jackknife_se, memoized, normal_ci, normal_p, ols_fit, read_only)
+from .linreg import (GRAM_PIVOT_TOL, INTERCEPT, DesignMatrix, blank_token, build_design,
+                     index_slots, index_sums, jackknife_se, memoized, normal_ci, normal_p,
+                     ols_fit, read_only)
 from .panel import PanelDataset
 
 FP_TOL = 1e-8
@@ -116,11 +117,13 @@ def _ols_pass(panel, cand, ui, ti, y, pol, lag_y, lag_p, gamma, covariates):
 class _Plan:
     """What a debiased AR fit on _used_rows' ``rows`` computes without y: the
     rows (cand, ui, ti, pol, lag_p), the covariates on them, the period
-    levels, ``absorbed`` (see _LagPolicyGram) with ``basis`` the Q of the
-    period-demeaned covariates or else the dense fixed part F, and the unit
-    clusters, all read-only; and the names the report reads back: ``names``
-    of the absorbed design's columns and ``periods``, each level's (time
-    label, t_<label> coefficient name)."""
+    levels with the index_sums slots of the columns a pass demeans within
+    period (``period_slots``), ``absorbed`` (see _LagPolicyGram) with
+    ``basis`` the Q of the period-demeaned covariates or else the dense
+    fixed part F, and the unit clusters with the report's sandwich
+    ``slots``, all read-only; and the names the report reads back:
+    ``names`` of the absorbed design's columns and ``periods``, each level's
+    (time label, t_<label> coefficient name)."""
 
     def __init__(self, panel, rows, covariates):
         cand, ui, ti, _, pol, _, lag_p = rows
@@ -130,6 +133,8 @@ class _Plan:
         counts = np.bincount(ti)
         self.levels = np.flatnonzero(counts)
         self.tpos, self.counts = (np.cumsum(counts > 0) - 1)[ti], counts[self.levels]
+        # z and the covariates: [y, policy, lag_y, lag_p, covariates]
+        self.period_slots = index_slots(self.tpos, 2 + 2 * len(lag_p) + cov.shape[1])
         fixed = np.column_stack([cov, pol])
         raw = np.linalg.norm(fixed, axis=0)
         fixed -= (index_sums(self.tpos, len(self.levels), fixed) / self.counts[:, None])[self.tpos]
@@ -143,10 +148,11 @@ class _Plan:
                                     if name != "policy"]]
         self.clusters = (np.cumsum(np.bincount(ui) > 0) - 1)[ui]  # np.unique's inverse
         self.names = [f"lag{ell + 1}" for ell in range(len(lag_p))] + ["policy", *covariates]
+        self.slots = index_slots(self.clusters, len(self.names))
         self.periods = [(label, f"t_{label}")
                         for label in map(panel.label_of, self.levels.tolist())]
-        read_only(*self.rows, self.cov, self.levels, self.tpos, self.counts, self.basis,
-                  self.clusters)
+        read_only(*self.rows, self.cov, self.levels, self.tpos, self.counts,
+                  self.period_slots, self.basis, self.clusters, self.slots)
 
 
 def _check_saturated(n, rank):
@@ -207,11 +213,11 @@ class _LagPolicyGram:
         self.absorbed = plan.absorbed
         if self.absorbed:
             zc = np.column_stack([z, plan.cov])
-            means = index_sums(plan.tpos, len(plan.levels), zc) / plan.counts[:, None]
+            means = (index_sums(plan.tpos, len(plan.levels), zc, plan.period_slots)
+                     / plan.counts[:, None])
             zc -= means[plan.tpos]
             R = zc[:, :k] - plan.basis @ (plan.basis.T @ zc[:, :k])
-            self._report = (zc, means, plan.levels, y, plan.clusters, plan.names,
-                            plan.periods)
+            self._report = (zc, means, plan, y)
         else:
             R = z - plan.basis @ np.linalg.lstsq(plan.basis, z, rcond=None)[0]
 
@@ -244,7 +250,7 @@ class _LagPolicyGram:
         γ·lagp_ℓ, policy, covariates]: unit-clustered with the period levels
         counted in the small-sample factor and the rank, and the intercept
         and t_<label> read back from the period means of y − Xβ."""
-        zc, means, levels, y, clusters, names, periods = self._report
+        zc, means, plan, y = self._report
         L = self._lags
 
         def design(M):
@@ -252,12 +258,13 @@ class _LagPolicyGram:
                                     M[:, 1], M[:, 2 + 2 * L:]])
 
         X = design(zc)
-        rank = X.shape[1] + len(levels)
+        rank = X.shape[1] + len(plan.levels)
         _check_saturated(len(y), rank)
-        fit = ols_fit(DesignMatrix(X, names, np.linalg.qr(X)), zc[:, 0], clusters, len(levels))
+        fit = ols_fit(DesignMatrix(X, plan.names, np.linalg.qr(X)), zc[:, 0], plan.clusters,
+                      len(plan.levels), plan.slots)
         alpha = (means[:, 0] - design(means) @ list(fit.coefficients.values())).tolist()
         fit.coefficients = {INTERCEPT: alpha[0], **fit.coefficients, **{
-            t: a - alpha[0] for (_, t), a in zip(periods[1:], alpha[1:])}}
+            t: a - alpha[0] for (_, t), a in zip(plan.periods[1:], alpha[1:])}}
         fit.rank = rank
         return fit
 
@@ -350,11 +357,10 @@ def fit_debiased_ar(panel: PanelDataset, covariates=(), lag_order: int = 1,
         raise PanelCauseError("CONFIG_ERROR", f"lag_order must be ≥1, got {lag_order}")
     covariates = tuple(covariates)
 
-    cov = panel.covariate_matrix(covariates)        # CONFIG_ERROR for an unknown name
+    panel.covariate_matrix(covariates)        # CONFIG_ERROR for an unknown name
     plan = memoized(
-        lambda: ("debiased ar plan", tuple(panel.time_labels), panel.unit_count, lag_order,
-                 covariates, panel.unit_idx.tobytes(), panel.time_idx.tobytes(),
-                 panel.policy.tobytes(), np.isfinite(panel.outcome).tobytes(), cov.tobytes()),
+        lambda: ("debiased ar plan", panel.structure_key(), lag_order, covariates,
+                 blank_token(panel.outcome, lambda: np.isfinite(panel.outcome))),
         lambda: _Plan(panel, _used_rows(panel, lag_order), covariates))
     cand, ui, ti, pol, lag_p = plan.rows
     Y = panel.outcome_matrix()

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import PanelCauseError, PanelCauseWarning
 from .linreg import (GRAM_PIVOT_TOL, INTERCEPT, FitResult, _fixed_effects, _within_design,
-                     chi2_sf, jackknife_se, memoized, normal_ci, normal_p, read_only,
-                     unit_period_components, within_fit)
+                     blank_token, chi2_sf, index_slots, jackknife_se, memoized, normal_ci,
+                     normal_p, read_only, unit_period_components, within_fit)
 from .panel import NEVER, PanelDataset, complete_rows, derive_adoption
 
 NEVER_TREATED = "NEVER_TREATED"
@@ -106,15 +106,18 @@ def fit_did_twfe(panel: PanelDataset, covariates=(),
 
     The coefficient is the ATT under parallel trends for simultaneous
     adoption; under staggered timing it is the variance-weighted average of
-    2×2 comparisons (see goodman_bacon_decompose).
+    2×2 comparisons (see goodman_bacon_decompose). The fixed effects and
+    absorbed design (_twfe_plan) are outcome-free: a Monte Carlo evaluate
+    builds them once per adoption.
     """
+    covariates = tuple(covariates)
     keep, Xc = complete_rows(panel, covariates)
-    pol = panel.policy[keep].astype(float)
-    if not pol.size or pol.min() == pol.max():   # no complete row, or constant
-        raise PanelCauseError("NO_VARIATION", "policy indicator is constant")
-
-    fit = within_fit(panel.unit_idx[keep], panel.time_idx[keep], panel.outcome[keep],
-                     [("policy", pol)] + list(zip(covariates, Xc[keep].T)))
+    fe, X, slots = memoized(
+        lambda: ("twfe plan", panel.structure_key(), covariates,
+                 blank_token(panel.outcome, lambda: keep)),
+        lambda: _twfe_plan(panel, keep, Xc, covariates))
+    fe.warn()
+    fit = fe.fit(X, panel.outcome[keep], slots)
     if fit is None or "policy" not in fit.coefficients:
         raise PanelCauseError(
             "NO_CONTROL",
@@ -123,6 +126,26 @@ def fit_did_twfe(panel: PanelDataset, covariates=(),
     att, se = fit.coef("policy"), fit.se("policy")
     return DidEstimate(att, se, normal_ci(att, se, ci_level),
                        normal_p(att, se), ci_level, fit)
+
+
+def _twfe_plan(panel, keep, Xc, covariates):
+    """(FixedEffects, absorbed design or None, its cluster slots) of the TWFE
+    fit on the rows ``keep``: within_fit's, without y."""
+    pol = panel.policy[keep].astype(float)
+    if not pol.size or pol.min() == pol.max():   # no complete row, or constant
+        raise PanelCauseError("NO_VARIATION", "policy indicator is constant")
+    fe = _fixed_effects(panel.unit_idx[keep], panel.time_idx[keep])
+    X = _within_design(fe, ("policy", *covariates), np.column_stack([pol, Xc[keep]]))
+    return fe, X, _design_slots(fe, X)
+
+
+def _design_slots(fe, X):
+    """index_slots of the fit of X on fe's rows (read-only), or None."""
+    if X is None:
+        return None
+    slots = index_slots(fe.clusters, X.data.shape[1])
+    read_only(slots)
+    return slots
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +174,12 @@ def fit_event_study(panel: PanelDataset, covariates=(), leads: int | None = None
             f"window's terminal bin holds the reference period k = -1"))
     covariates = tuple(covariates)
     keep, Xc = complete_rows(panel, covariates)
-    coef_at, fe, X, omitted, collinear, lead_at = memoized(
-        lambda: ("event study plan", panel.unit_count, panel.time_count, leads, lags,
-                 covariates, panel.unit_idx.tobytes(), panel.time_idx.tobytes(),
-                 panel.policy.tobytes(), keep.tobytes(), Xc.tobytes()),
+    coef_at, fe, X, slots, omitted, collinear, lead_at = memoized(
+        lambda: ("event study plan", panel.structure_key(), leads, lags, covariates,
+                 blank_token(panel.outcome, lambda: keep)),
         lambda: _event_study_plan(panel, keep, Xc, covariates, leads, lags))
     fe.warn()
-    fit = fe.fit(X, panel.outcome[keep])
+    fit = fe.fit(X, panel.outcome[keep], slots)
     if fit is None or not coef_at:
         raise PanelCauseError("COLLINEAR_EVENT_TIME",
                               "every event-time indicator was dropped as collinear")
@@ -191,11 +213,11 @@ def fit_event_study(panel: PanelDataset, covariates=(), leads: int | None = None
 
 def _event_study_plan(panel, keep, Xc, covariates, leads, lags):
     """All an event study on the rows ``keep`` computes without y:
-    (coef_at, FixedEffects, absorbed design, omitted window keys, collinear,
-    lead_at). ``coef_at`` pairs each event-time key whose indicator the
-    design keeps with its column, ``collinear`` names the indicators dropped
-    as collinear, and ``lead_at`` (read-only) holds the columns of the kept
-    leads. A design column is also the index of its coefficient in the fit
+    (coef_at, FixedEffects, absorbed design, its cluster slots, omitted
+    window keys, collinear, lead_at). ``coef_at`` pairs each event-time key
+    whose indicator the design keeps with its column, ``collinear`` names
+    the indicators dropped as collinear, and ``lead_at`` (read-only) holds
+    the columns of the kept leads. A design column is also the index of its coefficient in the fit
     and of its row in the vcov."""
     schedule = derive_adoption(panel)
     if not schedule.cohorts:
@@ -248,7 +270,7 @@ def _event_study_plan(panel, keep, Xc, covariates, leads, lags):
                        dtype=np.intp)
     collinear = [] if X is None else [n for n, _ in X.dropped_columns if n.startswith("k[")]
     read_only(lead_at)
-    return coef_at, fe, X, omitted, collinear, lead_at
+    return coef_at, fe, X, _design_slots(fe, X), omitted, collinear, lead_at
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +320,12 @@ def fit_group_time_att(panel: PanelDataset,
         Y = Y - _covariate_residualizer(panel, covariates)
     # the cells' masks read which cells are NaN or infinite, not the values;
     # the policy grid decides the adoption
-    blanks = np.where(np.isfinite(Y), 0.0, Y)
+    def blanks():
+        return np.where(np.isfinite(Y), 0.0, Y)
+
     cohorts, keys, W, (cohort_weights, events), omitted = memoized(
-        lambda: ("group-time plan", *Y.shape, comparison, panel.policy_matrix().tobytes(),
-                 blanks.tobytes()),
-        lambda: _group_time_plan(schedule, _adoption_array(panel, schedule), blanks,
+        lambda: ("group-time plan", panel.structure_key(), comparison, blank_token(Y, blanks)),
+        lambda: _group_time_plan(schedule, _adoption_array(panel, schedule), blanks(),
                                  comparison))
 
     atts, phis = [], []

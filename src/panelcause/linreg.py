@@ -123,14 +123,16 @@ class FitResult:
         return self.vcov[idx[:, None], idx]
 
 
-def ols_fit(X: DesignMatrix, y, cluster_idx, extra_dof: int = 0) -> FitResult:
+def ols_fit(X: DesignMatrix, y, cluster_idx, extra_dof: int = 0,
+            slots=None) -> FitResult:
     """OLS with the cluster-robust (CR0 × small-sample factor) sandwich.
 
     ``cluster_idx`` numbers each row's cluster 0..G-1, G = max + 1 (the
     inverse of np.unique over the labels); a distinct number per row yields
     heteroskedasticity-robust (HC1-style) errors. ``extra_dof`` counts
     parameters absorbed out of the design (fixed effects) so the
-    small-sample factor matches the equivalent dummy regression.
+    small-sample factor matches the equivalent dummy regression. ``slots``
+    is index_slots(cluster_idx, width of X), if a caller keeps it.
 
     All of it comes from the design's thin QR, X = QR: β = R⁻¹Qᵀy, the fitted
     values Q(Qᵀy), the bread (XᵀX)⁻¹ = R⁻¹R⁻ᵀ and the sandwich c·WWᵀ, with
@@ -148,7 +150,7 @@ def ols_fit(X: DesignMatrix, y, cluster_idx, extra_dof: int = 0) -> FitResult:
     qty = Q.T @ y
     beta = X.r_inv @ qty
     resid = y - Q @ qty
-    S = index_sums(cluster_idx, G, Q * resid[:, None])
+    S = index_sums(cluster_idx, G, Q * resid[:, None], slots)
     W = X.r_inv @ S.T
     c = (G / (G - 1)) * ((n - 1) / max(n - k - extra_dof, 1))
 
@@ -157,16 +159,26 @@ def ols_fit(X: DesignMatrix, y, cluster_idx, extra_dof: int = 0) -> FitResult:
                      list(X.dropped_columns), X.bread)
 
 
-def index_sums(index, size, values):
+def index_sums(index, size, values, slots=None):
     """Row sums of ``values`` by ``index`` into ``size`` slots: np.add.at on zeros.
 
     One bincount over (index, column) slots, which adds each slot's rows in
     row order as np.add.at does, so the sums are the same to the bit.
+    ``slots`` is index_slots(index, k) for k values a row, if the caller
+    keeps it; with one value a row the index is its own slot array.
     """
     values = np.asarray(values, dtype=float)
     k = math.prod(values.shape[1:])
-    slot = (np.asarray(index)[:, None] * k + np.arange(k)).ravel()
-    return np.bincount(slot, values.ravel(), size * k).reshape((size,) + values.shape[1:])
+    if slots is None:
+        slots = index_slots(index, k)
+    return np.bincount(slots, values.ravel(), size * k).reshape((size,) + values.shape[1:])
+
+
+def index_slots(index, k):
+    """index_sums's slot array for k values a row: each row's (index, column)
+    slot, index × k + column, in row order."""
+    index = np.asarray(index)
+    return index if k == 1 else (index[:, None] * k + np.arange(k)).ravel()
 
 
 def unit_period_components(unit_idx, time_idx, n_units, n_periods):
@@ -267,9 +279,11 @@ class FixedEffects:
         alpha, gamma = self.effects(M)
         return M - alpha[self.unit_idx] - gamma[self.time_idx]
 
-    def fit(self, X, y):
-        """within_fit of y on X, a design _within_design absorbed here, or None."""
-        return None if X is None else ols_fit(X, self.absorb(y), self.clusters, self.absorbed)
+    def fit(self, X, y, slots=None):
+        """within_fit of y on X, a design _within_design absorbed here, or None;
+        ``slots`` is index_slots(self.clusters, width of X), if kept."""
+        return None if X is None else ols_fit(X, self.absorb(y), self.clusters,
+                                              self.absorbed, slots)
 
 
 def _fixed_effects(unit_idx, time_idx) -> FixedEffects:
@@ -373,11 +387,16 @@ def shared_memo():
     Kept: simharness's DGP skeleton by shape, effect and adoption,
     FixedEffects by their rows, within_fit's absorbed design (QR, R⁻¹, bread)
     by its FixedEffects, names and column bytes, the sample covariance of
-    did's multiplier draws, and the outcome-free plans of the event study,
-    group-time ATTs and debiased AR by everything they are computed from.
-    Each value is built as it is outside the block, so fits give the same
-    bits. Threads see the memo when run in a copy of the
-    block's context. It is emptied and dropped when the block ends.
+    did's multiplier draws, and the outcome-free plans of the TWFE, event
+    study, group-time ATTs and debiased AR. A plan is keyed by (kind, the
+    panel's structure key, the fit's options, an outcome-blank token): the
+    structure key is the bytes of all of the panel but its outcome, kept on
+    the simulated skeleton and shared by its reps' panels, and the token
+    (blank_token) is None when every outcome cell is finite, else the bytes
+    of the blank-cell mask or grid the plan reads. Each value is built as it
+    is outside the block, so fits give the same bits. Threads see the memo
+    when run in a copy of the block's context. It is emptied and dropped
+    when the block ends.
     """
     memo = _Memo()
     token = _MEMO.set(memo)
@@ -392,6 +411,12 @@ def memoized(make_key, build):
     """build(), or the open memo's value for make_key(), built on a miss."""
     memo = _MEMO.get()
     return build() if memo is None else memo.get(make_key(), build)
+
+
+def blank_token(values, blanks):
+    """A plan key's outcome-blank token: None when every entry of ``values``
+    is finite, else the bytes of blanks(), the mask or grid the plan reads."""
+    return None if np.isfinite(values).all() else blanks().tobytes()
 
 
 def jackknife_se(estimate_without, folds) -> float:

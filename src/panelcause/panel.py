@@ -56,7 +56,8 @@ class PanelDataset:
     policy : int8 array of 0/1
     covariates : dict name -> float array (NaN = missing)
 
-    Panels from ``with_outcome`` share this panel's other arrays, read-only.
+    Panels from ``with_outcome`` share this panel's other arrays, read-only,
+    and its structure key (see ``structure_key``).
     """
 
     def __init__(self, units, time_labels, unit_idx, time_idx, outcome, policy,
@@ -73,6 +74,7 @@ class PanelDataset:
         self._outcome_mat = None
         self._policy_mat = None
         self._schedule = None
+        self._structure_key = None
 
     def _validate(self):
         n = len(self.unit_idx)
@@ -124,15 +126,37 @@ class PanelDataset:
 
     def with_outcome(self, outcome) -> "PanelDataset":
         """This panel with another outcome column. The copy shares the other
-        arrays (made read-only), the policy grid and the adoption schedule."""
+        arrays (frozen), the policy grid, the adoption schedule and the
+        structure key."""
         outcome = np.asarray(outcome, dtype=float)
         _check_rows("column 'outcome'", outcome, self.n_rows)
-        for a in (self.unit_idx, self.time_idx, self.policy, self.policy_matrix(),
-                  *self.covariates.values()):
-            a.flags.writeable = False
+        self.freeze()
         new = copy.copy(self)
         new.outcome, new._outcome_mat = outcome, None
         return new
+
+    def freeze(self) -> None:
+        """Make the arrays other than the outcome read-only, the policy grid
+        too, and keep the structure key."""
+        if self._structure_key is None:
+            for a in (self.unit_idx, self.time_idx, self.policy, self.policy_matrix(),
+                      *self.covariates.values()):
+                a.flags.writeable = False
+            self._structure_key = self.structure_key()
+
+    def structure_key(self) -> bytes:
+        """All of the panel but its outcome and unit ids, as bytes: the unit
+        count, time labels and covariate names (by repr), then the rows,
+        policy and covariate values. The outcome-free plans of a Monte Carlo
+        evaluate are kept by it (see ``linreg.shared_memo``). Kept once
+        freeze() has made the arrays read-only, and built anew at every call
+        before, so a plan kept by it never outlives a change to them."""
+        if self._structure_key is not None:
+            return self._structure_key
+        head = repr((self.unit_count, self.time_labels, tuple(self.covariates))).encode()
+        return b"".join([len(head).to_bytes(8, "little"), head,
+                         *(a.tobytes() for a in (self.unit_idx, self.time_idx, self.policy,
+                                                 *self.covariates.values()))])
 
     # -- dense views ---------------------------------------------------------
 

@@ -14,15 +14,15 @@ threads give no speed-up and inflate each rep's runtime_s with waiting.
 
 One ``evaluate`` call opens ``linreg.shared_memo`` for its reps. They then
 share what the draws do not change: each adoption's DGP skeleton (panel
-arrays, effect grid and truth), the fixed-effects operator of each set of
-rows, the absorbed design with its QR, R⁻¹ and bread of each set of columns
-(with fixed adoption, the TWFE design of every rep), the sample covariance
-of the group-time multiplier draws, which every rep makes from seed 0, and
-the outcome-free plans of the event study, the group-time ATTs and the
-debiased AR, so that with fixed adoption a later rep runs only each fit's
-outcome pass. Each value is built as it is outside the call, so a rep's
-panel is the one ``simulate_panel`` draws alone, and its score is exactly
-what ``fit`` reports for that panel. The memo is dropped on return.
+arrays, structure key, effect grid and truth), the fixed-effects operator
+of each set of rows, the sample covariance of the group-time multiplier
+draws, which every rep makes from seed 0, and the outcome-free plans of
+the TWFE, the event study, the group-time ATTs and the debiased AR, found
+by the skeleton's structure key, so that with fixed adoption a later rep
+runs only each fit's outcome pass. Each value is built as it is outside
+the call, so a rep's panel is the one ``simulate_panel`` draws alone, and
+its score is exactly what ``fit`` reports for that panel. The memo is
+dropped on return.
 """
 
 from __future__ import annotations
@@ -206,7 +206,8 @@ def simulate_panel(config: DgpConfig, rep: int):
 
 def _skeleton(config, adopt):
     """(panel with a zero outcome, policy × effect grid, truth) of one
-    adoption; the panel's schedule is computed before it is shared."""
+    adoption; the panel's schedule and structure key are computed, and its
+    arrays frozen, before it is shared."""
     U, T = config.n_units, config.n_periods
     tgrid = np.arange(T)
     # policy and effect on the U×T grid; untreated cells carry effect 0.0
@@ -226,6 +227,7 @@ def _skeleton(config, adopt):
     template = PanelDataset(units, list(range(T)), np.repeat(np.arange(U), T),
                             np.tile(np.arange(T), U), np.zeros(U * T), policy.ravel())
     derive_adoption(template)
+    template.freeze()
 
     treated = policy == 1
     if treated.any():

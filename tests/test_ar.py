@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import panelcause as pc
@@ -411,6 +411,8 @@ class TestAbsorbedReport:
            st.integers(min_value=6, max_value=10),
            st.sampled_from([1, 2]), st.booleans(),
            st.floats(min_value=-3.0, max_value=3.0))
+    # every unit spans two periods: no used rows at lag order 2
+    @example(seed=6936848, U=3, T=6, lag_order=2, covariate=False, gamma=0.0)
     def test_matches_the_dense_pass(self, seed, U, T, lag_order, covariate,
                                     gamma):
         # unbalanced: units enter late and leave early, adopt at random
@@ -425,6 +427,8 @@ class TestAbsorbedReport:
         p = PanelDataset([f"u{i}" for i in range(U)], list(range(T)), ui, ti,
                          y, (ti >= adopt[ui]).astype(int), cov)
         covariates = ("z",) if covariate else ()
+        # a unit has used rows past its first lag_order periods
+        assume((leave - entry > lag_order).any())
         rows = ar_module._used_rows(p, lag_order)
         gram = ar_module._LagPolicyGram(p, rows, covariates)
         assume(gram.absorbed and gram.policy_coef(gamma) is not None)

@@ -538,6 +538,31 @@ class TestWithOutcome:
             with pytest.raises(ValueError):
                 shared[0] = 0
 
+    def test_structure_key(self):
+        # copies share one key; it reads the rows, policy, labels and
+        # covariates but not the outcome or the unit ids, and a panel whose
+        # arrays are still writable reads their bytes at every call
+        p = load(CSV)
+        z = np.array([0.5, 1.0, 1.5, 2.0])
+        q = pc.PanelDataset(p.units, p.time_labels, p.unit_idx, p.time_idx, p.outcome,
+                            p.policy, {"z": z})
+        key = q.structure_key()
+        z[0] = 9.0
+        assert q.structure_key() != key
+        z[0] = 0.5
+        assert q.structure_key() == key
+        q.freeze()
+        assert not z.flags.writeable and q.with_outcome(p.outcome + 1).structure_key() is \
+            q.structure_key() == key
+        renamed = pc.PanelDataset(["x", "y"], p.time_labels, p.unit_idx, p.time_idx,
+                                  -p.outcome, p.policy, {"z": z})
+        assert renamed.structure_key() == key
+        for labels, policy in [([float(t) for t in p.time_labels], p.policy),
+                               (p.time_labels, [0, 1, 0, 1])]:
+            moved = pc.PanelDataset(p.units, labels, p.unit_idx, p.time_idx, p.outcome,
+                                    policy, {"z": z})
+            assert moved.structure_key() != key
+
     @pytest.mark.parametrize("make", ["with_outcome", "constructor"])
     @pytest.mark.parametrize("shape,got", [((3,), "3 rows"), ((5,), "5 rows"),
                                            ((4, 1), "shape (4, 1)")],

@@ -391,6 +391,7 @@ class TestSharedMemo:
             with pytest.raises(ValueError):
                 shared[0] = 1
         assert pc.derive_adoption(p0) is pc.derive_adoption(p1)
+        assert p0.structure_key() is p1.structure_key()
         assert t0 is t1
         assert p0.outcome.tobytes() != p1.outcome.tobytes()
         # same adoption, another effect: the draw outside any memo
@@ -470,8 +471,8 @@ class TestSharedMemo:
 
 
 KIND = {EVENT_STUDY: "event study plan", GROUP_TIME_DID: "group-time plan",
-        DEBIASED_AR: "debiased ar plan", DID_TWFE: "within design"}
-PLANS = tuple(KIND[m] for m in (EVENT_STUDY, GROUP_TIME_DID, DEBIASED_AR))
+        DEBIASED_AR: "debiased ar plan", DID_TWFE: "twfe plan"}
+PLANS = tuple(KIND.values())
 
 
 def plan_panel(blank=(), adopt_late=False, x_seed=0, common=False):
@@ -529,7 +530,6 @@ class TestPlans:
         (GROUP_TIME_DID, plan_panel(blank=(9, 33, 71))),
         (DEBIASED_AR, plan_panel()),
         (DEBIASED_AR, plan_panel(common=True)),
-        # within_fit takes the absorbed design from the memo
         (DID_TWFE, plan_panel()),
     ])
     def test_a_hit_gives_the_bits_of_a_miss(self, method, panel):
@@ -590,13 +590,15 @@ class TestPlans:
             for fit in PLAN_FITS.values():
                 fit(p)
             plans = {k[0]: v for k, v in memo.items.items() if k[0] in PLANS}
-        X = plans[KIND[EVENT_STUDY]][2]
+        X, slots = plans[KIND[EVENT_STUDY]][2:4]
         cohorts, _, W, _, _ = plans[KIND[GROUP_TIME_DID]]
         ar = plans[KIND[DEBIASED_AR]]
-        arrays = [X.data, *X.qr, X.r_inv, X.bread, W,
+        _, X_twfe, slots_twfe = plans[KIND[DID_TWFE]]
+        arrays = [X.data, *X.qr, X.r_inv, X.bread, slots, W,
                   *(a for cohort in cohorts for a in cohort[1:]), *ar.rows,
-                  *(v for v in vars(ar).values() if isinstance(v, np.ndarray))]
-        assert len(arrays) == 6 + 5 * len(cohorts) + 5 + 6
+                  *(v for v in vars(ar).values() if isinstance(v, np.ndarray)),
+                  X_twfe.data, *X_twfe.qr, X_twfe.r_inv, X_twfe.bread, slots_twfe]
+        assert len(arrays) == 7 + 5 * len(cohorts) + 5 + 8 + 6
         for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
@@ -613,17 +615,69 @@ class TestPlans:
     def test_memo_counts_the_plans(self, monkeypatch, confounding):
         # fixed adoption: each plan is built by rep 0 and read by reps 1 and
         # 2; adoption drawn per rep: each rep builds its own
-        memos, real = [], sh.shared_memo
-
-        @contextlib.contextmanager
-        def spy():
-            with real() as memo:
-                memos.append(memo)
-                yield memo
-
-        monkeypatch.setattr(sh, "shared_memo", spy)
+        memos = spy_on_memos(monkeypatch)
         evaluate([cfg(ar_coef=0.3, confounding=confounding)],
-                 [EVENT_STUDY, GROUP_TIME_DID, DEBIASED_AR], reps=3, force=True)
+                 [DID_TWFE, EVENT_STUDY, GROUP_TIME_DID, DEBIASED_AR], reps=3, force=True)
         (memo,) = memos
         want = (1, 2) if confounding == "none" else (3, 0)
         assert {k: (memo.misses[k], memo.hits[k]) for k in PLANS} == dict.fromkeys(PLANS, want)
+
+    def test_reps_with_other_blank_cells_equal_fresh_fits(self, monkeypatch):
+        # fixed adoption, and the reps blank no cell or one of two sets of
+        # last-period cells (no AR lag is lost): each set of blanks keys its
+        # own plan of each kind, and every rep equals a fit of its panel alone.
+        # The third set comes last: 3 × 4 plans would overflow the memo
+        a, b = [7, 5 * 8 + 7], [2 * 8 + 7, 9 * 8 + 7]
+        blanks = [[], a, [], a, b, b]
+        real = sh.simulate_panel
+
+        def blanked(config, rep):
+            panel, truth = real(config, rep)
+            y = panel.outcome.copy()
+            y[blanks[rep]] = np.nan
+            return panel.with_outcome(y), truth
+
+        memos = spy_on_memos(monkeypatch)
+        monkeypatch.setattr(sh, "simulate_panel", blanked)
+        c = cfg(ar_coef=0.3)
+        out = evaluate([c], [DID_TWFE, EVENT_STUDY, GROUP_TIME_DID, DEBIASED_AR], reps=6,
+                       force=True)
+        (memo,) = memos
+        assert {k: (memo.misses[k], memo.hits[k]) for k in PLANS} == dict.fromkeys(PLANS, (3, 3))
+        for rec in out.per_rep:
+            assert rec.error == "", (rec.method, rec.error)
+            spec = adv.METHODS[rec.method]
+            est, se = spec.point(spec.fit(blanked(c, rec.rep)[0], (), 0.95, 0), 0.95)[:2]
+            assert (rec.estimate, rec.se) == (est, se), (rec.method, rec.rep)
+
+    @pytest.mark.parametrize("method", sorted(PLAN_FITS))
+    def test_no_plan_outlives_a_change_to_the_arrays(self, method):
+        # a panel on writable arrays is never frozen, so it keys its plans by
+        # their bytes at each fit: after its covariate changes in place, a
+        # fit in the same memo builds a new plan and equals a fresh panel's
+        p = plan_panel()
+        x = p.covariates["x"]
+        assert x.flags.writeable
+        fit = PLAN_FITS[method]
+        with linreg.shared_memo() as memo:
+            fit(p)
+            x[:] = np.random.default_rng(5).normal(size=len(x)) + 0.1 * p.time_idx
+            changed = outcome_of(fit, p)
+        fresh = pc.PanelDataset(p.units, p.time_labels, p.unit_idx, p.time_idx,
+                                p.outcome, p.policy, {"x": x.copy()})
+        assert changed == outcome_of(fit, fresh)
+        assert (memo.misses[KIND[method]], memo.hits[KIND[method]]) == (2, 0)
+
+
+def spy_on_memos(monkeypatch):
+    """The memos evaluate opens, in order, from here on."""
+    memos, real = [], sh.shared_memo
+
+    @contextlib.contextmanager
+    def spy():
+        with real() as memo:
+            memos.append(memo)
+            yield memo
+
+    monkeypatch.setattr(sh, "shared_memo", spy)
+    return memos
